@@ -269,16 +269,6 @@ def decay_bound_report(recorder: TrajectoryRecorder) -> dict:
 # ------------------------------------------------------------ field-level checks
 
 
-def _curl_spec(c: np.ndarray, kx, ky, kz) -> np.ndarray:
-    return np.stack(
-        [
-            1j * (ky * c[2] - kz * c[1]),
-            1j * (kz * c[0] - kx * c[2]),
-            1j * (kx * c[1] - ky * c[0]),
-        ]
-    )
-
-
 def vector_identity_check(basis: DivFreeSpectralBasis, u: Field, H: Field, nu: float = 1.0) -> dict:
     """Pointwise defects of the two curl/divergence identities used in the
     energy bookkeeping::
@@ -291,28 +281,26 @@ def vector_identity_check(basis: DivFreeSpectralBasis, u: Field, H: Field, nu: f
     so the defect is rounding noise.
     """
     g = 2 * basis.grid_points
-    kx, ky, kz = basis.wavenumbers(g)
     c_u = basis.resample_spectrum(u.to_spectral().data, g)
     c_h = basis.resample_spectrum(H.to_spectral().data, g)
     u_g = basis.spectral_to_grid(c_u)
     h_g = basis.spectral_to_grid(c_h)
-    c_curl_h = _curl_spec(c_h, kx, ky, kz)
+    c_curl_h = basis.curl(c_h)
     curl_h = basis.spectral_to_grid(c_curl_h)
 
     def div_grid(vec: np.ndarray) -> np.ndarray:
-        c = basis.grid_to_spectral(vec)
-        return basis.spectral_to_grid(1j * (kx * c[0] + ky * c[1] + kz * c[2]))
+        return basis.spectral_to_grid(basis.div(basis.grid_to_spectral(vec)))
 
     w1 = nu * np.cross(h_g, curl_h, axisa=0, axisb=0, axisc=0)
     lhs1 = div_grid(w1)
-    curl_curl_h = basis.spectral_to_grid(_curl_spec(nu * c_curl_h, kx, ky, kz))
+    curl_curl_h = basis.spectral_to_grid(basis.curl(nu * c_curl_h))
     rhs1 = nu * np.sum(curl_h**2, axis=0) - np.sum(curl_curl_h * h_g, axis=0)
     defect1 = float(np.max(np.abs(lhs1 - rhs1)))
 
     uxh = np.cross(u_g, h_g, axisa=0, axisb=0, axisc=0)
     w2 = np.cross(uxh, h_g, axisa=0, axisb=0, axisc=0)
     lhs2 = div_grid(w2)
-    curl_uxh = basis.spectral_to_grid(_curl_spec(basis.grid_to_spectral(uxh), kx, ky, kz))
+    curl_uxh = basis.spectral_to_grid(basis.curl(basis.grid_to_spectral(uxh)))
     lorentz = np.cross(curl_h, h_g, axisa=0, axisb=0, axisc=0)
     rhs2 = np.sum(lorentz * u_g, axis=0) + np.sum(curl_uxh * h_g, axis=0)
     defect2 = float(np.max(np.abs(lhs2 - rhs2)))
@@ -330,22 +318,20 @@ def korn_ratio_of_field(basis: DivFreeSpectralBasis, v: Field) -> float:
     Rejects non-solenoidal input: the sharp constant relies on div u = 0.
     """
     c = v.to_spectral().data
-    kx, ky, kz = basis.wavenumbers(c.shape[-1])
-    div = np.abs(1j * (kx * c[0] + ky * c[1] + kz * c[2]))
+    kx = basis.wavenumbers(c.shape[-1])[0]
+    div = np.abs(basis.div(c))
     scale = float(np.max(np.abs(c))) + 1e-300
     if float(np.max(div)) > 1e-10 * scale * max(np.max(np.abs(kx)), 1.0):
         raise ValueError("field is not solenoidal")
     if abs(c[0, 0, 0, 0]) + abs(c[1, 0, 0, 0]) + abs(c[2, 0, 0, 0]) > 1e-12 * scale:
         raise ValueError("field must have zero mean")
-    g = c.shape[-1]
-    w = basis.volume / g**3
-    ks = (kx, ky, kz)
+    w = basis.volume / c.shape[-1] ** 3
     grad_sq = 0.0
     strain_sq = 0.0
     for i in range(3):
         for m in range(3):
-            d_mi = basis.spectral_to_grid(1j * ks[m] * c[i])
-            d_im = basis.spectral_to_grid(1j * ks[i] * c[m])
+            d_mi = basis.spectral_to_grid(basis.grad(c[i], m))
+            d_im = basis.spectral_to_grid(basis.grad(c[m], i))
             grad_sq += w * float(np.sum(d_mi**2))
             strain_sq += w * float(np.sum((d_mi + d_im) ** 2))
     if strain_sq == 0.0:
@@ -377,14 +363,12 @@ def functional_inequality_check(
     e0 = np.zeros(basis.k_modes)
     e0[0] = 1.0
     c = basis.synth_vector(e0)
-    g = c.shape[-1]
-    w = basis.volume / g**3
+    w = basis.volume / c.shape[-1] ** 3
     h = basis.spectral_to_grid(c)
-    kx, ky, kz = basis.wavenumbers(g)
     grad_sq = 0.0
     for i in range(3):
-        for kk in (kx, ky, kz):
-            grad_sq += w * float(np.sum(basis.spectral_to_grid(1j * kk * c[i]) ** 2))
+        for m in range(3):
+            grad_sq += w * float(np.sum(basis.spectral_to_grid(basis.grad(c[i], m)) ** 2))
     h_norm = np.sqrt(w * float(np.sum(h**2)))
     lowest_ratio = float(h_norm / np.sqrt(grad_sq))
     return {

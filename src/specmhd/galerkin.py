@@ -110,7 +110,16 @@ class Rates:
 
 
 class _StateFields:
-    """Lazy grid realizations shared by one right-hand-side evaluation."""
+    """Grid realization of one state, computed lazily and cached.
+
+    It is the single argument of every per-state computation: the
+    right-hand sides, the mass matrices, the monitors and
+    :func:`energy_report`, so whatever one of them realizes the others reuse.
+    The time loop builds one per accepted state, shares it between the
+    post-step monitors, the diagnostics report and the next step's first
+    right-hand side, and drops it before the step's stage evaluations, which
+    build their own.
+    """
 
     def __init__(self, ops: "GalerkinOperators", state: SimState):
         self.ops = ops
@@ -118,6 +127,14 @@ class _StateFields:
         self.basis = ops.basis
         self.n = ops.basis.grid_points
         self.m = ops.basis.oversample_grid()
+
+    def _grad_grid(self, c):
+        """Grid gradient ``out[..., m, :, :, :] = d_m c`` of a spectrum, one
+        component transformed at a time."""
+        out = np.empty(c.shape[:-3] + (3,) + c.shape[-3:])
+        for m in range(3):
+            out[..., m, :, :, :] = self.basis.spectral_to_grid(self.basis.grad(c, m))
+        return out
 
     # ---- base grid (exact for polynomial nonlinearities)
 
@@ -140,24 +157,11 @@ class _StateFields:
     @cached_property
     def grad_u(self):
         """Jacobian grid array with grad_u[i, m] = d_m u_i."""
-        kx, ky, kz = self.basis.wavenumbers(self.n)
-        out = np.empty((3, 3) + self.c_u.shape[1:], dtype=float)
-        for m, k in enumerate((kx, ky, kz)):
-            out[:, m] = self.basis.spectral_to_grid(1j * k * self.c_u)
-        return out
+        return self._grad_grid(self.c_u)
 
     @cached_property
     def curl_H(self):
-        kx, ky, kz = self.basis.wavenumbers(self.n)
-        c = self.c_H
-        spec = np.stack(
-            [
-                1j * (ky * c[2] - kz * c[1]),
-                1j * (kz * c[0] - kx * c[2]),
-                1j * (kx * c[1] - ky * c[0]),
-            ]
-        )
-        return self.basis.spectral_to_grid(spec)
+        return self.basis.spectral_to_grid(self.basis.curl(self.c_H))
 
     @cached_property
     def rho(self):
@@ -165,15 +169,7 @@ class _StateFields:
 
     @cached_property
     def grad_rho(self):
-        kx, ky, kz = self.basis.wavenumbers(self.n)
-        c = self.st.rho.data
-        return np.stack(
-            [
-                self.basis.spectral_to_grid(1j * kx * c),
-                self.basis.spectral_to_grid(1j * ky * c),
-                self.basis.spectral_to_grid(1j * kz * c),
-            ]
-        )
+        return self._grad_grid(self.st.rho.data)
 
     @cached_property
     def theta(self):
@@ -183,10 +179,7 @@ class _StateFields:
     def density_rate(self):
         """Spectral rate -div(rho u) + eps lap(rho), dealiased, mean zero."""
         flux = self.rho[None] * self.u
-        c_flux = self.basis.grid_to_spectral(flux)
-        kx, ky, kz = self.basis.wavenumbers(self.n)
-        div = 1j * (kx * c_flux[0] + ky * c_flux[1] + kz * c_flux[2])
-        rate = -div * self.ops._mask_n
+        rate = -self.basis.div(self.basis.grid_to_spectral(flux)) * self.ops._mask_n
         if self.ops.eps_density:
             rate = rate - self.ops.eps_density * self.ops._k2_n * self.st.rho.data
         return rate
@@ -201,14 +194,10 @@ class _StateFields:
     def strain_m(self):
         """Rate of strain grad u + (grad u)^T on the oversampled grid."""
         c = self.basis.synth_vector(self.st.a, self.m)
-        kx, ky, kz = self.basis.wavenumbers(self.m)
-        ks = (kx, ky, kz)
         out = np.empty((3, 3) + c.shape[1:], dtype=float)
         for i in range(3):
-            for m_ in range(i, 3):
-                val = self.basis.spectral_to_grid(1j * (ks[m_] * c[i] + ks[i] * c[m_]))
-                out[i, m_] = val
-                out[m_, i] = val
+            for j in range(i, 3):
+                out[i, j] = out[j, i] = self.basis.spectral_to_grid(self.basis.strain(c, i, j))
         return out
 
     @cached_property
@@ -221,28 +210,11 @@ class _StateFields:
 
     @cached_property
     def grad_theta_m(self):
-        c = self.basis.synth_scalar(self.st.b, self.m)
-        kx, ky, kz = self.basis.wavenumbers(self.m)
-        return np.stack(
-            [
-                self.basis.spectral_to_grid(1j * kx * c),
-                self.basis.spectral_to_grid(1j * ky * c),
-                self.basis.spectral_to_grid(1j * kz * c),
-            ]
-        )
+        return self._grad_grid(self.basis.synth_scalar(self.st.b, self.m))
 
     @cached_property
     def curl_H_m(self):
-        c = self.basis.synth_vector(self.st.c, self.m)
-        kx, ky, kz = self.basis.wavenumbers(self.m)
-        spec = np.stack(
-            [
-                1j * (ky * c[2] - kz * c[1]),
-                1j * (kz * c[0] - kx * c[2]),
-                1j * (kx * c[1] - ky * c[0]),
-            ]
-        )
-        return self.basis.spectral_to_grid(spec)
+        return self.basis.spectral_to_grid(self.basis.curl(self.basis.synth_vector(self.st.c, self.m)))
 
     @cached_property
     def clamp_count(self) -> int:
@@ -273,9 +245,11 @@ class GalerkinOperators:
     """Precomputed mode machinery plus right-hand-side and matrix assembly.
 
     Pure given (params, state): safe to share across threads for independent
-    states.  The dense mass factorizations are rebuilt per call; at desk-scale
-    truncations (tens of modes) a Cholesky solve is cheaper than any caching
-    scheme, and an iterative solver only pays beyond thousands of modes.
+    states.  Every per-state method takes the state's :class:`_StateFields`
+    from :meth:`fields`.  The dense mass matrices are assembled and
+    Cholesky-factorized on every call: about 0.3 ms per call at 32 modes,
+    but 85% of a random_band run's time at 800 modes (``galerkin.mass_share``
+    0.849 for ``mass_k800`` in ``perfbench/baselines/BENCH_54e52cb.json``).
     """
 
     def __init__(self, params: cst.ConstitutiveParams, basis: DivFreeSpectralBasis, eps_density: float = 0.0):
@@ -292,13 +266,8 @@ class GalerkinOperators:
     def fields(self, state: SimState) -> _StateFields:
         return _StateFields(self, state)
 
-    def density_rhs(self, state: SimState, fields: _StateFields | None = None) -> np.ndarray:
-        f = fields or self.fields(state)
-        return f.density_rate
-
-    def momentum_rhs(self, state: SimState, fields: _StateFields | None = None) -> np.ndarray:
-        f = fields or self.fields(state)
-        k_u = len(state.a)
+    def momentum_rhs(self, f: _StateFields) -> np.ndarray:
+        k_u = len(f.st.a)
         conv = np.einsum("mxyz,imxyz->ixyz", f.u, f.grad_u)
         integrand = -f.rho[None] * conv + _LORENTZ_SIGN * np.cross(
             f.curl_H, f.H, axisa=0, axisb=0, axisc=0
@@ -311,15 +280,9 @@ class GalerkinOperators:
         c_s = self.basis.grid_to_spectral(f.stress_tensor_axes_first)
         return entries - self.basis.gather_strain(c_s, k_u)
 
-    def thermal_rhs(
-        self,
-        state: SimState,
-        fields: _StateFields | None = None,
-        density_coupling: bool = True,
-    ) -> np.ndarray:
-        f = fields or self.fields(state)
+    def thermal_rhs(self, f: _StateFields, density_coupling: bool = True) -> np.ndarray:
         p = self.params
-        k_b = len(state.b)
+        k_b = len(f.st.b)
         heat = cst.thermal_energy(p, np.maximum(f.theta_m, 0.0))
         flux = cst.heat_flux(p, f.rho_m, f.theta_floor_m, np.moveaxis(f.grad_theta_m, 0, -1))
         transport = f.rho_m[None] * heat[None] * f.u_m - np.moveaxis(flux, -1, 0)
@@ -334,35 +297,26 @@ class GalerkinOperators:
         entries = self.basis.gather_scalar_grad(self.basis.grid_to_spectral(transport), k_b)
         return entries + self.basis.gather_scalar(self.basis.grid_to_spectral(source), k_b)
 
-    def induction_rhs(self, state: SimState, fields: _StateFields | None = None) -> np.ndarray:
-        f = fields or self.fields(state)
-        k_c = len(state.c)
-        entries = -self.magnetic_stiffness_diag[:k_c] * state.c
+    def induction_rhs(self, f: _StateFields) -> np.ndarray:
+        c = f.st.c
+        entries = -self.magnetic_stiffness_diag[: len(c)] * c
         w = np.cross(f.u, f.H, axisa=0, axisb=0, axisc=0)
-        return entries + self.basis.gather_vector_curl(self.basis.grid_to_spectral(w), k_c)
+        return entries + self.basis.gather_vector_curl(self.basis.grid_to_spectral(w), len(c))
 
-    def rates(self, state: SimState) -> Rates:
-        f = self.fields(state)
-        drho = f.density_rate
-        da = self.solve_mass(self.velocity_mass(state, f), self.momentum_rhs(state, f))
-        db = self.solve_mass(self.thermal_mass(state, f), self.thermal_rhs(state, f))
-        dc = self.induction_rhs(state, f)
-        return Rates(drho, da, db, dc, f.clamp_count)
+    def rates(self, f: _StateFields) -> Rates:
+        da = self.solve_mass(self.velocity_mass(f), self.momentum_rhs(f))
+        db = self.solve_mass(self.thermal_mass(f), self.thermal_rhs(f))
+        return Rates(f.density_rate, da, db, self.induction_rhs(f), f.clamp_count)
 
-    def total_heat(self, fields: _StateFields) -> float:
+    def total_heat(self, f: _StateFields) -> float:
         """Quadrature of rho Q(theta), consistent with the thermal assembly."""
-        w_m = self.basis.volume / fields.m**3
-        q = cst.thermal_energy(self.params, np.maximum(fields.theta_m, 0.0))
-        return w_m * float(np.sum(fields.rho_m * q))
+        w_m = self.basis.volume / f.m**3
+        q = cst.thermal_energy(self.params, np.maximum(f.theta_m, 0.0))
+        return w_m * float(np.sum(f.rho_m * q))
 
-    def solenoidal_residual(self, fields: _StateFields) -> float:
-        """Largest spectral divergence amplitude of velocity and magnetic field."""
-        kx, ky, kz = self.basis.wavenumbers(self.basis.grid_points)
-        worst = 0.0
-        for c in (fields.c_u, fields.c_H):
-            div = np.abs(kx * c[0] + ky * c[1] + kz * c[2])
-            worst = max(worst, float(div.max()))
-        return worst
+    def solenoidal_residual(self, f: _StateFields) -> tuple[float, float]:
+        """Largest spectral divergence amplitudes of velocity and magnetic field."""
+        return tuple(float(np.abs(self.basis.div(c)).max()) for c in (f.c_u, f.c_H))
 
     # -------------------------------------------------------- mass matrices
 
@@ -395,24 +349,23 @@ class GalerkinOperators:
         )
         return prefactor * out
 
-    def velocity_mass(self, state: SimState, fields: _StateFields | None = None) -> np.ndarray:
+    def velocity_mass(self, f: _StateFields) -> np.ndarray:
         """Density-weighted Gram matrix (rho psi_i, psi_j); exact quadrature."""
-        k_u = len(state.a)
+        k_u = len(f.st.a)
         b = self.basis
         nvecs, phases = b.vec_n[:k_u], b.vec_phase[:k_u].astype(int)
         pref = b.vec_e[:k_u] @ b.vec_e[:k_u].T
-        mat = self._trig_product_matrix(state.rho.data, nvecs, phases, pref)
+        mat = self._trig_product_matrix(f.st.rho.data, nvecs, phases, pref)
         return 0.5 * (mat + mat.T)
 
-    def thermal_mass(self, state: SimState, fields: _StateFields | None = None) -> np.ndarray:
+    def thermal_mass(self, f: _StateFields) -> np.ndarray:
         """(rho c(theta) omega_i, omega_j) with the constant mode included."""
-        f = fields or self.fields(state)
         p = self.params
-        k_b = len(state.b)
+        k_b = len(f.st.b)
         b = self.basis
         if p.specific_heat_form == "constant":
             cbar = 0.5 * (p.specific_heat_min + p.specific_heat_max)
-            c_w = cbar * b.resample_spectrum(state.rho.data, f.m)
+            c_w = cbar * b.resample_spectrum(f.st.rho.data, f.m)
         else:
             w = f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0))
             c_w = b.grid_to_spectral(w)
@@ -441,8 +394,8 @@ class GalerkinOperators:
 
     # ---------------------------------------------------- induction matrix
 
-    def induction_matrix(self, state: SimState, form: str = "weak") -> np.ndarray:
-        """Matrix A with dc/dt + A c = 0 for the frozen velocity of ``state``.
+    def induction_matrix(self, f: _StateFields, form: str = "weak") -> np.ndarray:
+        """Matrix A with dc/dt + A c = 0 for the frozen velocity of the state.
 
         ``weak`` tests the transport against curls, matching the evolution
         actually used; ``advective`` assembles the pointwise-transport variant
@@ -452,9 +405,8 @@ class GalerkinOperators:
         """
         if form not in ("weak", "advective"):
             raise ValueError(f"unknown induction matrix form {form!r}")
-        f = self.fields(state)
         b = self.basis
-        k_c = len(state.c)
+        k_c = len(f.st.c)
         a_mat = np.diag(self.magnetic_stiffness_diag[:k_c])
         if form == "weak":
             for i in range(k_c):
@@ -462,8 +414,7 @@ class GalerkinOperators:
                 w = np.cross(f.u, mode, axisa=0, axisb=0, axisc=0)
                 a_mat[:, i] -= b.gather_vector_curl(b.grid_to_spectral(w), k_c)
             return a_mat
-        kx, ky, kz = b.wavenumbers(b.grid_points)
-        div_u = b.spectral_to_grid(1j * (kx * f.c_u[0] + ky * f.c_u[1] + kz * f.c_u[2]))
+        div_u = b.spectral_to_grid(b.div(f.c_u))
         for i in range(k_c):
             mode = b.vector_mode_grid(i, b.grid_points)
             u_dot_grad_mode = self._advect_mode(f, i)
@@ -490,64 +441,15 @@ class GalerkinOperators:
 # ----------------------------------------------------------- module-level API
 
 
-def density_rhs(state: SimState, eps_density: float = 0.0) -> Field:
-    """Spectral rate of the regularized density transport equation."""
-    ops = GalerkinOperators(cst.ConstitutiveParams(), state.basis, eps_density)
-    return Field("scalar", "spectral", ops.density_rhs(state), state.basis.box_size)
-
-
-def momentum_rhs(params: cst.ConstitutiveParams, state: SimState, eps_density: float = 0.0) -> np.ndarray:
-    return GalerkinOperators(params, state.basis, eps_density).momentum_rhs(state)
-
-
-def thermal_rhs(
-    params: cst.ConstitutiveParams,
-    state: SimState,
-    eps_density: float = 0.0,
-    density_coupling: bool = True,
-) -> np.ndarray:
-    ops = GalerkinOperators(params, state.basis, eps_density)
-    return ops.thermal_rhs(state, density_coupling=density_coupling)
-
-
-def induction_rhs(params: cst.ConstitutiveParams, state: SimState) -> np.ndarray:
-    return GalerkinOperators(params, state.basis).induction_rhs(state)
-
-
-def induction_matrix(params: cst.ConstitutiveParams, state: SimState, form: str = "weak") -> np.ndarray:
-    return GalerkinOperators(params, state.basis).induction_matrix(state, form)
-
-
-def assemble_mass(params: cst.ConstitutiveParams, state: SimState, which: str) -> np.ndarray:
-    ops = GalerkinOperators(params, state.basis)
-    if which == "velocity":
-        mat = ops.velocity_mass(state)
-    elif which == "thermal":
-        mat = ops.thermal_mass(state)
-    else:
-        raise ValueError(f"unknown mass matrix selector {which!r}")
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise MassSolveError("mass matrix not positive definite") from exc
-    return mat
-
-
-def energy_report(
-    params: cst.ConstitutiveParams,
-    state: SimState,
-    eps_density: float = 0.0,
-    extras: bool = True,
-    neg_power: float = 0.5,
-) -> dict:
+def energy_report(f: _StateFields, extras: bool = True, neg_power: float = 0.5) -> dict:
     """Instantaneous energies, dissipations, monitors, and identity terms.
 
     All quadratures here are consistent with the right-hand-side assembly, so
     the reported identity defect measures only rounding at a single state and
     only time discretization along a trajectory.
     """
-    ops = GalerkinOperators(params, state.basis, eps_density)
-    f = ops.fields(state)
+    ops, state = f.ops, f.st
+    params, eps_density = ops.params, ops.eps_density
     b = state.basis
     n3 = b.grid_points**3
     w_n = b.volume / n3
@@ -559,11 +461,9 @@ def energy_report(
     d_visc = w_m * float(np.sum(f.viscous_power_m))
     k2_c = b.vec_k2[: len(state.c)]
     d_mag = params.magnetic_diffusivity * float(np.sum(state.c**2 * k2_c))
-    heat = cst.thermal_energy(params, np.maximum(f.theta_m, 0.0))
-    heat_total = w_m * float(np.sum(f.rho_m * heat))
 
-    mom = ops.momentum_rhs(state, f)
-    ind = ops.induction_rhs(state, f)
+    mom = ops.momentum_rhs(f)
+    ind = ops.induction_rhs(f)
     rho_t = b.spectral_to_grid(f.density_rate)
     ddt_rho_kin = w_n * float(np.sum(rho_t * u2))
     adot_term = float(state.a @ mom)
@@ -577,10 +477,7 @@ def energy_report(
     strain_norm = float(np.sqrt(w_m * np.sum(f.strain_m**2)))
     h_norm = float(np.sqrt(np.sum(state.c**2)))
     grad_h_norm = float(np.sqrt(np.sum(state.c**2 * k2_c)))
-
-    kx, ky, kz = b.wavenumbers(b.grid_points)
-    div_u = np.abs(1j * (kx * f.c_u[0] + ky * f.c_u[1] + kz * f.c_u[2]))
-    div_h = np.abs(1j * (kx * f.c_H[0] + ky * f.c_H[1] + kz * f.c_H[2]))
+    div_u_max, div_h_max = ops.solenoidal_residual(f)
 
     frob2_m = np.sum(f.strain_m**2, axis=(0, 1))
     power = 0.5 * (params.power_law_exponent - 2.0)
@@ -595,13 +492,13 @@ def energy_report(
         "D_visc": d_visc,
         "D_visc_floor": d_visc_floor,
         "D_mag": d_mag,
-        "heat_total": heat_total,
+        "heat_total": ops.total_heat(f),
         "rho_min": float(f.rho.min()),
         "rho_max": float(f.rho.max()),
         "theta_min": float(f.theta.min()),
         "clamp_count": f.clamp_count,
-        "div_u_max": float(div_u.max()),
-        "div_H_max": float(div_h.max()),
+        "div_u_max": div_u_max,
+        "div_H_max": div_h_max,
         "korn_ratio": grad_u_norm / strain_norm if strain_norm > 0 else 0.0,
         "poincare_ratio": h_norm / grad_h_norm if grad_h_norm > 0 else 0.0,
         "grad_u_norm": grad_u_norm,
@@ -630,19 +527,8 @@ def energy_report(
         expo = 0.5 * (p.conductivity_exponent - lam + 1.0)
         g = f.theta_floor_m**expo
         c_g = b.grid_to_spectral(g)
-        kxm, kym, kzm = b.wavenumbers(f.m)
-        grad_g2 = (
-            np.abs(kxm * c_g) ** 2 + np.abs(kym * c_g) ** 2 + np.abs(kzm * c_g) ** 2
-        )
+        grad_g2 = sum(np.abs(b.grad(c_g, m)) ** 2 for m in range(3))
         report["theta_sobolev_sq"] = w_m * float(np.sum(g * g)) + b.volume * float(
             np.sum(grad_g2)
         )
     return report
-
-
-def energy_identity_defect(
-    params: cst.ConstitutiveParams, state: SimState, eps_density: float = 0.0
-) -> tuple[float, float]:
-    """Defect and scale of the instantaneous kinetic-magnetic energy identity."""
-    rep = energy_report(params, state, eps_density, extras=False)
-    return rep["identity_defect"], rep["identity_scale"]

@@ -448,13 +448,10 @@ def _make_check_state(basis, seed=3, amp=0.5):
 def _check_mass_matrices() -> tuple[bool, str]:
     basis = sp.build_basis(2 * np.pi, 12, 20)
     p = cst.ConstitutiveParams()
-    st = _make_check_state(basis)
-    m = gal.assemble_mass(p, st, "velocity")
-    evals = np.linalg.eigvalsh(m)
-    rho = st.rho.to_grid().data
-    ok = evals.min() >= rho.min() - 1e-8 and evals.max() <= rho.max() + 1e-8
-    n = gal.assemble_mass(p, st, "thermal")
-    ok = ok and np.all(np.linalg.eigvalsh(n) > 0)
+    f = gal.GalerkinOperators(p, basis).fields(_make_check_state(basis))
+    evals = np.linalg.eigvalsh(f.ops.velocity_mass(f))
+    ok = evals.min() >= f.rho.min() - 1e-8 and evals.max() <= f.rho.max() + 1e-8
+    ok = ok and np.all(np.linalg.eigvalsh(f.ops.thermal_mass(f)) > 0)
     return bool(ok), "SPD with eigenvalues inside the density range"
 
 
@@ -462,7 +459,8 @@ def _check_energy_identity() -> tuple[bool, str]:
     basis = sp.build_basis(2 * np.pi, 12, 20)
     p = cst.ConstitutiveParams()
     st = _make_check_state(basis, seed=4, amp=0.6)
-    defect, scale = gal.energy_identity_defect(p, st, eps_density=1e-3)
+    rep = gal.energy_report(gal.GalerkinOperators(p, basis, eps_density=1e-3).fields(st), extras=False)
+    defect, scale = rep["identity_defect"], rep["identity_scale"]
     return bool(defect < 1e-9 * scale), f"defect {defect:.2e} vs scale {scale:.2e}"
 
 
@@ -472,8 +470,8 @@ def _check_heat_balance() -> tuple[bool, str]:
     st = _make_check_state(basis, seed=5, amp=0.5)
     ops = gal.GalerkinOperators(p, basis, eps_density=1e-3)
     f = ops.fields(st)
-    nmat = ops.thermal_mass(st, f)
-    db = ops.solve_mass(nmat, ops.thermal_rhs(st, f))
+    nmat = ops.thermal_mass(f)
+    db = ops.solve_mass(nmat, ops.thermal_rhs(f))
     w_m = basis.volume / f.m**3
     heat = cst.thermal_energy(p, np.maximum(f.theta_m, 0.0))
     rho_t_m = basis.spectral_to_grid(basis.resample_spectrum(f.density_rate, f.m))

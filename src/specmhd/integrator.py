@@ -12,15 +12,18 @@ Schemes:
   curl-curl, density regularization) with second-order Adams-Bashforth on
   everything nonlinear; the first step falls back to a one-term history.
 
-Mass matrices are assembled and factorized at every stage; at desk-scale
-truncations a dense Cholesky is cheaper than caching, and only truncations in
-the thousands of modes would justify switching to an iterative solver.
+Each accepted state is realized once (:meth:`GalerkinOperators.fields`); the
+post-step monitors, the diagnostics report and the next step's start-state
+rates all read that realization.  Mass matrices are assembled and factorized
+at every stage.  That assembly and solve is 85% of a random_band run's time
+at 800 modes and 1% at 32 modes on a 32^3 grid (``galerkin.mass_share`` of
+``mass_k800`` and ``transform_n32`` in ``perfbench/baselines/BENCH_54e52cb.json``).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,13 +121,14 @@ def _delta(a: SimState, b: SimState) -> float:
     return float(num / den)
 
 
-def _step_implicit_midpoint(ops: GalerkinOperators, state: SimState, cfg: StepConfig, dt: float) -> SimState:
+def _step_implicit_midpoint(
+    ops: GalerkinOperators, state: SimState, cfg: StepConfig, dt: float, start: Rates
+) -> SimState:
     t_new = state.t + dt
-    rates = ops.rates(state)
-    candidate = _linear_combination(state, t_new, [(dt, rates)])
+    candidate = _linear_combination(state, t_new, [(dt, start)])
     for _ in range(cfg.max_nonlinear_iterations):
         mid = _midpoint(state, candidate)
-        rates = ops.rates(mid)
+        rates = ops.rates(ops.fields(mid))
         updated = _linear_combination(state, t_new, [(dt, rates)])
         if _delta(updated, candidate) <= cfg.solver_tolerance:
             return updated
@@ -135,12 +139,15 @@ def _step_implicit_midpoint(ops: GalerkinOperators, state: SimState, cfg: StepCo
     )
 
 
-def _step_rk4(ops: GalerkinOperators, state: SimState, dt: float) -> SimState:
+def _step_rk4(ops: GalerkinOperators, state: SimState, dt: float, k1: Rates) -> SimState:
     t = state.t
-    k1 = ops.rates(state)
-    k2 = ops.rates(_linear_combination(state, t + 0.5 * dt, [(0.5 * dt, k1)]))
-    k3 = ops.rates(_linear_combination(state, t + 0.5 * dt, [(0.5 * dt, k2)]))
-    k4 = ops.rates(_linear_combination(state, t + dt, [(dt, k3)]))
+
+    def stage(t_stage: float, coef: float, k: Rates) -> Rates:
+        return ops.rates(ops.fields(_linear_combination(state, t_stage, [(coef, k)])))
+
+    k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
+    k3 = stage(t + 0.5 * dt, 0.5 * dt, k2)
+    k4 = stage(t + dt, dt, k3)
     return _linear_combination(
         state,
         t + dt,
@@ -148,9 +155,8 @@ def _step_rk4(ops: GalerkinOperators, state: SimState, dt: float) -> SimState:
     )
 
 
-def _explicit_parts(ops: GalerkinOperators, state: SimState) -> Rates:
+def _explicit_parts(ops: GalerkinOperators, state: SimState, full: Rates) -> Rates:
     """Full rates minus the diagonal stiff terms handled implicitly."""
-    full = ops.rates(state)
     k2c = ops.magnetic_stiffness_diag[: len(state.c)]
     dc_ex = full.dc + k2c * state.c
     drho_ex = full.drho.copy()
@@ -160,9 +166,9 @@ def _explicit_parts(ops: GalerkinOperators, state: SimState) -> Rates:
 
 
 def _step_imex_cn_ab2(
-    ops: GalerkinOperators, state: SimState, dt: float, prev: Rates | None
+    ops: GalerkinOperators, state: SimState, dt: float, start: Rates, prev: Rates | None
 ) -> tuple[SimState, Rates]:
-    cur = _explicit_parts(ops, state)
+    cur = _explicit_parts(ops, state, start)
     if prev is None:
         ex = cur
     else:
@@ -192,25 +198,31 @@ def _step_imex_cn_ab2(
 
 
 def step(
-    params: ConstitutiveParams,
     ops: GalerkinOperators,
     state: SimState,
     cfg: StepConfig,
-    _ab_history: Rates | None = None,
-) -> SimState:
-    """Advance one time step; raises on blow-up or non-convergence."""
+    start: Rates,
+    history: Rates | None = None,
+) -> tuple[SimState, Rates | None]:
+    """Advance one time step; raises on blow-up or non-convergence.
+
+    ``start`` is ``ops.rates`` at ``state``: the midpoint predictor, RK4's
+    first stage, or the IMEX explicit part.  ``history`` is what the previous
+    call returned as its second value (the IMEX Adams-Bashforth term; None
+    for the other schemes and on the first step).
+    """
     dt = cfg.dt
     if cfg.scheme == "implicit-midpoint":
-        new = _step_implicit_midpoint(ops, state, cfg, dt)
+        new = _step_implicit_midpoint(ops, state, cfg, dt, start)
     elif cfg.scheme == "explicit-rk4":
-        new = _step_rk4(ops, state, dt)
+        new = _step_rk4(ops, state, dt, start)
     elif cfg.scheme == "imex-cn-ab2":
-        new, _ = _step_imex_cn_ab2(ops, state, dt, _ab_history)
+        new, history = _step_imex_cn_ab2(ops, state, dt, start, history)
     else:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     if not new.is_finite():
         raise BlowUpError(f"blow-up detected at t={new.t:.6g}", t=new.t)
-    return new
+    return new, history
 
 
 def integrate(
@@ -244,41 +256,29 @@ def integrate(
     start = time.perf_counter()
     ops = GalerkinOperators(params, basis, eps_density)
     state = state0.copy()
-    rho0 = state.rho.to_grid().data
-    rho_min0, rho_max0 = float(rho0.min()), float(rho0.max())
+    fields = ops.fields(state)
+    rho_min0, rho_max0 = float(fields.rho.min()), float(fields.rho.max())
     t0 = state.t
 
-    def emit(st: SimState) -> dict:
-        report = gal.energy_report(params, st, eps_density)
+    def emit(f) -> None:
+        report = gal.energy_report(f)
         for obs in observers:
-            obs(st, report)
-        return report
+            obs(f.st, report)
 
-    emit(state)
+    emit(fields)
 
     clamp_total = 0
     worst_drift = 0.0
     worst_heat_drop = 0.0
-    prev_heat = ops.total_heat(ops.fields(state))
+    prev_heat = ops.total_heat(fields)
     n_steps = 0
-    ab_history: Rates | None = None
+    history: Rates | None = None
     while state.t < t0 + cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
         dt = min(cfg.dt, t0 + cfg.t_end - state.t)
-        sub_cfg = cfg if dt == cfg.dt else StepConfig(
-            dt=dt,
-            t_end=cfg.t_end,
-            scheme=cfg.scheme,
-            solver_tolerance=cfg.solver_tolerance,
-            max_nonlinear_iterations=cfg.max_nonlinear_iterations,
-            theta_clamp=cfg.theta_clamp,
-        )
-        if cfg.scheme == "imex-cn-ab2":
-            new, ab_history = _step_imex_cn_ab2(ops, state, dt, ab_history)
-            if not new.is_finite():
-                raise BlowUpError(f"blow-up detected at t={new.t:.6g}", t=new.t)
-            state = new
-        else:
-            state = step(params, ops, state, sub_cfg)
+        sub_cfg = cfg if dt == cfg.dt else replace(cfg, dt=dt)
+        start_rates = ops.rates(fields)
+        fields = None  # the stages realize their own states
+        state, history = step(ops, state, sub_cfg, start_rates, history)
         n_steps += 1
 
         fields = ops.fields(state)
@@ -301,7 +301,7 @@ def integrate(
                 t=state.t,
             )
         # solenoidality is guaranteed by the representation; asserted anyway
-        div_res = ops.solenoidal_residual(fields)
+        div_res = max(ops.solenoidal_residual(fields))
         if div_res > 1e-10 * (1.0 + norm):
             raise InvariantViolation(
                 f"solenoidality drift {div_res:.3e} at t={state.t:.6g}", t=state.t
@@ -317,7 +317,7 @@ def integrate(
                 t=state.t,
             )
         if n_steps % cadence == 0 or state.t >= t0 + cfg.t_end - 1e-12:
-            emit(state)
+            emit(fields)
 
     return TrajectorySummary(
         final_state=state,

@@ -193,6 +193,39 @@ class DivFreeSpectralBasis:
         out[..., dst[0], dst[1], dst[2]] = c[..., src[0], src[1], src[2]]
         return out
 
+    # ------------------------------------------------- derivative kernels
+    #
+    # Exact spectral derivatives of an amplitude-normalized spectrum; the
+    # grid is read from the trailing axis.  Every derivative in the package
+    # goes through these four.  ``grad`` and ``strain`` return one component
+    # per call, so callers transform a tensor piece by piece instead of
+    # holding its whole complex spectrum, which raises peak memory.
+
+    def grad(self, c: np.ndarray, m: int) -> np.ndarray:
+        """Spectrum of ``d_m c``, component by component for a vector ``c``."""
+        return 1j * self.wavenumbers(c.shape[-1])[m] * c
+
+    def div(self, c: np.ndarray) -> np.ndarray:
+        """Divergence spectrum ``i k . c`` of a vector spectrum."""
+        kx, ky, kz = self.wavenumbers(c.shape[-1])
+        return 1j * (kx * c[0] + ky * c[1] + kz * c[2])
+
+    def curl(self, c: np.ndarray) -> np.ndarray:
+        """Curl spectrum ``i k x c`` of a vector spectrum."""
+        kx, ky, kz = self.wavenumbers(c.shape[-1])
+        return np.stack(
+            [
+                1j * (ky * c[2] - kz * c[1]),
+                1j * (kz * c[0] - kx * c[2]),
+                1j * (kx * c[1] - ky * c[0]),
+            ]
+        )
+
+    def strain(self, c: np.ndarray, i: int, m: int) -> np.ndarray:
+        """Spectrum of the rate-of-strain component ``d_m c_i + d_i c_m``."""
+        ks = self.wavenumbers(c.shape[-1])
+        return 1j * (ks[m] * c[i] + ks[i] * c[m])
+
     def _flat_indices(self, nvec: np.ndarray, grid: int) -> np.ndarray:
         g = grid
         return ((nvec[:, 0] % g) * g + nvec[:, 1] % g) * g + nvec[:, 2] % g
@@ -442,40 +475,26 @@ def leray_project(basis: DivFreeSpectralBasis, v: Field) -> Field:
     c = v.to_spectral().data
     kx, ky, kz = basis.wavenumbers(c.shape[-1])
     k2 = kx * kx + ky * ky + kz * kz
-    k2safe = np.where(k2 == 0.0, 1.0, k2)
-    kdotv = kx * c[0] + ky * c[1] + kz * c[2]
-    out = np.stack(
-        [c[0] - kx * kdotv / k2safe, c[1] - ky * kdotv / k2safe, c[2] - kz * kdotv / k2safe]
-    )
+    # v - grad(lap^-1 div v), with the k = 0 mode left alone
+    phi = basis.div(c) / np.where(k2 == 0.0, 1.0, k2)
+    out = c + np.stack([basis.grad(phi, m) for m in range(3)])
     return Field("vector", "spectral", out, v.box_size)
 
 
 def differentiate(basis: DivFreeSpectralBasis, f: Field, op: str) -> Field:
     """Exact spectral derivative: ``grad`` (scalar), ``div``/``curl`` (vector)."""
+    kinds = {"grad": ("scalar", "vector"), "div": ("vector", "scalar"), "curl": ("vector", "vector")}
+    if op not in kinds:
+        raise ValueError(f"unknown derivative op {op!r}")
+    kind_in, kind_out = kinds[op]
+    if f.kind != kind_in:
+        raise ValueError(f"{op} expects a {kind_in} field")
     c = f.to_spectral().data
-    kx, ky, kz = basis.wavenumbers(c.shape[-1])
     if op == "grad":
-        if f.kind != "scalar":
-            raise ValueError("grad expects a scalar field")
-        out = np.stack([1j * kx * c, 1j * ky * c, 1j * kz * c])
-        return Field("vector", "spectral", out, f.box_size)
-    if op == "div":
-        if f.kind != "vector":
-            raise ValueError("div expects a vector field")
-        out = 1j * (kx * c[0] + ky * c[1] + kz * c[2])
-        return Field("scalar", "spectral", out, f.box_size)
-    if op == "curl":
-        if f.kind != "vector":
-            raise ValueError("curl expects a vector field")
-        out = np.stack(
-            [
-                1j * (ky * c[2] - kz * c[1]),
-                1j * (kz * c[0] - kx * c[2]),
-                1j * (kx * c[1] - ky * c[0]),
-            ]
-        )
-        return Field("vector", "spectral", out, f.box_size)
-    raise ValueError(f"unknown derivative op {op!r}")
+        out = np.stack([basis.grad(c, m) for m in range(3)])
+    else:
+        out = getattr(basis, op)(c)
+    return Field(kind_out, "spectral", out, f.box_size)
 
 
 def inner_product(basis: DivFreeSpectralBasis, f: Field, g: Field) -> float:

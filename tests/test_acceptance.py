@@ -186,11 +186,12 @@ def test_criterion_5_galerkin_operator_oracles():
         h = oracle_vector_field(basis, c, mesh)
         curl_h = oracle_vector_field_curl(basis, c, mesh)
         nu = params.magnetic_diffusivity
+        ops = gal.GalerkinOperators(params, basis)
         worst = 0.0
 
         # induction matrix, both the curl-tested and the pointwise-advective form
         for form in ("weak", "advective"):
-            a_mat = gal.induction_matrix(params, state, form=form)
+            a_mat = ops.induction_matrix(ops.fields(state), form=form)
             for i in range(20):
                 pi_i = oracle_vector_mode(basis, i, mesh)
                 curl_i = oracle_vector_mode_curl(basis, i, mesh)
@@ -210,7 +211,7 @@ def test_criterion_5_galerkin_operator_oracles():
 
         # Lorentz projection (velocity zeroed so the entries isolate the force)
         state_h = gal.SimState(0.0, state.rho, np.zeros(20), bvec, c, basis)
-        rhs = gal.momentum_rhs(params, state_h)
+        rhs = ops.momentum_rhs(ops.fields(state_h))
         lorentz = np.cross(curl_h, h, axisa=0, axisb=0, axisc=0)
         for j in range(20):
             psi = oracle_vector_mode(basis, j, mesh)
@@ -228,7 +229,7 @@ def test_criterion_5_galerkin_operator_oracles():
         s_dot_d = np.sum(np.moveaxis(stress_m, (-2, -1), (0, 1)) * strain_m, axis=(0, 1))
         source = nu * np.sum(curl_h_m**2, axis=0) + s_dot_d
         transport = 1.0 * 1.0 * u_m  # rho Q(theta) u with unit density and heat
-        th = gal.thermal_rhs(params, state)
+        th = ops.thermal_rhs(ops.fields(state))
         for j in range(nb):
             om = oracle_scalar_mode(basis, j, mesh_m)
             grad_om = oracle_scalar_mode_grad(basis, j, mesh_m)

@@ -35,6 +35,11 @@ def params():
     return cst.ConstitutiveParams(power_law_exponent=3.0, stress_smoothing=1e-8)
 
 
+@pytest.fixture()
+def ops(basis, params):
+    return gal.GalerkinOperators(params, basis)
+
+
 def uniform_rho_state(basis, a=None, b=None, c=None, rho0=1.0, theta0=1.0):
     k = basis.k_modes
     nb = min(k + 1, basis.n_scalar_modes)
@@ -59,7 +64,7 @@ class TestDensityRhs:
     def test_constant_density_solenoidal_velocity(self, basis, params):
         rng = np.random.default_rng(0)
         st = uniform_rho_state(basis, a=0.5 * rng.normal(size=basis.k_modes))
-        rate = gal.GalerkinOperators(params, basis).density_rhs(st)
+        rate = gal.GalerkinOperators(params, basis).fields(st).density_rate
         assert np.max(np.abs(rate)) < 1e-14
 
     def test_heat_kernel_mode(self, basis, params):
@@ -68,8 +73,7 @@ class TestDensityRhs:
         g = basis.grid_points
         st.rho.data[1, 0, 0] = 0.05
         st.rho.data[-1, 0, 0] = 0.05
-        ops = gal.GalerkinOperators(params, basis, eps_density=eps)
-        rate = ops.density_rhs(st)
+        rate = gal.GalerkinOperators(params, basis, eps_density=eps).fields(st).density_rate
         expected = np.zeros((g, g, g), dtype=complex)
         expected[1, 0, 0] = -eps * 1.0 * 0.05
         expected[-1, 0, 0] = -eps * 1.0 * 0.05
@@ -78,15 +82,14 @@ class TestDensityRhs:
     def test_mean_is_zero(self, basis, params):
         rng = np.random.default_rng(1)
         st = make_state(basis, rng)
-        ops = gal.GalerkinOperators(params, basis, eps_density=1e-3)
-        rate = ops.density_rhs(st)
+        rate = gal.GalerkinOperators(params, basis, eps_density=1e-3).fields(st).density_rate
         assert abs(rate[0, 0, 0]) < 1e-16
 
 
 class TestMomentumRhs:
-    def test_zero_state(self, basis, params):
+    def test_zero_state(self, basis, ops):
         st = uniform_rho_state(basis)
-        assert np.max(np.abs(gal.momentum_rhs(params, st))) < 1e-13
+        assert np.max(np.abs(ops.momentum_rhs(ops.fields(st)))) < 1e-13
 
     def test_stokes_stress_single_mode(self, basis):
         # newtonian limit: stress entry is -mu (D(u), D(psi_j)) = -2 mu |k|^2 a
@@ -94,18 +97,19 @@ class TestMomentumRhs:
         a = np.zeros(basis.k_modes)
         a[0] = 0.7
         st = uniform_rho_state(basis, a=a)
-        rhs = gal.momentum_rhs(p, st)
+        ops = gal.GalerkinOperators(p, basis)
+        rhs = ops.momentum_rhs(ops.fields(st))
         expected = -2.0 * 1.0 * basis.vec_k2[0] * 0.7
         assert rhs[0] == pytest.approx(expected, rel=1e-12)
         # convection of a single mode vanishes, so other entries are tiny
         others = np.delete(rhs, 0)
         assert np.max(np.abs(others)) < 1e-12
 
-    def test_lorentz_projection_vs_oracle(self, basis, params):
+    def test_lorentz_projection_vs_oracle(self, basis, ops):
         rng = np.random.default_rng(2)
         c = 0.8 * rng.normal(size=basis.k_modes)
         st = uniform_rho_state(basis, c=c)
-        rhs = gal.momentum_rhs(params, st)  # u = 0: only the Lorentz term
+        rhs = ops.momentum_rhs(ops.fields(st))  # u = 0: only the Lorentz term
         gd = oracle_dense_grid(basis)
         mesh = oracle_mesh(L, gd)
         h = oracle_vector_field(basis, c, mesh)
@@ -118,16 +122,16 @@ class TestMomentumRhs:
 
 
 class TestThermalRhs:
-    def test_zero_fields_uniform_theta(self, basis, params):
+    def test_zero_fields_uniform_theta(self, basis, ops):
         st = uniform_rho_state(basis)
-        rhs = gal.thermal_rhs(params, st)
+        rhs = ops.thermal_rhs(ops.fields(st))
         assert np.max(np.abs(rhs)) < 1e-12
 
-    def test_magnetic_source_vs_oracle(self, basis, params):
+    def test_magnetic_source_vs_oracle(self, basis, params, ops):
         rng = np.random.default_rng(3)
         c = 0.6 * rng.normal(size=basis.k_modes)
         st = uniform_rho_state(basis, c=c)
-        rhs = gal.thermal_rhs(params, st)
+        rhs = ops.thermal_rhs(ops.fields(st))
         gd = oracle_dense_grid(basis)
         mesh = oracle_mesh(L, gd)
         curl_h = oracle_vector_field_curl(basis, c, mesh)
@@ -138,10 +142,10 @@ class TestThermalRhs:
             want = riemann(L, src * om)
             assert rhs[j] == pytest.approx(want, abs=1e-10)
 
-    def test_source_positivity(self, basis, params):
+    def test_source_positivity(self, basis, ops):
         rng = np.random.default_rng(4)
         st = make_state(basis, rng)
-        rhs = gal.thermal_rhs(params, st, density_coupling=False)
+        rhs = ops.thermal_rhs(ops.fields(st), density_coupling=False)
         # constant-mode entry is (S:D(u) + nu |curl H|^2, 1) / sqrt(V) >= 0
         assert rhs[0] >= -1e-12
 
@@ -151,8 +155,8 @@ class TestThermalRhs:
         st = make_state(basis, rng)
         ops = gal.GalerkinOperators(params, basis, eps_density=2e-3)
         f = ops.fields(st)
-        nmat = ops.thermal_mass(st, f)
-        db = ops.solve_mass(nmat, ops.thermal_rhs(st, f))
+        nmat = ops.thermal_mass(f)
+        db = ops.solve_mass(nmat, ops.thermal_rhs(f))
         w_m = basis.volume / f.m**3
         heat = cst.thermal_energy(params, np.maximum(f.theta_m, 0.0))
         rho_t_m = basis.spectral_to_grid(basis.resample_spectrum(f.density_rate, f.m))
@@ -163,19 +167,19 @@ class TestThermalRhs:
 
 
 class TestInductionMatrix:
-    def test_pure_diffusion(self, basis, params):
+    def test_pure_diffusion(self, basis, params, ops):
         st = uniform_rho_state(basis)
-        a_mat = gal.induction_matrix(params, st)
+        a_mat = ops.induction_matrix(ops.fields(st))
         np.testing.assert_allclose(
             a_mat, np.diag(params.magnetic_diffusivity * basis.vec_k2[: basis.k_modes]), atol=1e-13
         )
 
     @pytest.mark.parametrize("form", ["weak", "advective"])
-    def test_entries_vs_dense_quadrature(self, basis, params, form):
+    def test_entries_vs_dense_quadrature(self, basis, params, ops, form):
         rng = np.random.default_rng(6)
         a = 0.5 * rng.normal(size=basis.k_modes)
         st = uniform_rho_state(basis, a=a)
-        a_mat = gal.induction_matrix(params, st, form=form)
+        a_mat = ops.induction_matrix(ops.fields(st), form=form)
         gd = oracle_dense_grid(basis)
         mesh = oracle_mesh(L, gd)
         u = oracle_vector_field(basis, a, mesh)
@@ -201,20 +205,21 @@ class TestInductionMatrix:
                 want[j, i] = diff + tr
         np.testing.assert_allclose(a_mat, want, atol=1e-10)
 
-    def test_weak_matrix_reproduces_evolution(self, basis, params):
+    def test_weak_matrix_reproduces_evolution(self, basis, ops):
         rng = np.random.default_rng(15)
         st = make_state(basis, rng, amp=0.5)
-        a_mat = gal.induction_matrix(params, st)
-        rhs = gal.induction_rhs(params, st)
+        f = ops.fields(st)
+        a_mat = ops.induction_matrix(f)
+        rhs = ops.induction_rhs(f)
         np.testing.assert_allclose(-a_mat @ st.c, rhs, atol=1e-11)
 
-    def test_transport_energy_exchange_identity(self, basis, params):
+    def test_transport_energy_exchange_identity(self, basis, params, ops):
         # c^T (A - A_diff) c equals -(integral of H^T grad(u) H + 0.5 grad|H|^2 . u)
         rng = np.random.default_rng(7)
         a = 0.5 * rng.normal(size=basis.k_modes)
         c = 0.5 * rng.normal(size=basis.k_modes)
         st = uniform_rho_state(basis, a=a, c=c)
-        a_mat = gal.induction_matrix(params, st)
+        a_mat = ops.induction_matrix(ops.fields(st))
         a_diff = np.diag(params.magnetic_diffusivity * basis.vec_k2[: basis.k_modes])
         quad_form = float(c @ (a_mat - a_diff) @ c)
         gd = oracle_dense_grid(basis)
@@ -230,29 +235,29 @@ class TestInductionMatrix:
 
 
 class TestMassMatrices:
-    def test_unit_density_is_identity(self, basis, params):
+    def test_unit_density_is_identity(self, basis, ops):
         st = uniform_rho_state(basis)
-        m = gal.assemble_mass(params, st, "velocity")
+        m = ops.velocity_mass(ops.fields(st))
         np.testing.assert_allclose(m, np.eye(basis.k_modes), atol=1e-13)
 
-    def test_constant_density_scales(self, basis, params):
+    def test_constant_density_scales(self, basis, ops):
         st = uniform_rho_state(basis, rho0=1.7)
-        m = gal.assemble_mass(params, st, "velocity")
+        m = ops.velocity_mass(ops.fields(st))
         np.testing.assert_allclose(m, 1.7 * np.eye(basis.k_modes), atol=1e-13)
 
-    def test_eigenvalues_within_density_range(self, basis, params):
+    def test_eigenvalues_within_density_range(self, basis, ops):
         rng = np.random.default_rng(8)
         st = make_state(basis, rng, rho_amp=0.4)
-        m = gal.assemble_mass(params, st, "velocity")
+        m = ops.velocity_mass(ops.fields(st))
         evals = np.linalg.eigvalsh(m)
         rho = st.rho.to_grid().data
         assert evals.min() >= rho.min() - 1e-8
         assert evals.max() <= rho.max() + 1e-8
 
-    def test_velocity_mass_vs_dense_quadrature(self, basis, params):
+    def test_velocity_mass_vs_dense_quadrature(self, basis, ops):
         rng = np.random.default_rng(9)
         st = make_state(basis, rng, rho_amp=0.4)
-        m = gal.assemble_mass(params, st, "velocity")
+        m = ops.velocity_mass(ops.fields(st))
         gd = oracle_dense_grid(basis)
         mesh = oracle_mesh(L, gd)
         # density on the dense grid straight from its spectrum by direct evaluation
@@ -275,15 +280,21 @@ class TestMassMatrices:
                 want = riemann(L, rho_dense * np.sum(psi_i * psi_j, axis=0))
                 assert m[i, j] == pytest.approx(want, abs=1e-11)
 
-    def test_thermal_mass_constant_heat(self, basis, params):
+    def test_thermal_mass_constant_heat(self, basis, ops):
         st = uniform_rho_state(basis, rho0=2.0)
-        n = gal.assemble_mass(params, st, "thermal")
+        n = ops.thermal_mass(ops.fields(st))
         np.testing.assert_allclose(n, 2.0 * np.eye(len(st.b)), atol=1e-12)
 
-    def test_not_spd_raises(self, basis, params):
-        st = uniform_rho_state(basis, rho0=-1.0)
+    def test_not_spd_raises(self, basis, ops):
+        f = ops.fields(uniform_rho_state(basis, rho0=-1.0))
         with pytest.raises(MassSolveError, match="not positive definite"):
-            gal.assemble_mass(params, st, "velocity")
+            ops.solve_mass(ops.velocity_mass(f), np.zeros(basis.k_modes))
+
+
+def identity_defect(params, st, eps_density=0.0):
+    ops = gal.GalerkinOperators(params, st.basis, eps_density)
+    rep = gal.energy_report(ops.fields(st), extras=False)
+    return rep["identity_defect"], rep["identity_scale"]
 
 
 class TestEnergyIdentity:
@@ -291,7 +302,7 @@ class TestEnergyIdentity:
     def test_semi_discrete_energy_identity(self, basis, params, eps):
         rng = np.random.default_rng(10)
         st = make_state(basis, rng, amp=0.6, rho_amp=0.3)
-        defect, scale = gal.energy_identity_defect(params, st, eps_density=eps)
+        defect, scale = identity_defect(params, st, eps_density=eps)
         assert defect < 1e-9 * scale
 
     def test_identity_detects_lorentz_sign_flip(self, basis, params):
@@ -300,7 +311,7 @@ class TestEnergyIdentity:
         old = gal._LORENTZ_SIGN
         try:
             gal._LORENTZ_SIGN = -1.0
-            defect, scale = gal.energy_identity_defect(params, st)
+            defect, scale = identity_defect(params, st)
         finally:
             gal._LORENTZ_SIGN = old
         assert defect > 1e-6 * scale
@@ -308,7 +319,7 @@ class TestEnergyIdentity:
     def test_report_monitors(self, basis, params):
         rng = np.random.default_rng(12)
         st = make_state(basis, rng)
-        rep = gal.energy_report(params, st, eps_density=1e-3)
+        rep = gal.energy_report(gal.GalerkinOperators(params, basis, eps_density=1e-3).fields(st))
         assert rep["E_kin"] >= 0 and rep["E_mag"] >= 0
         assert rep["D_visc"] >= 0 and rep["D_mag"] >= 0
         assert rep["div_u_max"] < 1e-12 and rep["div_H_max"] < 1e-12

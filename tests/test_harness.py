@@ -102,7 +102,7 @@ class TestInitialFamilies:
         basis = harness.build_basis_for(cfg)
         state = build_initial_state(cfg, basis)
         assert not state.validate(cfg.constitutive)
-        rep = gal.energy_report(cfg.constitutive, state)
+        rep = gal.energy_report(gal.GalerkinOperators(cfg.constitutive, basis).fields(state))
         assert np.isfinite(rep["E_kin"]) and np.isfinite(rep["E_mag"])
         assert rep["div_u_max"] < 1e-12 and rep["div_H_max"] < 1e-12
 

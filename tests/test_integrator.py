@@ -49,7 +49,7 @@ class TestStepBasics:
     def test_zero_state_is_fixed_point(self, basis, params):
         st = plain_state(basis)
         ops = gal.GalerkinOperators(params, basis)
-        new = itg.step(params, ops, st, itg.StepConfig(dt=0.05))
+        new, _ = itg.step(ops, st, itg.StepConfig(dt=0.05), ops.rates(ops.fields(st)))
         assert np.all(new.a == 0.0) and np.all(new.c == 0.0)
         np.testing.assert_allclose(new.b, st.b, rtol=1e-14)
         np.testing.assert_allclose(new.rho.data, st.rho.data, atol=1e-16)
@@ -170,3 +170,23 @@ class TestGuards:
         summary, rec = run(params, basis, st, dt=1e-3, t_end=0.003)
         assert summary.clamp_total > 0
         assert rec.records[-1].clamp_count > 0
+
+
+class TestRealization:
+    @pytest.mark.parametrize("scheme", itg.SCHEMES)
+    def test_each_state_realized_once(self, basis, params, monkeypatch, scheme):
+        realized = []  # holding every state keeps its id from being reused
+        fields = gal.GalerkinOperators.fields
+
+        def recording(ops, state):
+            realized.append(state)
+            return fields(ops, state)
+
+        monkeypatch.setattr(gal.GalerkinOperators, "fields", recording)
+        st = plain_state(basis)
+        st.a[0] = 0.3
+        st.c[12] = 0.3
+        summary, rec = run(params, basis, st, dt=1e-3, t_end=0.003, scheme=scheme, cadence=1)
+        assert summary.n_steps == 3 and len(rec.records) == 4
+        ids = [id(s) for s in realized]
+        assert len(ids) == len(set(ids))
