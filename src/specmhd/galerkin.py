@@ -240,16 +240,49 @@ class _StateFields:
         """Pointwise S : D on the oversampled grid."""
         return np.sum(self.stress_tensor_axes_first * self.strain_m, axis=(0, 1))
 
+    # ---- Galerkin right-hand sides read by both rates and energy_report
+
+    @cached_property
+    def momentum_rhs(self):
+        return self.ops.momentum_rhs(self)
+
+    @cached_property
+    def induction_rhs(self):
+        return self.ops.induction_rhs(self)
+
+
+# Rows per block of the triangular substitutions in the mass solve.
+_SOLVE_BLOCK = 64
+
+
+def _substitute(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve ``tri x = rhs`` for a triangular ``tri``, ``_SOLVE_BLOCK`` rows
+    at a time.
+
+    Each block subtracts the rows already solved in one matvec and solves its
+    diagonal block, so the cost is O(K^2) plus small factorizations, not one
+    O(K^3) LU; with a single block it is ``np.linalg.solve(tri, rhs)``.
+    """
+    k = len(rhs)
+    x = np.empty_like(rhs, dtype=float)
+    starts = range(0, k, _SOLVE_BLOCK)
+    for s in starts if lower else reversed(starts):
+        e = min(s + _SOLVE_BLOCK, k)
+        done = slice(0, s) if lower else slice(e, k)
+        x[s:e] = np.linalg.solve(tri[s:e, s:e], rhs[s:e] - tri[s:e, done] @ x[done])
+    return x
+
 
 class GalerkinOperators:
     """Precomputed mode machinery plus right-hand-side and matrix assembly.
 
     Pure given (params, state): safe to share across threads for independent
     states.  Every per-state method takes the state's :class:`_StateFields`
-    from :meth:`fields`.  The dense mass matrices are assembled and
-    Cholesky-factorized on every call: about 0.3 ms per call at 32 modes,
-    but 85% of a random_band run's time at 800 modes (``galerkin.mass_share``
-    0.849 for ``mass_k800`` in ``perfbench/baselines/BENCH_54e52cb.json``).
+    from :meth:`fields`.  The dense mass matrices are assembled per
+    wavevector pair and Cholesky-factorized on every call.  At 800 modes that
+    is still 59% of a random_band run's time, split about evenly between
+    assembly and solve (``galerkin.mass_share`` 0.59-0.60 in traced runs of
+    the ``mass_k800`` benchmark workload).
     """
 
     def __init__(self, params: cst.ConstitutiveParams, basis: DivFreeSpectralBasis, eps_density: float = 0.0):
@@ -304,9 +337,9 @@ class GalerkinOperators:
         return entries + self.basis.gather_vector_curl(self.basis.grid_to_spectral(w), len(c))
 
     def rates(self, f: _StateFields) -> Rates:
-        da = self.solve_mass(self.velocity_mass(f), self.momentum_rhs(f))
+        da = self.solve_mass(self.velocity_mass(f), f.momentum_rhs)
         db = self.solve_mass(self.thermal_mass(f), self.thermal_rhs(f))
-        return Rates(f.density_rate, da, db, self.induction_rhs(f), f.clamp_count)
+        return Rates(f.density_rate, da, db, f.induction_rhs, f.clamp_count)
 
     def total_heat(self, f: _StateFields) -> float:
         """Quadrature of rho Q(theta), consistent with the thermal assembly."""
@@ -320,42 +353,38 @@ class GalerkinOperators:
 
     # -------------------------------------------------------- mass matrices
 
-    def _trig_product_matrix(self, c_w, nvecs, phases, prefactor):
-        """Matrix of (w mode_i, mode_j) from the weight spectrum c_w.
+    def _phase_blocks(self, c_w, group_n):
+        """Entries (w mode_i, mode_j) on the distinct wavevector pairs.
 
         Products of two real trig modes reduce to weight amplitudes at the
-        difference and sum wavevectors, so each entry is a pair of lookups.
+        difference and sum wavevectors, so the four phase combinations of one
+        pair of wavevectors share two lookups.  ``out[g, p, h, q]`` is the
+        entry for wavevectors ``group_n[g]``, ``group_n[h]`` and phases ``p``,
+        ``q`` (0 cos, 1 sin), before any polarization factor.
         """
-        m = len(nvecs)
-        diff = nvecs[:, None, :] - nvecs[None, :, :]
-        summ = nvecs[:, None, :] + nvecs[None, :, :]
-        cd = self.basis.gather_amplitudes(c_w, diff.reshape(-1, 3)).reshape(m, m)
-        cs = self.basis.gather_amplitudes(c_w, summ.reshape(-1, 3)).reshape(m, m)
-        pi = phases[:, None]
-        pj = phases[None, :]
-        out = np.select(
-            [
-                (pi == 0) & (pj == 0),
-                (pi == 1) & (pj == 1),
-                (pi == 1) & (pj == 0),
-                (pi == 0) & (pj == 1),
-            ],
-            [
-                cd.real + cs.real,
-                cd.real - cs.real,
-                -cd.imag - cs.imag,
-                cd.imag - cs.imag,
-            ],
-        )
-        return prefactor * out
+        g = len(group_n)
+        # (3, g, g) component planes, passed as a (g*g, 3) view: each component
+        # stays contiguous for the index arithmetic
+        n_i, n_j = group_n.T[:, :, None], group_n.T[:, None, :]
+        cd = self.basis.gather_amplitudes(c_w, (n_i - n_j).reshape(3, -1).T).reshape(g, g)
+        cs = self.basis.gather_amplitudes(c_w, (n_i + n_j).reshape(3, -1).T).reshape(g, g)
+        out = np.empty((g, 2, g, 2))
+        out[:, 0, :, 0] = cd.real + cs.real
+        out[:, 1, :, 1] = cd.real - cs.real
+        out[:, 1, :, 0] = -cd.imag - cs.imag
+        out[:, 0, :, 1] = cd.imag - cs.imag
+        return out
 
     def velocity_mass(self, f: _StateFields) -> np.ndarray:
         """Density-weighted Gram matrix (rho psi_i, psi_j); exact quadrature."""
         k_u = len(f.st.a)
         b = self.basis
-        nvecs, phases = b.vec_n[:k_u], b.vec_phase[:k_u].astype(int)
-        pref = b.vec_e[:k_u] @ b.vec_e[:k_u].T
-        mat = self._trig_product_matrix(f.st.rho.data, nvecs, phases, pref)
+        # mode 4g + 2 pol + phase has wavevector g: expand over both polarizations
+        g = -(-k_u // 4)
+        blocks = self._phase_blocks(f.st.rho.data, b.vec_n[: 4 * g : 4])
+        mat = np.broadcast_to(blocks[:, None, :, :, None, :], (g, 2, 2, g, 2, 2))
+        mat = mat.reshape(4 * g, 4 * g)[:k_u, :k_u]  # a copy: writable
+        mat *= b.vec_e[:k_u] @ b.vec_e[:k_u].T
         return 0.5 * (mat + mat.T)
 
     def thermal_mass(self, f: _StateFields) -> np.ndarray:
@@ -369,18 +398,19 @@ class GalerkinOperators:
         else:
             w = f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0))
             c_w = b.grid_to_spectral(w)
-        nvecs, phases = b.scal_n[:k_b], b.scal_phase[:k_b].astype(int)
-        mat = self._trig_product_matrix(c_w, nvecs, np.minimum(phases, 1), np.ones((k_b, k_b)))
-        const = phases == 2
-        if np.any(const):
-            # constant-mode rows/cols: omega_0 = 1/sqrt(V)
-            amps = b.gather_amplitudes(c_w, nvecs)
-            row = np.where(
-                phases == 0, np.sqrt(2.0) * amps.real, -np.sqrt(2.0) * amps.imag
-            )
-            row[const] = amps[const].real
-            mat[const, :] = row
-            mat[:, const] = row[:, None]
+        # mode 0 is the constant; mode 1 + 2g + phase has wavevector g
+        g = k_b // 2
+        blocks = self._phase_blocks(c_w, b.scal_n[1 : 1 + 2 * g : 2])
+        mat = np.empty((k_b, k_b))
+        mat[1:, 1:] = blocks.reshape(2 * g, 2 * g)[: k_b - 1, : k_b - 1]
+        # constant-mode row and column: omega_0 = 1/sqrt(V)
+        amps = b.gather_amplitudes(c_w, b.scal_n[:k_b])
+        row = np.where(
+            b.scal_phase[:k_b] == 0, np.sqrt(2.0) * amps.real, -np.sqrt(2.0) * amps.imag
+        )
+        row[0] = amps[0].real
+        mat[0, :] = row
+        mat[:, 0] = row
         return 0.5 * (mat + mat.T)
 
     @staticmethod
@@ -389,8 +419,11 @@ class GalerkinOperators:
             lo = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError as exc:
             raise MassSolveError("mass matrix not positive definite") from exc
-        y = np.linalg.solve(lo, rhs)
-        return np.linalg.solve(lo.T, y)
+        # cholesky returns a NaN factor for a NaN entry instead of raising; in a
+        # symmetric matrix the NaN reaches the factor's diagonal
+        if not np.all(np.isfinite(np.diagonal(lo))):
+            raise MassSolveError("mass matrix not finite")
+        return _substitute(lo.T, _substitute(lo, rhs, lower=True), lower=False)
 
     # ---------------------------------------------------- induction matrix
 
@@ -462,12 +495,10 @@ def energy_report(f: _StateFields, extras: bool = True, neg_power: float = 0.5) 
     k2_c = b.vec_k2[: len(state.c)]
     d_mag = params.magnetic_diffusivity * float(np.sum(state.c**2 * k2_c))
 
-    mom = ops.momentum_rhs(f)
-    ind = ops.induction_rhs(f)
     rho_t = b.spectral_to_grid(f.density_rate)
     ddt_rho_kin = w_n * float(np.sum(rho_t * u2))
-    adot_term = float(state.a @ mom)
-    cdot_term = float(state.c @ ind)
+    adot_term = float(state.a @ f.momentum_rhs)
+    cdot_term = float(state.c @ f.induction_rhs)
     identity_lhs = 0.5 * ddt_rho_kin + adot_term + cdot_term
     identity_rhs = -d_visc - d_mag
     identity_scale = abs(e_kin) + abs(e_mag) + abs(d_visc) + abs(d_mag) + 1e-30

@@ -1,7 +1,8 @@
-"""Shared test utilities: random admissible states and an independent
-dense-grid quadrature oracle for Galerkin projections.
+"""Shared test utilities: random admissible states, an independent
+dense-grid quadrature oracle for Galerkin projections, and the entry-by-entry
+mass assembly that the per-wavevector-pair assembly must reproduce bitwise.
 
-The oracle path never touches the FFT machinery: modes and fields are
+The quadrature oracle never touches the FFT machinery: modes and fields are
 evaluated from their closed trigonometric forms on a uniform dense grid and
 integrals are plain Riemann sums, which are exact for trigonometric
 polynomials whose bandwidth stays below the grid size.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from specmhd import constitutive as cst
 from specmhd.galerkin import SimState
 from specmhd.spectral import Field
 
@@ -152,3 +154,65 @@ def oracle_dense_grid(basis):
     """Dense grid size making cubic products of basis-band fields exact."""
     g = 3 * basis.cutoff + 2
     return g + (g % 2)
+
+
+# ------------------------------------------------------ dense mass assembly
+
+
+def trig_product_matrix(basis, c_w, nvecs, phases, prefactor):
+    """Matrix of (w mode_i, mode_j) from the weight spectrum c_w, one pair of
+    amplitude lookups per entry (the per-entry form of the mass assembly)."""
+    m = len(nvecs)
+    diff = nvecs[:, None, :] - nvecs[None, :, :]
+    summ = nvecs[:, None, :] + nvecs[None, :, :]
+    cd = basis.gather_amplitudes(c_w, diff.reshape(-1, 3)).reshape(m, m)
+    cs = basis.gather_amplitudes(c_w, summ.reshape(-1, 3)).reshape(m, m)
+    pi = phases[:, None]
+    pj = phases[None, :]
+    out = np.select(
+        [
+            (pi == 0) & (pj == 0),
+            (pi == 1) & (pj == 1),
+            (pi == 1) & (pj == 0),
+            (pi == 0) & (pj == 1),
+        ],
+        [
+            cd.real + cs.real,
+            cd.real - cs.real,
+            -cd.imag - cs.imag,
+            cd.imag - cs.imag,
+        ],
+    )
+    return prefactor * out
+
+
+def oracle_velocity_mass(f):
+    """(rho psi_i, psi_j) assembled entry by entry."""
+    k_u = len(f.st.a)
+    b = f.basis
+    nvecs, phases = b.vec_n[:k_u], b.vec_phase[:k_u].astype(int)
+    pref = b.vec_e[:k_u] @ b.vec_e[:k_u].T
+    mat = trig_product_matrix(b, f.st.rho.data, nvecs, phases, pref)
+    return 0.5 * (mat + mat.T)
+
+
+def oracle_thermal_mass(f):
+    """(rho c(theta) omega_i, omega_j) assembled entry by entry."""
+    p = f.ops.params
+    k_b = len(f.st.b)
+    b = f.basis
+    if p.specific_heat_form == "constant":
+        cbar = 0.5 * (p.specific_heat_min + p.specific_heat_max)
+        c_w = cbar * b.resample_spectrum(f.st.rho.data, f.m)
+    else:
+        w = f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0))
+        c_w = b.grid_to_spectral(w)
+    nvecs, phases = b.scal_n[:k_b], b.scal_phase[:k_b].astype(int)
+    mat = trig_product_matrix(b, c_w, nvecs, np.minimum(phases, 1), np.ones((k_b, k_b)))
+    const = phases == 2
+    amps = b.gather_amplitudes(c_w, nvecs)
+    row = np.where(phases == 0, np.sqrt(2.0) * amps.real, -np.sqrt(2.0) * amps.imag)
+    row[const] = amps[const].real
+    mat[const, :] = row
+    mat[:, const] = row[:, None]
+    return 0.5 * (mat + mat.T)

@@ -11,12 +11,14 @@ from helpers import (
     oracle_dense_grid,
     oracle_mesh,
     oracle_scalar_mode,
+    oracle_thermal_mass,
     oracle_vector_field,
     oracle_vector_field_curl,
     oracle_vector_field_grad,
     oracle_vector_mode,
     oracle_vector_mode_curl,
     oracle_vector_mode_grad,
+    oracle_velocity_mass,
     riemann,
 )
 
@@ -289,6 +291,57 @@ class TestMassMatrices:
         f = ops.fields(uniform_rho_state(basis, rho0=-1.0))
         with pytest.raises(MassSolveError, match="not positive definite"):
             ops.solve_mass(ops.velocity_mass(f), np.zeros(basis.k_modes))
+
+    def test_not_finite_raises(self, basis, ops):
+        st = uniform_rho_state(basis)
+        st.rho.data[0, 0, 0] = np.nan
+        with pytest.raises(MassSolveError, match="not finite"):
+            ops.solve_mass(ops.velocity_mass(ops.fields(st)), np.zeros(basis.k_modes))
+
+    # partial groups: 4 vector modes share a wavevector, 2 scalar modes after the constant
+    @pytest.mark.parametrize("k_u", [1, 2, 3, 5, 21, 22, 23])
+    def test_velocity_mass_bitwise_vs_entrywise(self, basis, ops, k_u):
+        st = make_state(basis, np.random.default_rng(k_u), k_u=k_u, rho_amp=0.4)
+        f = ops.fields(st)
+        assert_bitwise(ops.velocity_mass(f), oracle_velocity_mass(f))
+
+    @pytest.mark.parametrize("form", cst.SPECIFIC_HEAT_FORMS)
+    @pytest.mark.parametrize("k_b", [1, 2, 3, 18, 21])
+    def test_thermal_mass_bitwise_vs_entrywise(self, basis, k_b, form):
+        params = cst.ConstitutiveParams(
+            specific_heat_form=form, specific_heat_min=1.0, specific_heat_max=3.0
+        )
+        ops = gal.GalerkinOperators(params, basis)
+        st = make_state(basis, np.random.default_rng(k_b), k_b=k_b, rho_amp=0.4)
+        f = ops.fields(st)
+        assert_bitwise(ops.thermal_mass(f), oracle_thermal_mass(f))
+
+
+def spd_system(k):
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(k, k))
+    return a @ a.T / k + np.eye(k), rng.normal(size=k)
+
+
+class TestMassSolve:
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 129, 800])
+    def test_matches_dense_solve(self, k):
+        mat, rhs = spd_system(k)
+        want = np.linalg.solve(mat, rhs)
+        got = gal.GalerkinOperators.solve_mass(mat, rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("k", [1, 2, 20, 63, 64])
+    def test_one_block_is_two_solves(self, k):
+        mat, rhs = spd_system(k)
+        lo = np.linalg.cholesky(mat)
+        want = np.linalg.solve(lo.T, np.linalg.solve(lo, rhs))
+        assert_bitwise(gal.GalerkinOperators.solve_mass(mat, rhs), want)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def identity_defect(params, st, eps_density=0.0):

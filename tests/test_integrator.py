@@ -190,3 +190,20 @@ class TestRealization:
         assert summary.n_steps == 3 and len(rec.records) == 4
         ids = [id(s) for s in realized]
         assert len(ids) == len(set(ids))
+
+    @pytest.mark.parametrize("scheme", itg.SCHEMES)
+    def test_each_rhs_computed_once_per_realization(self, basis, params, monkeypatch, scheme):
+        seen = []  # holding every realization keeps its id from being reused
+        for name in ("momentum_rhs", "induction_rhs"):
+            def recording(ops, f, _orig=getattr(gal.GalerkinOperators, name), _name=name):
+                seen.append((_name, f))
+                return _orig(ops, f)
+
+            monkeypatch.setattr(gal.GalerkinOperators, name, recording)
+        st = plain_state(basis)
+        st.a[0] = 0.3
+        st.c[12] = 0.3
+        summary, rec = run(params, basis, st, dt=1e-3, t_end=0.003, scheme=scheme, cadence=1)
+        assert summary.n_steps == 3 and len(rec.records) == 4
+        keys = [(name, id(f)) for name, f in seen]
+        assert len(keys) == len(set(keys))
