@@ -7,8 +7,7 @@ Sections and keys mirror the solver blocks:
     power_law_exponent, conductivity_exponent, stress_smoothing,
     magnetic_diffusivity, viscosity_min/max, conductivity_min/max,
     specific_heat_min/max, density_min/max, temperature_floor,
-    viscosity_form, conductivity_form, specific_heat_form,
-    elastic_energy_form
+    viscosity_form, conductivity_form, specific_heat_form
 ``[domain]``
     box_size, grid_points
 ``[truncation]``
@@ -43,7 +42,7 @@ from specmhd.errors import ConfigError
 from specmhd.integrator import StepConfig
 from specmhd.spectral import _canonical_wavevectors
 
-CONFIG_SCHEMA_VERSION = "1"
+CONFIG_SCHEMA_VERSION = "2"
 
 INITIAL_FAMILIES = ("single_mode", "orszag_tang", "random_band", "layered_density")
 SWEEP_KINDS = ("modes", "density_regularization")
@@ -85,7 +84,6 @@ _CONSTITUTIVE_KEYS = {
     "viscosity_form": str,
     "conductivity_form": str,
     "specific_heat_form": str,
-    "elastic_energy_form": str,
 }
 
 _STEP_KEYS = {

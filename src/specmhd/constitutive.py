@@ -1,5 +1,5 @@
 """Constitutive laws: power-law viscous stress, temperature-power heat flux,
-internal energy, and parameter admissibility checks.
+thermal energy, and parameter admissibility checks.
 
 Symmetric tensors are plain ndarrays of shape ``(..., 3, 3)``; the rate of
 strain is the unscaled symmetrization ``grad(u) + grad(u)^T``, so its
@@ -20,7 +20,6 @@ import numpy as np
 VISCOSITY_FORMS = ("constant", "density_temperature")
 CONDUCTIVITY_FORMS = ("constant", "density_affine")
 SPECIFIC_HEAT_FORMS = ("constant", "saturating")
-ELASTIC_ENERGY_FORMS = ("zero", "linear")
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class ConstitutiveParams:
     viscosity_form: str = "constant"
     conductivity_form: str = "constant"
     specific_heat_form: str = "constant"
-    elastic_energy_form: str = "zero"
 
 
 @dataclass
@@ -95,10 +93,6 @@ def validate_params(p: ConstitutiveParams) -> ValidationReport:
     if p.specific_heat_form not in SPECIFIC_HEAT_FORMS:
         bad.append(
             f"unknown specific_heat_form {p.specific_heat_form!r}; options {SPECIFIC_HEAT_FORMS}"
-        )
-    if p.elastic_energy_form not in ELASTIC_ENERGY_FORMS:
-        bad.append(
-            f"unknown elastic_energy_form {p.elastic_energy_form!r}; options {ELASTIC_ENERGY_FORMS}"
         )
     return ValidationReport(ok=not bad, violations=bad)
 
@@ -158,18 +152,6 @@ def thermal_energy(p: ConstitutiveParams, theta) -> np.ndarray:
     if p.specific_heat_form == "constant":
         return 0.5 * (lo + hi) * th
     return lo * th + (hi - lo) * (th - np.log1p(th))
-
-
-def elastic_energy(p: ConstitutiveParams, rho) -> np.ndarray:
-    """Density-dependent part of the internal energy (default: zero)."""
-    if p.elastic_energy_form == "zero":
-        return np.zeros(np.shape(rho) or ())
-    return np.asarray(rho, dtype=float).copy()
-
-
-def internal_energy(p: ConstitutiveParams, rho, theta) -> np.ndarray:
-    """Internal energy: elastic part plus thermal part."""
-    return elastic_energy(p, rho) + thermal_energy(p, theta)
 
 
 def stress_tensor(p: ConstitutiveParams, rho, theta, strain: np.ndarray) -> np.ndarray:

@@ -44,10 +44,6 @@ from specmhd import constitutive as cst
 from specmhd.errors import MassSolveError
 from specmhd.spectral import DivFreeSpectralBasis, Field
 
-# Flipped only by the verification suite to prove the energy-identity check
-# actually detects a miswired Lorentz force.
-_LORENTZ_SIGN = 1.0
-
 
 @dataclass
 class SimState:
@@ -302,9 +298,7 @@ class GalerkinOperators:
     def momentum_rhs(self, f: _StateFields) -> np.ndarray:
         k_u = len(f.st.a)
         conv = np.einsum("mxyz,imxyz->ixyz", f.u, f.grad_u)
-        integrand = -f.rho[None] * conv + _LORENTZ_SIGN * np.cross(
-            f.curl_H, f.H, axisa=0, axisb=0, axisc=0
-        )
+        integrand = -f.rho[None] * conv + np.cross(f.curl_H, f.H, axisa=0, axisb=0, axisc=0)
         if self.eps_density:
             integrand = integrand + self.eps_density * np.einsum(
                 "mxyz,imxyz->ixyz", f.grad_rho, f.grad_u
@@ -424,51 +418,6 @@ class GalerkinOperators:
         if not np.all(np.isfinite(np.diagonal(lo))):
             raise MassSolveError("mass matrix not finite")
         return _substitute(lo.T, _substitute(lo, rhs, lower=True), lower=False)
-
-    # ---------------------------------------------------- induction matrix
-
-    def induction_matrix(self, f: _StateFields, form: str = "weak") -> np.ndarray:
-        """Matrix A with dc/dt + A c = 0 for the frozen velocity of the state.
-
-        ``weak`` tests the transport against curls, matching the evolution
-        actually used; ``advective`` assembles the pointwise-transport variant
-        (including the formally-zero div(u) term) for cross-checking.  For
-        divergence-free modes the two differ by the transpose of the advection
-        block; both share the exact curl-curl diffusion diagonal.
-        """
-        if form not in ("weak", "advective"):
-            raise ValueError(f"unknown induction matrix form {form!r}")
-        b = self.basis
-        k_c = len(f.st.c)
-        a_mat = np.diag(self.magnetic_stiffness_diag[:k_c])
-        if form == "weak":
-            for i in range(k_c):
-                mode = b.vector_mode_grid(i, b.grid_points)
-                w = np.cross(f.u, mode, axisa=0, axisb=0, axisc=0)
-                a_mat[:, i] -= b.gather_vector_curl(b.grid_to_spectral(w), k_c)
-            return a_mat
-        div_u = b.spectral_to_grid(b.div(f.c_u))
-        for i in range(k_c):
-            mode = b.vector_mode_grid(i, b.grid_points)
-            u_dot_grad_mode = self._advect_mode(f, i)
-            mode_dot_grad_u = np.einsum("mxyz,imxyz->ixyz", mode, f.grad_u)
-            integrand = -u_dot_grad_mode - mode_dot_grad_u + div_u[None] * mode
-            a_mat[:, i] += b.gather_vector(b.grid_to_spectral(integrand), k_c)
-        return a_mat
-
-    def _advect_mode(self, f: _StateFields, i: int) -> np.ndarray:
-        """(u . grad) pi_i evaluated from the closed form of the mode."""
-        b = self.basis
-        x, y, z = b.mesh(b.grid_points)
-        k = b.vec_k[i]
-        ph = k[0] * x + k[1] * y + k[2] * z
-        u_dot_k = f.u[0] * k[0] + f.u[1] * k[1] + f.u[2] * k[2]
-        scale = np.sqrt(2.0 / b.volume)
-        if b.vec_phase[i] == 0:
-            deriv = -np.sin(ph) * u_dot_k
-        else:
-            deriv = np.cos(ph) * u_dot_k
-        return scale * b.vec_e[i][:, None, None, None] * deriv
 
 
 # ----------------------------------------------------------- module-level API

@@ -361,17 +361,6 @@ class DivFreeSpectralBasis:
     def project_scalar(self, values: np.ndarray, count: int) -> np.ndarray:
         return self.gather_scalar(self.grid_to_spectral(values), count)
 
-    # -------------------------------------------------- analytic mode fields
-
-    def vector_mode_grid(self, j: int, grid: int | None = None) -> np.ndarray:
-        """Pointwise evaluation of psi_j on the grid (closed-form trig)."""
-        g = grid or self.grid_points
-        x, y, z = self.mesh(g)
-        k = self.vec_k[j]
-        phase = k[0] * x + k[1] * y + k[2] * z
-        tr = np.cos(phase) if self.vec_phase[j] == _PHASE_COS else np.sin(phase)
-        return np.sqrt(2.0 / self.volume) * self.vec_e[j][:, None, None, None] * tr
-
 
 @dataclass
 class Field:
@@ -466,54 +455,3 @@ class Field:
 def build_basis(box_size: float, grid_points: int, k_modes: int) -> DivFreeSpectralBasis:
     """Construct the orthonormal divergence-free and scalar mode families."""
     return DivFreeSpectralBasis(box_size, grid_points, k_modes)
-
-
-def leray_project(basis: DivFreeSpectralBasis, v: Field) -> Field:
-    """Divergence-free part of a periodic vector field; the mean is kept."""
-    if v.kind != "vector":
-        raise ValueError("leray_project expects a vector field")
-    c = v.to_spectral().data
-    kx, ky, kz = basis.wavenumbers(c.shape[-1])
-    k2 = kx * kx + ky * ky + kz * kz
-    # v - grad(lap^-1 div v), with the k = 0 mode left alone
-    phi = basis.div(c) / np.where(k2 == 0.0, 1.0, k2)
-    out = c + np.stack([basis.grad(phi, m) for m in range(3)])
-    return Field("vector", "spectral", out, v.box_size)
-
-
-def differentiate(basis: DivFreeSpectralBasis, f: Field, op: str) -> Field:
-    """Exact spectral derivative: ``grad`` (scalar), ``div``/``curl`` (vector)."""
-    kinds = {"grad": ("scalar", "vector"), "div": ("vector", "scalar"), "curl": ("vector", "vector")}
-    if op not in kinds:
-        raise ValueError(f"unknown derivative op {op!r}")
-    kind_in, kind_out = kinds[op]
-    if f.kind != kind_in:
-        raise ValueError(f"{op} expects a {kind_in} field")
-    c = f.to_spectral().data
-    if op == "grad":
-        out = np.stack([basis.grad(c, m) for m in range(3)])
-    else:
-        out = getattr(basis, op)(c)
-    return Field(kind_out, "spectral", out, f.box_size)
-
-
-def inner_product(basis: DivFreeSpectralBasis, f: Field, g: Field) -> float:
-    """Quadrature value of the L2 pairing on the common uniform grid."""
-    if f.grid_points != g.grid_points:
-        raise ValueError(
-            f"resolution mismatch: {f.grid_points} vs {g.grid_points} grid points"
-        )
-    if f.kind != g.kind:
-        raise ValueError(f"rank mismatch: {f.kind} vs {g.kind}")
-    fv = f.to_grid().data
-    gv = g.to_grid().data
-    w = basis.volume / f.grid_points**3
-    return float(w * np.sum(fv * gv))
-
-
-def dealias(basis: DivFreeSpectralBasis, f: Field) -> Field:
-    """Zero every coefficient above the basis cutoff; idempotent."""
-    c = f.to_spectral().data.copy()
-    mask = basis.dealias_mask(c.shape[-1])
-    c *= mask
-    return Field(f.kind, "spectral", c, f.box_size)

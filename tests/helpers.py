@@ -1,6 +1,8 @@
 """Shared test utilities: random admissible states, an independent
-dense-grid quadrature oracle for Galerkin projections, and the entry-by-entry
-mass assembly that the per-wavevector-pair assembly must reproduce bitwise.
+dense-grid quadrature oracle for Galerkin projections, the entry-by-entry
+mass assembly that the per-wavevector-pair assembly must reproduce bitwise,
+the induction matrix of the solver's induction right-hand side, and a
+miswired Lorentz force for fault injection.
 
 The quadrature oracle never touches the FFT machinery: modes and fields are
 evaluated from their closed trigonometric forms on a uniform dense grid and
@@ -9,6 +11,8 @@ polynomials whose bandwidth stays below the grid size.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -216,3 +220,29 @@ def oracle_thermal_mass(f):
     mat[const, :] = row
     mat[:, const] = row[:, None]
     return 0.5 * (mat + mat.T)
+
+
+# ------------------------------------------------- solver operators, rebuilt
+
+
+def induction_matrix(ops, state):
+    """Matrix A with dc/dt = -A c for the frozen velocity of ``state``.
+
+    ``induction_rhs`` is linear in c, so column i is minus its value at the
+    unit vector c = e_i.
+    """
+    cols = [
+        ops.induction_rhs(ops.fields(dataclasses.replace(state, c=e)))
+        for e in np.eye(len(state.c))
+    ]
+    return -np.array(cols).T
+
+
+def lorentz_flipped(f):
+    """The realization ``f`` with the Lorentz force entering its momentum
+    right-hand side as -(curl H) x H: the miswiring the energy identity
+    must detect."""
+    lorentz = np.cross(f.curl_H, f.H, axisa=0, axisb=0, axisc=0)
+    entries = f.basis.gather_vector(f.basis.grid_to_spectral(lorentz), len(f.st.a))
+    f.momentum_rhs = f.momentum_rhs - 2.0 * entries
+    return f

@@ -73,52 +73,6 @@ class TestStress:
         assert np.max(np.abs(tr)) < 1e-13 * (1.0 + np.max(np.abs(s)))
 
 
-@pytest.fixture()
-def params():
-    return make_params(
-        power_law_exponent=2.8,
-        stress_smoothing=0.0,
-        viscosity_min=0.5,
-        viscosity_max=2.0,
-        viscosity_form="density_temperature",
-    )
-
-
-class TestStressInequalities:
-    """Coercivity, growth, and monotonicity over random admissible samples."""
-
-    def test_coercivity(self, params):
-        rng = np.random.default_rng(11)
-        rho, theta, d = cst.sample_admissible(params, 10_000, rng)
-        s = cst.stress_tensor(params, rho, theta, d)
-        lhs = np.sum(s * d, axis=(-2, -1))
-        d2 = cst.frobenius_sq(d)
-        bound = params.viscosity_min * (params.stress_smoothing + d2) ** (
-            0.5 * (params.power_law_exponent - 2.0)
-        ) * d2
-        assert np.all(lhs >= bound - 1e-12)
-
-    def test_growth(self, params):
-        rng = np.random.default_rng(13)
-        rho, theta, d = cst.sample_admissible(params, 10_000, rng)
-        s = cst.stress_tensor(params, rho, theta, d)
-        d2 = cst.frobenius_sq(d)
-        lhs = np.sqrt(cst.frobenius_sq(s))
-        bound = params.viscosity_max * (params.stress_smoothing + d2) ** (
-            0.5 * (params.power_law_exponent - 2.0)
-        ) * np.sqrt(d2)
-        assert np.all(lhs <= bound + 1e-12)
-
-    def test_monotonicity(self, params):
-        rng = np.random.default_rng(17)
-        rho, theta, d = cst.sample_admissible(params, 10_000, rng)
-        _, _, b = cst.sample_admissible(params, 10_000, rng)
-        sd = cst.stress_tensor(params, rho, theta, d)
-        sb = cst.stress_tensor(params, rho, theta, b)
-        gap = np.sum((sd - sb) * (d - b), axis=(-2, -1))
-        assert np.all(gap >= -1e-12)
-
-
 class TestHeatFlux:
     def test_zero_gradient(self):
         p = make_params()
@@ -139,25 +93,6 @@ class TestHeatFlux:
         p = make_params(conductivity_exponent=-0.5)
         with pytest.raises(ValueError, match="singular flux"):
             cst.heat_flux(p, 1.0, 0.0, np.ones(3))
-
-    def test_flux_bounds(self):
-        p = make_params(
-            conductivity_exponent=1.5,
-            conductivity_min=0.5,
-            conductivity_max=2.0,
-            conductivity_form="density_affine",
-        )
-        rng = np.random.default_rng(23)
-        n = 10_000
-        rho = rng.uniform(p.density_min, p.density_max, n)
-        theta = rng.uniform(p.temperature_floor, 10.0, n)
-        grad = rng.normal(size=(n, 3))
-        q = cst.heat_flux(p, rho, theta, grad)
-        g2 = np.sum(grad * grad, axis=-1)
-        lower = p.conductivity_min * theta**p.conductivity_exponent * g2
-        upper = p.conductivity_max * theta**p.conductivity_exponent * np.sqrt(g2)
-        assert np.all(np.sum(q * grad, axis=-1) >= lower - 1e-12)
-        assert np.all(np.sqrt(np.sum(q * q, axis=-1)) <= upper + 1e-12)
 
 
 class TestThermalEnergy:
@@ -186,25 +121,3 @@ class TestThermalEnergy:
         th = np.linspace(0.0, 100.0, 1000)
         c = cst.specific_heat(p, th)
         assert np.all(c >= 1.0) and np.all(c <= 2.0)
-
-
-class TestInternalEnergy:
-    def test_default_is_thermal_only(self):
-        p = make_params()
-        assert cst.internal_energy(p, 1.7, 5.0) == pytest.approx(5.0, rel=1e-15)
-
-    def test_sum_of_parts(self):
-        p = make_params(elastic_energy_form="linear")
-        assert cst.internal_energy(p, 2.0, 1.0) == pytest.approx(3.0, rel=1e-15)
-
-    def test_additivity_random(self):
-        p = make_params(
-            elastic_energy_form="linear",
-            specific_heat_form="saturating",
-            specific_heat_max=2.0,
-        )
-        rng = np.random.default_rng(5)
-        rho = rng.uniform(p.density_min, p.density_max, 300)
-        theta = rng.uniform(0.0, 10.0, 300)
-        lhs = cst.internal_energy(p, rho, theta) - cst.internal_energy(p, rho, 0.0)
-        np.testing.assert_allclose(lhs, cst.thermal_energy(p, theta), rtol=1e-13, atol=1e-14)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specmhd import harness
 from specmhd import spectral as sp
 from specmhd.errors import ResolutionError
 
@@ -10,11 +11,6 @@ L = 2.0 * np.pi
 @pytest.fixture(scope="module")
 def basis():
     return sp.build_basis(L, 16, 24)
-
-
-def random_vector_field(basis, rng, count=None):
-    count = count or basis.k_modes
-    return rng.normal(size=count)
 
 
 def mode_field_oracle(basis, j, grid):
@@ -54,10 +50,9 @@ class TestBasisConstruction:
         np.testing.assert_allclose(gram, np.eye(10), atol=1e-12)
 
     def test_modes_divergence_free(self, basis):
-        for j in range(basis.k_modes):
-            c = basis.synth_vector(np.eye(basis.k_modes)[j])
-            div = sp.differentiate(basis, sp.Field.from_spectral(c, L), "div")
-            assert np.max(np.abs(div.to_grid().data)) < 1e-13
+        # with orthonormality, Parseval and gradients orthogonal to the modes
+        ok, detail = harness.CHECKS["spectral.core"](basis=basis)
+        assert ok, detail
 
     def test_deterministic_ordering(self):
         a = sp.build_basis(L, 16, 24)
@@ -74,12 +69,6 @@ class TestFieldRoundTrip:
         f = sp.Field.from_grid(vals, L)
         back = f.to_spectral().to_grid().data
         np.testing.assert_allclose(back, vals, rtol=1e-12, atol=1e-13)
-
-    def test_projection_recovers_coefficients(self, basis):
-        rng = np.random.default_rng(4)
-        coeffs = rng.normal(size=basis.k_modes)
-        got = basis.project_vector(basis.vector_grid(coeffs))
-        np.testing.assert_allclose(got, coeffs, rtol=1e-12, atol=1e-13)
 
     def test_scalar_projection_with_constant(self, basis):
         rng = np.random.default_rng(5)
@@ -112,152 +101,6 @@ class TestFieldRoundTrip:
         raw = np.frombuffer((tmp_path / "x.bin").read_bytes(), dtype="<f8")
         np.testing.assert_array_equal(raw[:n], lin)
 
-
-class TestLerayProjection:
-    def test_solenoidal_unchanged(self, basis):
-        rng = np.random.default_rng(7)
-        c = basis.synth_vector(rng.normal(size=basis.k_modes))
-        v = sp.Field.from_spectral(c, L)
-        out = sp.leray_project(basis, v)
-        np.testing.assert_allclose(out.data, c, rtol=1e-12, atol=1e-14)
-
-    def test_gradient_killed(self, basis):
-        rng = np.random.default_rng(8)
-        phi = basis.synth_scalar(rng.normal(size=11))
-        grad = sp.differentiate(basis, sp.Field.from_spectral(phi, L), "grad")
-        out = sp.leray_project(basis, grad)
-        assert np.max(np.abs(out.data)) < 1e-12
-
-    def test_hand_value(self, basis):
-        # single mode k along x carrying (1, 1, 0): projection keeps (0, 1, 0)
-        g = basis.grid_points
-        c = np.zeros((3, g, g, g), dtype=complex)
-        c[0, 1, 0, 0] = 1.0
-        c[1, 1, 0, 0] = 1.0
-        out = sp.leray_project(basis, sp.Field.from_spectral(c, L))
-        assert out.data[0, 1, 0, 0] == pytest.approx(0.0, abs=1e-15)
-        assert out.data[1, 1, 0, 0] == pytest.approx(1.0, rel=1e-15)
-
-    def test_idempotent_and_self_adjoint(self, basis):
-        rng = np.random.default_rng(9)
-        g = basis.grid_points
-        a = sp.Field.from_grid(rng.normal(size=(3, g, g, g)), L)
-        b = sp.Field.from_grid(rng.normal(size=(3, g, g, g)), L)
-        pa = sp.leray_project(basis, a)
-        ppa = sp.leray_project(basis, pa)
-        np.testing.assert_allclose(ppa.data, pa.data, rtol=1e-12, atol=1e-13)
-        pb = sp.leray_project(basis, b)
-        lhs = sp.inner_product(basis, pa.to_grid(), b.to_grid())
-        rhs = sp.inner_product(basis, a.to_grid(), pb.to_grid())
-        assert lhs == pytest.approx(rhs, rel=1e-11)
-
-    def test_commutes_with_curl_on_solenoidal(self, basis):
-        rng = np.random.default_rng(10)
-        c = basis.synth_vector(rng.normal(size=basis.k_modes))
-        v = sp.Field.from_spectral(c, L)
-        a = sp.differentiate(basis, sp.leray_project(basis, v), "curl").data
-        b = sp.leray_project(basis, sp.differentiate(basis, v, "curl")).data
-        assert np.max(np.abs(a - b)) < 1e-11
-
-
-class TestDifferentiate:
-    def test_single_mode_exact(self, basis):
-        g = basis.grid_points
-        x, _, _ = basis.mesh()
-        f = sp.Field.from_grid(np.sin(2.0 * np.pi * x / L), L)
-        dfdx = sp.differentiate(basis, f, "grad").to_grid().data[0]
-        np.testing.assert_allclose(
-            dfdx, (2.0 * np.pi / L) * np.cos(2.0 * np.pi * x / L), atol=1e-12
-        )
-
-    def test_div_of_curl_vanishes(self, basis):
-        rng = np.random.default_rng(11)
-        g = basis.grid_points
-        v = sp.Field.from_grid(rng.normal(size=(3, g, g, g)), L)
-        dc = sp.differentiate(basis, sp.differentiate(basis, v, "curl"), "div")
-        assert np.max(np.abs(dc.to_grid().data)) < 1e-11
-
-    def test_curl_of_grad_vanishes(self, basis):
-        rng = np.random.default_rng(12)
-        g = basis.grid_points
-        phi = sp.Field.from_grid(rng.normal(size=(g, g, g)), L)
-        cg = sp.differentiate(basis, sp.differentiate(basis, phi, "grad"), "curl")
-        assert np.max(np.abs(cg.to_grid().data)) < 1e-11
-
-    def test_curl_curl_is_minus_laplacian_on_solenoidal(self, basis):
-        rng = np.random.default_rng(13)
-        coeffs = rng.normal(size=basis.k_modes)
-        h = sp.Field.from_spectral(basis.synth_vector(coeffs), L)
-        cc = sp.differentiate(basis, sp.differentiate(basis, h, "curl"), "curl").data
-        kx, ky, kz = basis.wavenumbers()
-        lap = -(kx**2 + ky**2 + kz**2) * h.data
-        np.testing.assert_allclose(cc, -lap, rtol=1e-12, atol=1e-13)
-
-    def test_rank_mismatch_rejected(self, basis):
-        g = basis.grid_points
-        v = sp.Field.from_grid(np.zeros((3, g, g, g)), L)
-        with pytest.raises(ValueError, match="scalar"):
-            sp.differentiate(basis, v, "grad")
-
-
-class TestInnerProductAndDealias:
-    def test_orthonormality(self, basis):
-        e = np.eye(basis.k_modes)
-        f1 = sp.Field.from_grid(basis.vector_grid(e[0]), L)
-        f2 = sp.Field.from_grid(basis.vector_grid(e[1]), L)
-        assert sp.inner_product(basis, f1, f1) == pytest.approx(1.0, rel=1e-12)
-        assert sp.inner_product(basis, f1, f2) == pytest.approx(0.0, abs=1e-13)
-
-    def test_sine_norm_analytic(self, basis):
-        x, _, _ = basis.mesh()
-        f = sp.Field.from_grid(np.sin(2.0 * np.pi * x / L), L)
-        assert sp.inner_product(basis, f, f) == pytest.approx(L**3 / 2.0, rel=1e-12)
-
-    def test_symmetry(self, basis):
-        rng = np.random.default_rng(14)
-        g = basis.grid_points
-        a = sp.Field.from_grid(rng.normal(size=(g, g, g)), L)
-        b = sp.Field.from_grid(rng.normal(size=(g, g, g)), L)
-        assert sp.inner_product(basis, a, b) == pytest.approx(
-            sp.inner_product(basis, b, a), rel=1e-13
-        )
-
-    def test_resolution_mismatch_rejected(self, basis):
-        a = sp.Field.from_grid(np.zeros((8, 8, 8)), L)
-        b = sp.Field.from_grid(np.zeros((16, 16, 16)), L)
-        with pytest.raises(ValueError, match="resolution mismatch"):
-            sp.inner_product(basis, a, b)
-
-    def test_dealias_below_cutoff_unchanged(self, basis):
-        rng = np.random.default_rng(15)
-        c = basis.synth_vector(rng.normal(size=basis.k_modes))
-        f = sp.Field.from_spectral(c, L)
-        np.testing.assert_allclose(sp.dealias(basis, f).data, c, atol=1e-15)
-
-    def test_dealias_zeroes_high_mode_and_is_idempotent(self, basis):
-        g = basis.grid_points
-        c = np.zeros((g, g, g), dtype=complex)
-        hi = basis.cutoff + 1
-        c[hi, 0, 0] = 1.0
-        c[-hi, 0, 0] = 1.0
-        c[1, 0, 0] = 0.5
-        c[-1, 0, 0] = 0.5
-        f = sp.Field.from_spectral(c, L)
-        d1 = sp.dealias(basis, f)
-        assert d1.data[hi, 0, 0] == 0.0
-        assert d1.data[1, 0, 0] == pytest.approx(0.5)
-        d2 = sp.dealias(basis, d1)
-        np.testing.assert_array_equal(d1.data, d2.data)
-
-    def test_parseval(self, basis):
-        rng = np.random.default_rng(16)
-        coeffs = rng.normal(size=basis.k_modes)
-        vals = basis.vector_grid(coeffs)
-        grid_norm = sp.inner_product(
-            basis, sp.Field.from_grid(vals, L), sp.Field.from_grid(vals, L)
-        )
-        assert grid_norm == pytest.approx(float(np.sum(coeffs**2)), rel=1e-10)
-
     def test_resample_spectrum_round_trip(self, basis):
         rng = np.random.default_rng(17)
         c = basis.synth_scalar(rng.normal(size=9))
@@ -271,3 +114,37 @@ class TestInnerProductAndDealias:
         w24 = basis.volume / 24**3
         w16 = basis.volume / 16**3
         assert w24 * np.sum(up_vals**2) == pytest.approx(w16 * np.sum(base_vals**2), rel=1e-12)
+
+
+class TestDifferentiate:
+    """Identities of the derivative kernels the solver runs."""
+
+    def test_single_mode_exact(self, basis):
+        x, _, _ = basis.mesh()
+        c = basis.grid_to_spectral(np.sin(2.0 * np.pi * x / L))
+        dfdx = basis.spectral_to_grid(basis.grad(c, 0))
+        np.testing.assert_allclose(
+            dfdx, (2.0 * np.pi / L) * np.cos(2.0 * np.pi * x / L), atol=1e-12
+        )
+
+    def test_div_of_curl_vanishes(self, basis):
+        rng = np.random.default_rng(11)
+        g = basis.grid_points
+        c = basis.grid_to_spectral(rng.normal(size=(3, g, g, g)))
+        dc = basis.spectral_to_grid(basis.div(basis.curl(c)))
+        assert np.max(np.abs(dc)) < 1e-11
+
+    def test_curl_of_grad_vanishes(self, basis):
+        rng = np.random.default_rng(12)
+        g = basis.grid_points
+        c = basis.grid_to_spectral(rng.normal(size=(g, g, g)))
+        grad = np.stack([basis.grad(c, m) for m in range(3)])
+        assert np.max(np.abs(basis.spectral_to_grid(basis.curl(grad)))) < 1e-11
+
+    def test_curl_curl_is_minus_laplacian_on_solenoidal(self, basis):
+        rng = np.random.default_rng(13)
+        c = basis.synth_vector(rng.normal(size=basis.k_modes))
+        cc = basis.curl(basis.curl(c))
+        kx, ky, kz = basis.wavenumbers()
+        lap = -(kx**2 + ky**2 + kz**2) * c
+        np.testing.assert_allclose(cc, -lap, rtol=1e-12, atol=1e-13)
