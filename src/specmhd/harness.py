@@ -542,20 +542,19 @@ def _check_magnetic_decay(scheme: str = "implicit-midpoint") -> tuple[bool, str]
     return bool(ok), f"relative error {err:.2e} vs closed form, max |a| {u_max:.1e}"
 
 
-def _check_density_decay() -> tuple[bool, str]:
+def _check_density_decay(eps_density: float = 5e-3) -> tuple[bool, str]:
     basis = _integrator_basis()
     p = cst.ConstitutiveParams()
     st = _decay_test_state(basis)
     st.c[:] = 0.0
     st.rho.data[1, 0, 0] = 0.1
     st.rho.data[-1, 0, 0] = 0.1
-    eps = 5e-3
-    rec = diag.TrajectoryRecorder(p, basis, eps_density=eps)
+    rec = diag.TrajectoryRecorder(p, basis, eps_density=eps_density)
     summary = itg.integrate(
-        p, basis, st, itg.StepConfig(dt=1e-3, t_end=0.1), observers=[rec], eps_density=eps
+        p, basis, st, itg.StepConfig(dt=1e-3, t_end=0.1), observers=[rec], eps_density=eps_density
     )
     amp = summary.final_state.rho.data[1, 0, 0].real
-    expected = 0.1 * np.exp(-eps * 0.1)
+    expected = 0.1 * np.exp(-eps_density * 0.1)
     err = abs(amp - expected) / expected
     return bool(err < 1e-6), f"relative error {err:.2e} vs heat kernel"
 

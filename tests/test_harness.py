@@ -170,6 +170,12 @@ class TestRunOutputs:
         k2 = 1.0  # lowest shell at box 2 pi
         assert abs(rep.summary["magnetic_decay_rate"] - cfg.constitutive.magnetic_diffusivity * k2) < 1e-4
 
+    def test_determinism_byte_identical(self):
+        cfg = load_config(CONFIGS / "magnetic_decay.cfg")
+        cfg = replace_config(cfg, step=dataclasses.replace(cfg.step, t_end=0.02))
+        ok, detail = harness.CHECKS["harness.determinism"](cfg=cfg)
+        assert ok, detail
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(harness.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
         cfg = RunConfig(

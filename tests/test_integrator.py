@@ -68,12 +68,21 @@ class TestStepBasics:
 
 
 class TestMagneticDecayOracle:
-    def test_imex_decay(self):
-        ok, detail = harness.CHECKS["integrator.magnetic_decay"](scheme="imex-cn-ab2")
+    @pytest.mark.parametrize("scheme,tol", [("implicit-midpoint", 1e-6), ("imex-cn-ab2", 1e-6)])
+    def test_single_mode_decay(self, scheme, tol):
+        assert harness._DECAY_TOLERANCE[scheme] <= tol
+        ok, detail = harness.CHECKS["integrator.magnetic_decay"](scheme=scheme)
         assert ok, detail
 
     def test_rk4_decay(self):
         ok, detail = harness.CHECKS["integrator.magnetic_decay"](scheme="explicit-rk4")
+        assert ok, detail
+
+
+class TestDensityDecayOracle:
+    def test_heat_kernel_mode(self):
+        # four times the check's default regularization
+        ok, detail = harness.CHECKS["integrator.density_decay"](eps_density=2e-2)
         assert ok, detail
 
 

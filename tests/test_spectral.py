@@ -70,6 +70,12 @@ class TestFieldRoundTrip:
         back = f.to_spectral().to_grid().data
         np.testing.assert_allclose(back, vals, rtol=1e-12, atol=1e-13)
 
+    def test_projection_recovers_coefficients(self, basis):
+        rng = np.random.default_rng(4)
+        coeffs = rng.normal(size=basis.k_modes)
+        got = basis.project_vector(basis.vector_grid(coeffs))
+        np.testing.assert_allclose(got, coeffs, rtol=1e-12, atol=1e-13)
+
     def test_scalar_projection_with_constant(self, basis):
         rng = np.random.default_rng(5)
         coeffs = rng.normal(size=9)
@@ -100,21 +106,6 @@ class TestFieldRoundTrip:
         sp.Field.from_grid(vals, L).save(tmp_path / "x")
         raw = np.frombuffer((tmp_path / "x.bin").read_bytes(), dtype="<f8")
         np.testing.assert_array_equal(raw[:n], lin)
-
-    def test_resample_spectrum_round_trip(self, basis):
-        rng = np.random.default_rng(17)
-        c = basis.synth_scalar(rng.normal(size=9))
-        up = basis.resample_spectrum(c, 24)
-        down = basis.resample_spectrum(up, basis.grid_points)
-        np.testing.assert_allclose(down, c, atol=1e-15)
-        # padded grid evaluates to the same function on shared points
-        up_vals = sp.DivFreeSpectralBasis.spectral_to_grid(up)
-        base_vals = sp.DivFreeSpectralBasis.spectral_to_grid(c)
-        # grid 16 points at even indices of 24-grid coincide every 3rd/2nd: compare norms instead
-        w24 = basis.volume / 24**3
-        w16 = basis.volume / 16**3
-        assert w24 * np.sum(up_vals**2) == pytest.approx(w16 * np.sum(base_vals**2), rel=1e-12)
-
 
 class TestDifferentiate:
     """Identities of the derivative kernels the solver runs."""
@@ -148,3 +139,28 @@ class TestDifferentiate:
         kx, ky, kz = basis.wavenumbers()
         lap = -(kx**2 + ky**2 + kz**2) * c
         np.testing.assert_allclose(cc, -lap, rtol=1e-12, atol=1e-13)
+
+
+class TestInnerProductAndDealias:
+    """The grid L2 product (Parseval) and spectral padding and truncation."""
+
+    def test_parseval(self, basis):
+        rng = np.random.default_rng(16)
+        coeffs = rng.normal(size=basis.k_modes)
+        vals = basis.vector_grid(coeffs)
+        grid_norm = basis.volume / basis.grid_points**3 * np.sum(vals**2)
+        assert grid_norm == pytest.approx(float(np.sum(coeffs**2)), rel=1e-10)
+
+    def test_resample_spectrum_round_trip(self, basis):
+        rng = np.random.default_rng(17)
+        c = basis.synth_scalar(rng.normal(size=9))
+        up = basis.resample_spectrum(c, 24)
+        down = basis.resample_spectrum(up, basis.grid_points)
+        np.testing.assert_allclose(down, c, atol=1e-15)
+        # padded grid evaluates to the same function on shared points
+        up_vals = sp.DivFreeSpectralBasis.spectral_to_grid(up)
+        base_vals = sp.DivFreeSpectralBasis.spectral_to_grid(c)
+        # grid 16 points at even indices of 24-grid coincide every 3rd/2nd: compare norms instead
+        w24 = basis.volume / 24**3
+        w16 = basis.volume / 16**3
+        assert w24 * np.sum(up_vals**2) == pytest.approx(w16 * np.sum(base_vals**2), rel=1e-12)
