@@ -42,16 +42,17 @@ import numpy as np
 
 from specmhd import constitutive as cst
 from specmhd.errors import MassSolveError
-from specmhd.spectral import DivFreeSpectralBasis, Field
+from specmhd.spectral import SYM_PAIRS, DivFreeSpectralBasis, Field
 
 
 @dataclass
 class SimState:
     """Density field plus coefficient vectors at one instant.
 
-    ``rho`` is a scalar Field in spectral representation on the base grid,
-    band-limited to the basis cutoff.  Lengths of ``a``, ``b``, ``c`` are the
-    velocity, temperature, and magnetic truncation levels.
+    ``rho`` is a scalar Field in spectral representation (the x-half layout
+    of :mod:`specmhd.spectral`) on the base grid, band-limited to the basis
+    cutoff.  Lengths of ``a``, ``b``, ``c`` are the velocity, temperature,
+    and magnetic truncation levels.
     """
 
     t: float
@@ -127,7 +128,8 @@ class _StateFields:
     def _grad_grid(self, c):
         """Grid gradient ``out[..., m, :, :, :] = d_m c`` of a spectrum, one
         component transformed at a time."""
-        out = np.empty(c.shape[:-3] + (3,) + c.shape[-3:])
+        g = c.shape[-1]
+        out = np.empty(c.shape[:-3] + (3, g, g, g))
         for m in range(3):
             out[..., m, :, :, :] = self.basis.spectral_to_grid(self.basis.grad(c, m))
         return out
@@ -190,10 +192,9 @@ class _StateFields:
     def strain_m(self):
         """Rate of strain grad u + (grad u)^T on the oversampled grid."""
         c = self.basis.synth_vector(self.st.a, self.m)
-        out = np.empty((3, 3) + c.shape[1:], dtype=float)
-        for i in range(3):
-            for j in range(i, 3):
-                out[i, j] = out[j, i] = self.basis.spectral_to_grid(self.basis.strain(c, i, j))
+        out = np.empty((3, 3) + (self.m,) * 3, dtype=float)
+        for i, j in SYM_PAIRS:
+            out[i, j] = out[j, i] = self.basis.spectral_to_grid(self.basis.strain(c, i, j))
         return out
 
     @cached_property
@@ -276,9 +277,9 @@ class GalerkinOperators:
     states.  Every per-state method takes the state's :class:`_StateFields`
     from :meth:`fields`.  The dense mass matrices are assembled per
     wavevector pair and Cholesky-factorized on every call.  At 800 modes that
-    is still 59% of a random_band run's time, split about evenly between
-    assembly and solve (``galerkin.mass_share`` 0.59-0.60 in traced runs of
-    the ``mass_k800`` benchmark workload).
+    is 69% of a random_band run's time (``galerkin.mass_share`` 0.69 in a
+    traced run of the ``mass_k800`` benchmark workload, up from 0.61 once
+    the transforms became real FFTs).
     """
 
     def __init__(self, params: cst.ConstitutiveParams, basis: DivFreeSpectralBasis, eps_density: float = 0.0):
@@ -304,7 +305,8 @@ class GalerkinOperators:
                 "mxyz,imxyz->ixyz", f.grad_rho, f.grad_u
             )
         entries = self.basis.gather_vector(self.basis.grid_to_spectral(integrand), k_u)
-        c_s = self.basis.grid_to_spectral(f.stress_tensor_axes_first)
+        s = f.stress_tensor_axes_first
+        c_s = self.basis.grid_to_spectral(np.stack([s[i, m] for i, m in SYM_PAIRS]))
         return entries - self.basis.gather_strain(c_s, k_u)
 
     def thermal_rhs(self, f: _StateFields, density_coupling: bool = True) -> np.ndarray:
@@ -373,12 +375,19 @@ class GalerkinOperators:
         """Density-weighted Gram matrix (rho psi_i, psi_j); exact quadrature."""
         k_u = len(f.st.a)
         b = self.basis
-        # mode 4g + 2 pol + phase has wavevector g: expand over both polarizations
+        # mode 4g + 2a + p has wavevector g, polarization vec_e[4g + 2a] and
+        # phase p: entry (4g + 2a + p, 4h + 2s + q) is the phase block
+        # (g, p, h, q) times the polarization product (g, a, h, s).  Sixteen
+        # strided g x g products run faster than one broadcast over length-2
+        # axes.
         g = -(-k_u // 4)
         blocks = self._phase_blocks(f.st.rho.data, b.vec_n[: 4 * g : 4])
-        mat = np.broadcast_to(blocks[:, None, :, :, None, :], (g, 2, 2, g, 2, 2))
-        mat = mat.reshape(4 * g, 4 * g)[:k_u, :k_u]  # a copy: writable
-        mat *= b.vec_e[:k_u] @ b.vec_e[:k_u].T
+        e = b.vec_e[: 4 * g : 2]
+        pol = (e @ e.T).reshape(g, 2, g, 2)
+        mat = np.empty((g, 2, 2, g, 2, 2))
+        for a, p, s, q in np.ndindex(2, 2, 2, 2):
+            np.multiply(blocks[:, p, :, q], pol[:, a, :, s], out=mat[:, a, p, :, s, q])
+        mat = mat.reshape(4 * g, 4 * g)[:k_u, :k_u]
         return 0.5 * (mat + mat.T)
 
     def thermal_mass(self, f: _StateFields) -> np.ndarray:
@@ -507,8 +516,6 @@ def energy_report(f: _StateFields, extras: bool = True, neg_power: float = 0.5) 
         expo = 0.5 * (p.conductivity_exponent - lam + 1.0)
         g = f.theta_floor_m**expo
         c_g = b.grid_to_spectral(g)
-        grad_g2 = sum(np.abs(b.grad(c_g, m)) ** 2 for m in range(3))
-        report["theta_sobolev_sq"] = w_m * float(np.sum(g * g)) + b.volume * float(
-            np.sum(grad_g2)
-        )
+        grad_g2 = sum(b.sum_sq(b.grad(c_g, m)) for m in range(3))
+        report["theta_sobolev_sq"] = w_m * float(np.sum(g * g)) + b.volume * grad_g2
     return report

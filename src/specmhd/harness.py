@@ -224,7 +224,7 @@ def _density_difference_norm(basis, hist_a, hist_b) -> float:
     worst = 0.0
     for ra, rb in zip(hist_a, hist_b):
         diff = ra - rb
-        worst = max(worst, float(np.sqrt(basis.volume * np.sum(np.abs(diff) ** 2))))
+        worst = max(worst, float(np.sqrt(basis.volume * basis.sum_sq(diff))))
     return worst
 
 
@@ -448,11 +448,9 @@ def _check_fields(seed: int, amp: float, eps_density: float = 0.0):
     input of the galerkin checks."""
     basis = _check_basis()
     rng = np.random.default_rng(seed)
-    g = basis.grid_points
-    rho_spec = np.zeros((g, g, g), dtype=complex)
+    rho_spec = basis.zero_spectrum()
     rho_spec[0, 0, 0] = 1.0
-    rho_spec[0, 0, 1] = 0.1
-    rho_spec[0, 0, -1] = 0.1
+    basis.set_amplitude(rho_spec, (0, 0, 1), 0.1)
     nb = min(basis.k_modes + 1, basis.n_scalar_modes)
     b = np.zeros(nb)
     b[0] = 1.0 * np.sqrt(basis.volume)
@@ -500,8 +498,7 @@ def _check_heat_balance(fields=None) -> tuple[bool, str]:
 
 def _decay_test_state(basis):
     """Unit density and temperature with one lowest-shell magnetic mode."""
-    g = basis.grid_points
-    rho_spec = np.zeros((g, g, g), dtype=complex)
+    rho_spec = basis.zero_spectrum()
     rho_spec[0, 0, 0] = 1.0
     nb = min(basis.k_modes + 1, basis.n_scalar_modes)
     b = np.zeros(nb)
@@ -547,8 +544,7 @@ def _check_density_decay(eps_density: float = 5e-3) -> tuple[bool, str]:
     p = cst.ConstitutiveParams()
     st = _decay_test_state(basis)
     st.c[:] = 0.0
-    st.rho.data[1, 0, 0] = 0.1
-    st.rho.data[-1, 0, 0] = 0.1
+    basis.set_amplitude(st.rho.data, (1, 0, 0), 0.1)
     rec = diag.TrajectoryRecorder(p, basis, eps_density=eps_density)
     summary = itg.integrate(
         p, basis, st, itg.StepConfig(dt=1e-3, t_end=0.1), observers=[rec], eps_density=eps_density

@@ -42,8 +42,7 @@ from specmhd.spectral import DivFreeSpectralBasis, Field
 
 
 def _uniform_rho_spec(basis: DivFreeSpectralBasis, mean: float) -> np.ndarray:
-    g = basis.grid_points
-    spec = np.zeros((g, g, g), dtype=complex)
+    spec = basis.zero_spectrum()
     spec[0, 0, 0] = mean
     return spec
 
@@ -56,11 +55,9 @@ def _harmonic_rho_spec(basis, mean, amplitude, axis, wavenumber) -> np.ndarray:
             raise ConfigError(
                 f"density wavenumber {wavenumber} above the dealiasing cutoff {basis.cutoff}"
             )
-        idx = [0, 0, 0]
-        idx[axis] = wavenumber
-        spec[tuple(idx)] = 0.5 * amplitude
-        idx[axis] = -wavenumber
-        spec[tuple(idx)] = 0.5 * amplitude
+        n = [0, 0, 0]
+        n[axis] = wavenumber
+        basis.set_amplitude(spec, n, 0.5 * amplitude)
     return spec
 
 

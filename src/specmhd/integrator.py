@@ -15,8 +15,8 @@ Schemes:
 Each accepted state is realized once (:meth:`GalerkinOperators.fields`); the
 post-step monitors, the diagnostics report and the next step's start-state
 rates all read that realization.  Mass matrices are assembled and factorized
-at every stage.  That assembly and solve is 59% of a random_band run's time
-at 800 modes and about 1% at 32 modes on a 32^3 grid (``galerkin.mass_share``
+at every stage.  That assembly and solve is 69% of a random_band run's time
+at 800 modes and about 2% at 32 modes on a 32^3 grid (``galerkin.mass_share``
 of the ``mass_k800`` and ``transform_n32`` benchmark workloads, traced).
 """
 

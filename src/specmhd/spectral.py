@@ -14,11 +14,19 @@ enumerated once.  Modes are ordered by ``|k|``, then lexicographically, then
 by polarization index, then phase (cosine before sine); this ordering is
 versioned because snapshots and coefficient vectors depend on it.
 
-Spectra are stored amplitude-normalized: ``c = fftn(values) / G**3``, so a
-band-limited field has grid-size-independent coefficients and resampling
-between grids is a pure pad/truncate.  All wavevectors live strictly inside
-the two-thirds dealiasing cutoff ``(N - 1) // 3``, which makes uniform-grid
-quadrature of products of up to three basis-band fields exact.
+Every field is real, so a spectrum stores only the x-half of the amplitudes:
+``c = rfftn(values) / G**3`` over the trailing (x, y, z) axes, with x halved,
+has shape ``(..., G // 2 + 1, G, G)``.  Entry ``c[nx, ny % G, nz % G]`` is the
+amplitude at the wavevector ``(nx, ny, nz)`` with ``0 <= nx <= G // 2``; the
+amplitude at ``-n`` is its conjugate and is not stored, except in the plane
+``nx = 0``, which holds both members of each pair.  Every canonical
+wavevector has ``nx >= 0``, so the mode tables index the half array
+directly, and the trailing axis keeps the grid size G.  Amplitude
+normalization gives a band-limited field grid-size-independent coefficients,
+and resampling between grids is a pure pad/truncate.  All wavevectors live
+strictly inside the two-thirds dealiasing cutoff ``(N - 1) // 3``, which
+makes uniform-grid quadrature of products of up to three basis-band fields
+exact.
 """
 
 from __future__ import annotations
@@ -32,11 +40,15 @@ import numpy as np
 from specmhd.errors import ResolutionError
 
 MODE_ORDERING_VERSION = "1"
-FIELD_SCHEMA_VERSION = "field-v1"
+FIELD_SCHEMA_VERSION = "field-v2"
 
 _PHASE_COS = 0
 _PHASE_SIN = 1
 _PHASE_CONST = 2
+
+# Independent components (i, m), i <= m, of a symmetric 3 x 3 tensor: the
+# leading axis of the stress spectra that ``gather_strain`` reads.
+SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 def _canonical_wavevectors(cutoff: int) -> np.ndarray:
@@ -134,6 +146,7 @@ class DivFreeSpectralBasis:
         self.n_vector_modes = len(self.vec_n)
         self.n_scalar_modes = len(self.scal_n)
         self._wavenumber_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._half_index_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ grid
 
@@ -143,24 +156,24 @@ class DivFreeSpectralBasis:
         lin = np.linspace(0.0, self.box_size, g, endpoint=False)
         return np.meshgrid(lin, lin, lin, indexing="ij")
 
+    @staticmethod
+    def _integer_wavenumbers(g: int):
+        """Integer wavenumbers (nx, ny, nz) broadcasting to the half layout."""
+        ints = np.fft.fftfreq(g, d=1.0 / g)
+        return np.arange(g // 2 + 1.0)[:, None, None], ints[None, :, None], ints[None, None, :]
+
     def wavenumbers(self, grid: int | None = None):
-        """Physical wavenumber arrays (kx, ky, kz) for FFT layout on G^3."""
+        """Physical wavenumber arrays (kx, ky, kz) for the half layout on G^3."""
         g = grid or self.grid_points
         if g not in self._wavenumber_cache:
-            ints = np.fft.fftfreq(g, d=1.0 / g)
             base = 2.0 * np.pi / self.box_size
-            kx = base * ints[:, None, None]
-            ky = base * ints[None, :, None]
-            kz = base * ints[None, None, :]
-            self._wavenumber_cache[g] = (kx, ky, kz)
+            self._wavenumber_cache[g] = tuple(base * n for n in self._integer_wavenumbers(g))
         return self._wavenumber_cache[g]
 
     def dealias_mask(self, grid: int | None = None) -> np.ndarray:
-        """Boolean mask keeping |n| <= cutoff on a G^3 spectral array."""
-        g = grid or self.grid_points
-        ints = np.fft.fftfreq(g, d=1.0 / g)
-        n2 = ints[:, None, None] ** 2 + ints[None, :, None] ** 2 + ints[None, None, :] ** 2
-        return n2 <= self.cutoff * self.cutoff + 0.5
+        """Boolean mask keeping |n| <= cutoff on a half-layout spectrum."""
+        nx, ny, nz = self._integer_wavenumbers(grid or self.grid_points)
+        return nx**2 + ny**2 + nz**2 <= self.cutoff * self.cutoff + 0.5
 
     def oversample_grid(self) -> int:
         """Grid used for non-polynomial pointwise evaluations (3/2 rule)."""
@@ -169,15 +182,42 @@ class DivFreeSpectralBasis:
 
     # ----------------------------------------------------- spectra transforms
 
+    def zero_spectrum(self, lead: tuple = (), grid: int | None = None) -> np.ndarray:
+        """All-zero spectrum of shape ``lead + (G // 2 + 1, G, G)``."""
+        g = grid or self.grid_points
+        return np.zeros(tuple(lead) + (g // 2 + 1, g, g), dtype=complex)
+
+    @staticmethod
+    def set_amplitude(c: np.ndarray, n, amp: complex) -> None:
+        """Give the real field of spectrum ``c`` the amplitude ``amp`` at the
+        integer wavevector ``n``, and so ``conj(amp)`` at ``-n``; whichever
+        of the two entries the half layout stores is written."""
+        g = c.shape[-1]
+        n = np.asarray(n)
+        for m, a in ((n, amp), (-n, np.conj(amp))):
+            if m[0] % g <= g // 2:
+                c[..., m[0] % g, m[1] % g, m[2] % g] = a
+
     @staticmethod
     def grid_to_spectral(values: np.ndarray) -> np.ndarray:
         g = values.shape[-1]
-        return np.fft.fftn(values, axes=(-3, -2, -1)) / g**3
+        return np.fft.rfftn(values, axes=(-1, -2, -3)) / g**3
 
     @staticmethod
     def spectral_to_grid(c: np.ndarray) -> np.ndarray:
         g = c.shape[-1]
-        return np.real(np.fft.ifftn(c, axes=(-3, -2, -1))) * g**3
+        return np.fft.irfftn(c, s=(g, g, g), axes=(-1, -2, -3)) * g**3
+
+    @staticmethod
+    def sum_sq(c: np.ndarray) -> float:
+        """Sum of ``|c_n|^2`` over the whole spectrum (Parseval).
+
+        The half layout stores each interior x-plane once for itself and its
+        conjugate plane, so those count twice; the planes ``nx = 0`` and
+        ``nx = G / 2`` are their own conjugates.
+        """
+        sq = np.abs(c) ** 2
+        return float(np.sum(sq) + np.sum(sq[..., 1 : c.shape[-1] // 2, :, :]))
 
     def resample_spectrum(self, c: np.ndarray, grid_out: int) -> np.ndarray:
         """Pad or truncate an amplitude-normalized spectrum to another grid."""
@@ -186,11 +226,9 @@ class DivFreeSpectralBasis:
             return c
         half = (min(g_in, grid_out) - 1) // 2
         rng = np.arange(-half, half + 1)
-        nx, ny, nz = np.meshgrid(rng, rng, rng, indexing="ij")
-        src = (nx % g_in, ny % g_in, nz % g_in)
-        dst = (nx % grid_out, ny % grid_out, nz % grid_out)
-        out = np.zeros(c.shape[:-3] + (grid_out,) * 3, dtype=complex)
-        out[..., dst[0], dst[1], dst[2]] = c[..., src[0], src[1], src[2]]
+        nx, ny, nz = np.meshgrid(np.arange(half + 1), rng, rng, indexing="ij")
+        out = self.zero_spectrum(c.shape[:-3], grid_out)
+        out[..., nx, ny % grid_out, nz % grid_out] = c[..., nx, ny % g_in, nz % g_in]
         return out
 
     # ------------------------------------------------- derivative kernels
@@ -198,8 +236,7 @@ class DivFreeSpectralBasis:
     # Exact spectral derivatives of an amplitude-normalized spectrum; the
     # grid is read from the trailing axis.  Every derivative in the package
     # goes through these four.  ``grad`` and ``strain`` return one component
-    # per call, so callers transform a tensor piece by piece instead of
-    # holding its whole complex spectrum, which raises peak memory.
+    # per call.
 
     def grad(self, c: np.ndarray, m: int) -> np.ndarray:
         """Spectrum of ``d_m c``, component by component for a vector ``c``."""
@@ -241,29 +278,31 @@ class DivFreeSpectralBasis:
             )
 
     def synth_vector(self, coeffs: np.ndarray, grid: int | None = None) -> np.ndarray:
-        """Spectrum (3, G, G, G) of ``sum_j coeffs[j] psi_j``."""
+        """Spectrum (3, G // 2 + 1, G, G) of ``sum_j coeffs[j] psi_j``."""
         g = grid or self.grid_points
         m = len(coeffs)
         self._check_counts(m, scalar=False)
         n, e, phase = self.vec_n[:m], self.vec_e[:m], self.vec_phase[:m]
         scale = 1.0 / np.sqrt(2.0 * self.volume)
         amp = coeffs * scale * np.where(phase == _PHASE_COS, 1.0 + 0.0j, -1.0j)
+        # the conjugate partner at -n is stored only in the plane nx = 0
+        plane = n[:, 0] == 0
         idx_pos = self._flat_indices(n, g)
-        idx_neg = self._flat_indices(-n, g)
-        c = np.zeros((3, g, g, g), dtype=complex)
+        idx_neg = self._flat_indices(-n[plane], g)
+        c = self.zero_spectrum((3,), g)
         for comp in range(3):
             flat = c[comp].reshape(-1)
             np.add.at(flat, idx_pos, amp * e[:, comp])
-            np.add.at(flat, idx_neg, np.conj(amp) * e[:, comp])
+            np.add.at(flat, idx_neg, np.conj(amp[plane]) * e[plane, comp])
         return c
 
     def synth_scalar(self, coeffs: np.ndarray, grid: int | None = None) -> np.ndarray:
-        """Spectrum (G, G, G) of ``sum_j coeffs[j] omega_j``."""
+        """Spectrum (G // 2 + 1, G, G) of ``sum_j coeffs[j] omega_j``."""
         g = grid or self.grid_points
         m = len(coeffs)
         self._check_counts(m, scalar=True)
         n, phase = self.scal_n[:m], self.scal_phase[:m]
-        c = np.zeros((g, g, g), dtype=complex)
+        c = self.zero_spectrum((), g)
         flat = c.reshape(-1)
         const = phase == _PHASE_CONST
         if np.any(const):
@@ -272,8 +311,9 @@ class DivFreeSpectralBasis:
         if np.any(trig):
             scale = 1.0 / np.sqrt(2.0 * self.volume)
             amp = np.where(phase[trig] == _PHASE_COS, 1.0, -1j) * coeffs[trig] * scale
+            plane = n[trig, 0] == 0
             np.add.at(flat, self._flat_indices(n[trig], g), amp)
-            np.add.at(flat, self._flat_indices(-n[trig], g), np.conj(amp))
+            np.add.at(flat, self._flat_indices(-n[trig][plane], g), np.conj(amp[plane]))
         return c
 
     def vector_grid(self, coeffs: np.ndarray, grid: int | None = None) -> np.ndarray:
@@ -305,21 +345,22 @@ class DivFreeSpectralBasis:
         s = np.sqrt(2.0 * self.volume)
         return s * self._phase_select(phase, np.imag(dot), np.real(dot))
 
-    def gather_strain(self, c_tensor: np.ndarray, count: int) -> np.ndarray:
+    def gather_strain(self, c_sym: np.ndarray, count: int) -> np.ndarray:
         """Inner products (S, D(psi_j)) for a symmetric tensor spectrum.
 
-        ``c_tensor`` has shape (3, 3, G, G, G); the strain of a mode is
-        ``grad + grad^T``, hence the factor 2 against the symmetric S.
+        ``c_sym`` holds the spectra of the six independent components of S in
+        the order of ``SYM_PAIRS``.  The strain of a mode is ``grad +
+        grad^T``, symmetric like S, so each off-diagonal pair counts twice.
         """
-        g = c_tensor.shape[-1]
+        g = c_sym.shape[-1]
         n, e, phase = self.vec_n[:count], self.vec_e[:count], self.vec_phase[:count]
         k = self.vec_k[:count]
         idx = self._flat_indices(n, g)
         dot = np.zeros(count, dtype=complex)
-        for i in range(3):
-            for m in range(3):
-                dot += e[:, i] * k[:, m] * c_tensor[i, m].reshape(-1)[idx]
-        s = 2.0 * np.sqrt(2.0 * self.volume)
+        for p, (i, m) in enumerate(SYM_PAIRS):
+            weight = 1.0 if i == m else 2.0
+            dot += weight * (e[:, i] * k[:, m] + e[:, m] * k[:, i]) * c_sym[p].reshape(-1)[idx]
+        s = np.sqrt(2.0 * self.volume)
         return s * self._phase_select(phase, np.imag(dot), np.real(dot))
 
     def gather_scalar(self, c: np.ndarray, count: int) -> np.ndarray:
@@ -346,10 +387,27 @@ class DivFreeSpectralBasis:
         out[phase == _PHASE_CONST] = 0.0
         return out
 
+    def _half_index(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """For each flat index of a full G^3 spectrum: the flat index of the
+        stored entry in the half layout, and whether that entry is the
+        conjugate (the wavevector's negative)."""
+        if g not in self._half_index_cache:
+            n = np.indices((g, g, g)).reshape(3, -1)
+            flip = n[0] > g // 2
+            n[:, flip] = -n[:, flip]
+            self._half_index_cache[g] = (self._flat_indices(n.T, g), flip)
+        return self._half_index_cache[g]
+
     def gather_amplitudes(self, c: np.ndarray, nvecs: np.ndarray) -> np.ndarray:
-        """Raw complex amplitudes at integer wavevectors (used by mass assembly)."""
-        g = c.shape[-1]
-        return c.reshape(-1)[self._flat_indices(nvecs, g)]
+        """Raw complex amplitudes at integer wavevectors (used by mass assembly).
+
+        Components alias modulo G; a wavevector whose x-component is not
+        stored reads the conjugate amplitude at its negative.
+        """
+        index, flip = self._half_index(c.shape[-1])
+        full = self._flat_indices(nvecs, c.shape[-1])
+        vals = c.reshape(-1)[index[full]]
+        return np.where(flip[full], np.conj(vals), vals)
 
     # ------------------------------------------------------------ projection
 
@@ -366,8 +424,11 @@ class DivFreeSpectralBasis:
 class Field:
     """A scalar or vector field in grid samples or spectral amplitudes.
 
-    Spectral payloads are amplitude-normalized complex arrays; grid payloads
-    are real.  Vector data carries a leading component axis of length 3.
+    Grid payloads are real with trailing shape (G, G, G).  Spectral payloads
+    are amplitude-normalized complex x-half spectra with trailing shape
+    (G // 2 + 1, G, G), as the module docstring describes; the grid size is
+    read from the last axis in both.  Vector data carries a leading component
+    axis of length 3.
     """
 
     kind: str

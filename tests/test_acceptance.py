@@ -140,8 +140,7 @@ def test_criterion_5_galerkin_operator_oracles():
         basis = sp.build_basis(2.0 * np.pi, 12, 20)
         params = cst.ConstitutiveParams(power_law_exponent=3.0)
         rng = np.random.default_rng(99)
-        g = basis.grid_points
-        rho_spec = np.zeros((g, g, g), dtype=complex)
+        rho_spec = basis.zero_spectrum()
         rho_spec[0, 0, 0] = 1.0
         nb = min(21, basis.n_scalar_modes)
         bvec = np.zeros(nb)

@@ -51,7 +51,7 @@ def uniform_rho_state(basis, a=None, b=None, c=None, rho0=1.0, theta0=1.0):
     bvec[0] = theta0 * np.sqrt(basis.volume)
     if b is not None:
         bvec[: len(b)] = b
-    rho_spec = np.zeros((basis.grid_points,) * 3, dtype=complex)
+    rho_spec = basis.zero_spectrum()
     rho_spec[0, 0, 0] = rho0
     rho = sp.Field("scalar", "spectral", rho_spec, L)
     return gal.SimState(
@@ -74,13 +74,10 @@ class TestDensityRhs:
     def test_heat_kernel_mode(self, basis, params):
         eps = 1e-2
         st = uniform_rho_state(basis)
-        g = basis.grid_points
         st.rho.data[1, 0, 0] = 0.05
-        st.rho.data[-1, 0, 0] = 0.05
         rate = gal.GalerkinOperators(params, basis, eps_density=eps).fields(st).density_rate
-        expected = np.zeros((g, g, g), dtype=complex)
+        expected = basis.zero_spectrum()
         expected[1, 0, 0] = -eps * 1.0 * 0.05
-        expected[-1, 0, 0] = -eps * 1.0 * 0.05
         np.testing.assert_allclose(rate, expected, atol=1e-15)
 
     def test_mean_is_zero(self, basis, params):
@@ -251,9 +248,11 @@ class TestMassMatrices:
         nz = np.argwhere(np.abs(spec) > 1e-14)
         for ix, iy, iz in nz:
             kvec = base * np.array([ints[ix], ints[iy], ints[iz]])
-            rho_dense += np.real(
+            term = np.real(
                 spec[ix, iy, iz] * np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z))
             )
+            # the x-half spectrum stores the conjugate partner at -n only for nx = 0
+            rho_dense += term if ix == 0 else 2.0 * term
         for i in range(0, basis.k_modes, 5):
             psi_i = oracle_vector_mode(basis, i, mesh)
             for j in range(0, basis.k_modes, 7):

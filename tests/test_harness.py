@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specmhd import cli, galerkin as gal, harness
+from specmhd import spectral as sp
 from specmhd.config import RunConfig, load_config, replace_config
 from specmhd.errors import ConfigError
 from specmhd.initial_conditions import build_initial_state
@@ -216,6 +217,15 @@ class TestSweeps:
             assert pair["u_diff"] < 1e-15
             assert pair["rho_diff"] < 1e-15
         assert (tmp_path / "study" / "study.json").exists()
+
+    def test_density_difference_is_grid_l2_norm(self):
+        basis = sp.build_basis(2.0 * np.pi, 12, 20)
+        rng = np.random.default_rng(0)
+        ra, rb = (basis.synth_scalar(rng.normal(size=9)) for _ in range(2))
+        diff = basis.spectral_to_grid(ra) - basis.spectral_to_grid(rb)
+        want = np.sqrt(basis.volume / 12**3 * np.sum(diff**2))
+        got = harness._density_difference_norm(basis, [ra], [rb])
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", harness.CHECKS)

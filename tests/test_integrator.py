@@ -24,8 +24,7 @@ def params():
 
 
 def plain_state(basis, theta0=1.0, rho0=1.0):
-    g = basis.grid_points
-    rho_spec = np.zeros((g, g, g), dtype=complex)
+    rho_spec = basis.zero_spectrum()
     rho_spec[0, 0, 0] = rho0
     b = np.zeros(min(basis.k_modes + 1, basis.n_scalar_modes))
     b[0] = theta0 * np.sqrt(basis.volume)

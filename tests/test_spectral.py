@@ -1,9 +1,22 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from specmhd import constitutive as cst
+from specmhd import galerkin as gal
 from specmhd import harness
 from specmhd import spectral as sp
 from specmhd.errors import ResolutionError
+
+from helpers import (
+    make_state,
+    oracle_mesh,
+    oracle_scalar_mode,
+    oracle_scalar_mode_grad,
+    oracle_vector_field,
+)
 
 L = 2.0 * np.pi
 
@@ -164,3 +177,95 @@ class TestInnerProductAndDealias:
         w24 = basis.volume / 24**3
         w16 = basis.volume / 16**3
         assert w24 * np.sum(up_vals**2) == pytest.approx(w16 * np.sum(base_vals**2), rel=1e-12)
+
+
+class TestHalfSpectrumLayout:
+    """The x-half storage of real-field spectra against layout-free oracles."""
+
+    def test_synth_vector_matches_trig_oracle(self, basis):
+        # modes on both sides of the plane nx = 0, where the conjugate
+        # partner is stored explicitly
+        on_plane = basis.vec_n[: basis.k_modes, 0] == 0
+        assert on_plane.any() and (~on_plane).any()
+        rng = np.random.default_rng(21)
+        coeffs = rng.normal(size=basis.k_modes)
+        got = basis.spectral_to_grid(basis.synth_vector(coeffs))
+        want = oracle_vector_field(basis, coeffs, oracle_mesh(L, basis.grid_points))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_gather_amplitudes_negative_x_reads_conjugate(self, basis):
+        g = basis.grid_points
+        rng = np.random.default_rng(22)
+        values = rng.normal(size=(g, g, g))
+        c = basis.grid_to_spectral(values)
+        full = np.fft.fftn(values) / g**3
+        nvecs = np.array([[-1, 0, 0], [-2, 3, -1], [-5, -4, 2], [-g // 2 + 1, 1, 1], [3, -2, 5]])
+        got = basis.gather_amplitudes(c, nvecs)
+        np.testing.assert_allclose(got[:4], np.conj(basis.gather_amplitudes(c, -nvecs[:4])), atol=1e-17)
+        np.testing.assert_allclose(got, full[tuple((nvecs % g).T)], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [(2, -1, 0), (0, 1, -3), (-1, 2, 1)])
+    def test_set_amplitude_gives_real_harmonic(self, basis, n):
+        c = basis.zero_spectrum()
+        basis.set_amplitude(c, n, 0.5 * (0.3 - 0.4j))
+        x, y, z = basis.mesh()
+        ph = (2.0 * np.pi / L) * (n[0] * x + n[1] * y + n[2] * z)
+        want = 0.3 * np.cos(ph) + 0.4 * np.sin(ph)
+        np.testing.assert_allclose(basis.spectral_to_grid(c), want, rtol=0, atol=1e-14)
+
+    def test_resample_vector_round_trip(self, basis):
+        # every amplitude below the Nyquist wavenumber 8 survives 16 -> 24 -> 16
+        rng = np.random.default_rng(23)
+        c = basis.grid_to_spectral(rng.normal(size=(3, 16, 16, 16)))
+        up = basis.resample_spectrum(c, 24)
+        assert up.shape == (3, 13, 24, 24)
+        want = c.copy()
+        want[:, 8] = want[:, :, 8] = want[:, :, :, 8] = 0.0
+        np.testing.assert_array_equal(basis.resample_spectrum(up, 16), want)
+        # a padded band-limited spectrum is the same field sampled on 24^3
+        coeffs = rng.normal(size=basis.k_modes)
+        up = basis.resample_spectrum(basis.synth_vector(coeffs), 24)
+        want = oracle_vector_field(basis, coeffs, oracle_mesh(L, 24))
+        np.testing.assert_allclose(basis.spectral_to_grid(up), want, rtol=0, atol=1e-13)
+
+    def test_sum_sq_is_parseval(self, basis):
+        # a white-noise field has content in every plane, the Nyquist ones too
+        g = basis.grid_points
+        values = np.random.default_rng(25).normal(size=(2, g, g, g))
+        grid_sum = float(np.sum(values**2)) / g**3
+        assert basis.sum_sq(basis.grid_to_spectral(values)) == pytest.approx(grid_sum, rel=1e-12)
+
+    def test_theta_sobolev_matches_grid_quadrature(self, basis):
+        p = cst.ConstitutiveParams(conductivity_exponent=1.0)
+        st = make_state(basis, np.random.default_rng(24), theta_amp=0.5)
+        f = gal.GalerkinOperators(p, basis).fields(st)
+        lam = 0.5
+        rep = gal.energy_report(f, neg_power=lam)
+        # g = theta^e and grad g = e theta^(e-1) grad theta from the closed
+        # trigonometric forms of the temperature modes on the oversampled grid
+        mesh = oracle_mesh(L, f.m)
+        theta = sum(bj * oracle_scalar_mode(basis, j, mesh) for j, bj in enumerate(st.b))
+        grad_theta = sum(bj * oracle_scalar_mode_grad(basis, j, mesh) for j, bj in enumerate(st.b))
+        assert theta.min() > p.temperature_floor
+        expo = 0.5 * (p.conductivity_exponent - lam + 1.0)
+        g = theta**expo
+        grad_g = expo * theta ** (expo - 1.0) * grad_theta
+        want = basis.volume / f.m**3 * float(np.sum(g * g + np.sum(grad_g**2, axis=0)))
+        assert rep["theta_sobolev_sq"] == pytest.approx(want, rel=1e-12)
+
+
+def test_transforms_only_in_spectral():
+    """One transform layer: every FFT runs through ``grid_to_spectral`` and
+    ``spectral_to_grid``, the two functions the benchmark tracer wraps."""
+    src = Path(sp.__file__).parent
+    outside = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "spectral.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.fft." in line
+    ]
+    assert not outside, f"np.fft used outside spectral.py: {outside}"
+    calls = re.findall(r"np\.fft\.(\w+)\(", (src / "spectral.py").read_text())
+    transforms = sorted(name for name in calls if name != "fftfreq")
+    assert transforms == ["irfftn", "rfftn"]
