@@ -31,7 +31,6 @@ reload compares equal, which is what the round-trip contract requires.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -353,7 +352,3 @@ def load_config_text(text: str) -> RunConfig:
     )
     parser.read_string(text)
     return config_from_parser(parser)
-
-
-def replace_config(cfg: RunConfig, **updates) -> RunConfig:
-    return dataclasses.replace(cfg, **updates)

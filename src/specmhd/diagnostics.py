@@ -5,7 +5,8 @@ and the magnetic decay envelope.
 The trajectory recorder is an observer for :func:`specmhd.integrator.integrate`;
 it turns per-sample reports into fixed-schema records (the CSV column order is
 frozen and versioned) and maintains the running integrals the residual and
-decay checks need.
+decay checks need.  The field-level checks take vector spectra in the x-half
+layout of :mod:`specmhd.spectral`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from specmhd.constitutive import ConstitutiveParams
-from specmhd.spectral import DivFreeSpectralBasis, Field
+from specmhd.spectral import DivFreeSpectralBasis
 
 DIAGNOSTICS_SCHEMA_VERSION = "1"
 
@@ -178,7 +179,7 @@ class TrajectoryRecorder:
                     "a": state.a.copy(),
                     "b": state.b.copy(),
                     "c": state.c.copy(),
-                    "rho_spec": state.rho.data.copy(),
+                    "rho_spec": state.rho.copy(),
                 }
             )
 
@@ -269,20 +270,21 @@ def decay_bound_report(recorder: TrajectoryRecorder) -> dict:
 # ------------------------------------------------------------ field-level checks
 
 
-def vector_identity_check(basis: DivFreeSpectralBasis, u: Field, H: Field, nu: float = 1.0) -> dict:
+def vector_identity_check(basis: DivFreeSpectralBasis, c_u: np.ndarray, c_h: np.ndarray, nu: float = 1.0) -> dict:
     """Pointwise defects of the two curl/divergence identities used in the
     energy bookkeeping::
 
         div(nu H x curl H)   = nu |curl H|^2 - curl(nu curl H) . H
         div((u x H) x H)     = ((curl H) x H) . u + curl(u x H) . H
 
-    Both sides are evaluated spectrally on a grid twice the base resolution,
-    which resolves every product (up to cubic) of basis-band fields exactly,
-    so the defect is rounding noise.
+    ``c_u`` and ``c_h`` are the vector spectra of u and H.  Both sides are
+    evaluated spectrally on a grid twice the base resolution, which resolves
+    every product (up to cubic) of basis-band fields exactly, so the defect is
+    rounding noise.
     """
     g = 2 * basis.grid_points
-    c_u = basis.resample_spectrum(u.to_spectral().data, g)
-    c_h = basis.resample_spectrum(H.to_spectral().data, g)
+    c_u = basis.resample_spectrum(c_u, g)
+    c_h = basis.resample_spectrum(c_h, g)
     u_g = basis.spectral_to_grid(c_u)
     h_g = basis.spectral_to_grid(c_h)
     c_curl_h = basis.curl(c_h)
@@ -312,12 +314,12 @@ def vector_identity_check(basis: DivFreeSpectralBasis, u: Field, H: Field, nu: f
     }
 
 
-def korn_ratio_of_field(basis: DivFreeSpectralBasis, v: Field) -> float:
-    """Measured ratio |grad u| / |D(u)| for a solenoidal zero-mean field.
+def korn_ratio_of_field(basis: DivFreeSpectralBasis, c: np.ndarray) -> float:
+    """Measured ratio |grad u| / |D(u)| for a solenoidal zero-mean field
+    given by its vector spectrum ``c``.
 
     Rejects non-solenoidal input: the sharp constant relies on div u = 0.
     """
-    c = v.to_spectral().data
     kx = basis.wavenumbers(c.shape[-1])[0]
     div = np.abs(basis.div(c))
     scale = float(np.max(np.abs(c))) + 1e-300
@@ -353,8 +355,7 @@ def functional_inequality_check(
     worst_poincare = 0.0
     for _ in range(n_fields):
         coeffs = rng.normal(size=basis.k_modes)
-        v = Field("vector", "spectral", basis.synth_vector(coeffs), basis.box_size)
-        worst_korn = max(worst_korn, korn_ratio_of_field(basis, v))
+        worst_korn = max(worst_korn, korn_ratio_of_field(basis, basis.synth_vector(coeffs)))
         norm = float(np.sqrt(np.sum(coeffs**2)))
         grad_norm = float(np.sqrt(np.sum(coeffs**2 * basis.vec_k2[: basis.k_modes])))
         worst_poincare = max(worst_poincare, norm / grad_norm)

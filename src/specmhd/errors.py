@@ -15,7 +15,11 @@ class ResolutionError(ValueError):
 
 
 class MassSolveError(RuntimeError):
-    """A mass-matrix factorization or nonlinear solve did not succeed."""
+    """A mass matrix was not finite or not positive definite."""
+
+
+class NonlinearSolveError(RuntimeError):
+    """The implicit-midpoint fixed-point iteration did not converge."""
 
 
 class BlowUpError(RuntimeError):

@@ -42,36 +42,34 @@ import numpy as np
 
 from specmhd import constitutive as cst
 from specmhd.errors import MassSolveError
-from specmhd.spectral import SYM_PAIRS, DivFreeSpectralBasis, Field
+from specmhd.spectral import SYM_PAIRS, DivFreeSpectralBasis
 
 
 @dataclass
 class SimState:
-    """Density field plus coefficient vectors at one instant.
+    """The four unknowns at one instant, each a plain array.
 
-    ``rho`` is a scalar Field in spectral representation (the x-half layout
-    of :mod:`specmhd.spectral`) on the base grid, band-limited to the basis
-    cutoff.  Lengths of ``a``, ``b``, ``c`` are the velocity, temperature,
-    and magnetic truncation levels.
+    ``rho`` is the density spectrum on the base grid (the x-half layout of
+    :mod:`specmhd.spectral`), band-limited to the basis cutoff.  ``a``,
+    ``b``, ``c`` are the velocity, temperature and magnetic coefficient
+    vectors; their lengths are the truncation levels.
     """
 
     t: float
-    rho: Field
+    rho: np.ndarray
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     basis: DivFreeSpectralBasis
 
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self.rho, self.a, self.b, self.c
+
     def copy(self) -> "SimState":
-        return SimState(self.t, self.rho.copy(), self.a.copy(), self.b.copy(), self.c.copy(), self.basis)
+        return SimState(self.t, *(x.copy() for x in self.parts()), self.basis)
 
     def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.a))
-            and np.all(np.isfinite(self.b))
-            and np.all(np.isfinite(self.c))
-            and np.all(np.isfinite(self.rho.data))
-        )
+        return all(np.all(np.isfinite(x)) for x in self.parts())
 
     def validate(self, params: cst.ConstitutiveParams, tol: float = 1e-10) -> list[str]:
         """Return a list of violated state invariants (empty when valid)."""
@@ -79,7 +77,7 @@ class SimState:
         if not self.is_finite():
             problems.append("non-finite state entries")
             return problems
-        rho_grid = self.rho.to_grid().data
+        rho_grid = self.basis.spectral_to_grid(self.rho)
         if rho_grid.min() < params.density_min - tol or rho_grid.max() > params.density_max + tol:
             problems.append(
                 f"density outside [{params.density_min}, {params.density_max}] "
@@ -104,6 +102,9 @@ class Rates:
     db: np.ndarray
     dc: np.ndarray
     clamp_count: int
+
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self.drho, self.da, self.db, self.dc
 
 
 class _StateFields:
@@ -163,11 +164,11 @@ class _StateFields:
 
     @cached_property
     def rho(self):
-        return self.basis.spectral_to_grid(self.st.rho.data)
+        return self.basis.spectral_to_grid(self.st.rho)
 
     @cached_property
     def grad_rho(self):
-        return self._grad_grid(self.st.rho.data)
+        return self._grad_grid(self.st.rho)
 
     @cached_property
     def theta(self):
@@ -179,19 +180,35 @@ class _StateFields:
         flux = self.rho[None] * self.u
         rate = -self.basis.div(self.basis.grid_to_spectral(flux)) * self.ops._mask_n
         if self.ops.eps_density:
-            rate = rate - self.ops.eps_density * self.ops._k2_n * self.st.rho.data
+            rate = rate - self.ops.eps_density * self.ops._k2_n * self.st.rho
         return rate
 
     # ---- oversampled grid (non-polynomial factors)
 
+    def _last_use(self, spectrum: str, sibling: str):
+        """A cached spectrum that feeds two grids, dropped from the cache once
+        the other grid ``sibling`` has been derived from it."""
+        c = getattr(self, spectrum)
+        if sibling in self.__dict__:
+            del self.__dict__[spectrum]
+        return c
+
+    @cached_property
+    def c_u_m(self):
+        return self.basis.synth_vector(self.st.a, self.m)
+
+    @cached_property
+    def c_theta_m(self):
+        return self.basis.synth_scalar(self.st.b, self.m)
+
     @cached_property
     def u_m(self):
-        return self.basis.spectral_to_grid(self.basis.synth_vector(self.st.a, self.m))
+        return self.basis.spectral_to_grid(self._last_use("c_u_m", "strain_m"))
 
     @cached_property
     def strain_m(self):
         """Rate of strain grad u + (grad u)^T on the oversampled grid."""
-        c = self.basis.synth_vector(self.st.a, self.m)
+        c = self._last_use("c_u_m", "u_m")
         out = np.empty((3, 3) + (self.m,) * 3, dtype=float)
         for i, j in SYM_PAIRS:
             out[i, j] = out[j, i] = self.basis.spectral_to_grid(self.basis.strain(c, i, j))
@@ -199,15 +216,15 @@ class _StateFields:
 
     @cached_property
     def rho_m(self):
-        return self.basis.spectral_to_grid(self.basis.resample_spectrum(self.st.rho.data, self.m))
+        return self.basis.spectral_to_grid(self.basis.resample_spectrum(self.st.rho, self.m))
 
     @cached_property
     def theta_m(self):
-        return self.basis.scalar_grid(self.st.b, self.m)
+        return self.basis.spectral_to_grid(self._last_use("c_theta_m", "grad_theta_m"))
 
     @cached_property
     def grad_theta_m(self):
-        return self._grad_grid(self.basis.synth_scalar(self.st.b, self.m))
+        return self._grad_grid(self._last_use("c_theta_m", "theta_m"))
 
     @cached_property
     def curl_H_m(self):
@@ -381,7 +398,7 @@ class GalerkinOperators:
         # strided g x g products run faster than one broadcast over length-2
         # axes.
         g = -(-k_u // 4)
-        blocks = self._phase_blocks(f.st.rho.data, b.vec_n[: 4 * g : 4])
+        blocks = self._phase_blocks(f.st.rho, b.vec_n[: 4 * g : 4])
         e = b.vec_e[: 4 * g : 2]
         pol = (e @ e.T).reshape(g, 2, g, 2)
         mat = np.empty((g, 2, 2, g, 2, 2))
@@ -397,7 +414,7 @@ class GalerkinOperators:
         b = self.basis
         if p.specific_heat_form == "constant":
             cbar = 0.5 * (p.specific_heat_min + p.specific_heat_max)
-            c_w = cbar * b.resample_spectrum(f.st.rho.data, f.m)
+            c_w = cbar * b.resample_spectrum(f.st.rho, f.m)
         else:
             w = f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0))
             c_w = b.grid_to_spectral(w)
@@ -500,7 +517,7 @@ def energy_report(f: _StateFields, extras: bool = True, neg_power: float = 0.5) 
         "conv_term": w_n
         * float(np.sum(f.rho * np.einsum("ixyz,ixyz->xyz", np.einsum("mxyz,imxyz->ixyz", f.u, f.grad_u), f.u))),
         "eps_lap_term": (
-            -eps_density * w_n * float(np.sum(b.spectral_to_grid(ops._k2_n * state.rho.data) * u2))
+            -eps_density * w_n * float(np.sum(b.spectral_to_grid(ops._k2_n * state.rho) * u2))
             if eps_density
             else 0.0
         ),

@@ -24,7 +24,7 @@ from specmhd import galerkin as gal
 from specmhd import integrator as itg
 from specmhd import spectral as sp
 from specmhd.config import CONFIG_SCHEMA_VERSION, RunConfig, serialize_config
-from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, MassSolveError
+from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, MassSolveError, NonlinearSolveError
 from specmhd.initial_conditions import build_initial_state
 
 OUTPUT_ROOT_ENV = "SPECMHD_OUTPUT_ROOT"
@@ -84,7 +84,7 @@ def _decay_rate_estimate(recorder: diag.TrajectoryRecorder) -> float | None:
 
 def _final_snapshots(outdir: Path, state: gal.SimState) -> None:
     basis = state.basis
-    sp.Field("scalar", "grid", state.rho.to_grid().data, basis.box_size).save(outdir / "rho_final")
+    sp.Field("scalar", "grid", basis.spectral_to_grid(state.rho), basis.box_size).save(outdir / "rho_final")
     sp.Field("vector", "grid", basis.vector_grid(state.a), basis.box_size).save(outdir / "velocity_final")
     sp.Field("vector", "grid", basis.vector_grid(state.c), basis.box_size).save(outdir / "magnetic_final")
     sp.Field("scalar", "grid", basis.scalar_grid(state.b), basis.box_size).save(outdir / "theta_final")
@@ -150,7 +150,7 @@ def run(
         status, exit_code, error_msg = "config_error", EXIT_CONFIG, str(exc)
     except InvariantViolation as exc:
         status, exit_code, error_msg = "invariant_failure", EXIT_INVARIANT, str(exc)
-    except (BlowUpError, MassSolveError) as exc:
+    except (BlowUpError, MassSolveError, NonlinearSolveError) as exc:
         status, exit_code, error_msg = "numerical_abort", EXIT_NUMERICAL, str(exc)
     wall = time.perf_counter() - t_start
 
@@ -456,7 +456,7 @@ def _check_fields(seed: int, amp: float, eps_density: float = 0.0):
     b[0] = 1.0 * np.sqrt(basis.volume)
     state = gal.SimState(
         t=0.0,
-        rho=sp.Field("scalar", "spectral", rho_spec, basis.box_size),
+        rho=rho_spec,
         a=amp * rng.normal(size=basis.k_modes) / np.sqrt(basis.k_modes),
         b=b,
         c=amp * rng.normal(size=basis.k_modes) / np.sqrt(basis.k_modes),
@@ -505,7 +505,7 @@ def _decay_test_state(basis):
     b[0] = np.sqrt(basis.volume)
     st = gal.SimState(
         t=0.0,
-        rho=sp.Field("scalar", "spectral", rho_spec, basis.box_size),
+        rho=rho_spec,
         a=np.zeros(basis.k_modes),
         b=b,
         c=np.zeros(basis.k_modes),
@@ -544,12 +544,12 @@ def _check_density_decay(eps_density: float = 5e-3) -> tuple[bool, str]:
     p = cst.ConstitutiveParams()
     st = _decay_test_state(basis)
     st.c[:] = 0.0
-    basis.set_amplitude(st.rho.data, (1, 0, 0), 0.1)
+    basis.set_amplitude(st.rho, (1, 0, 0), 0.1)
     rec = diag.TrajectoryRecorder(p, basis, eps_density=eps_density)
     summary = itg.integrate(
         p, basis, st, itg.StepConfig(dt=1e-3, t_end=0.1), observers=[rec], eps_density=eps_density
     )
-    amp = summary.final_state.rho.data[1, 0, 0].real
+    amp = summary.final_state.rho[1, 0, 0].real
     expected = 0.1 * np.exp(-eps_density * 0.1)
     err = abs(amp - expected) / expected
     return bool(err < 1e-6), f"relative error {err:.2e} vs heat kernel"
@@ -580,8 +580,8 @@ def _check_vector_identities(basis: sp.DivFreeSpectralBasis | None = None) -> tu
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(5):
-        u = sp.Field.from_spectral(basis.synth_vector(rng.normal(size=basis.k_modes)), basis.box_size)
-        h = sp.Field.from_spectral(basis.synth_vector(rng.normal(size=basis.k_modes)), basis.box_size)
+        u = basis.synth_vector(rng.normal(size=basis.k_modes))
+        h = basis.synth_vector(rng.normal(size=basis.k_modes))
         worst = max(worst, diag.vector_identity_check(basis, u, h, nu=0.9)["max_defect"])
     return bool(worst < 1e-10), f"max pointwise defect {worst:.2e} over 5 random field pairs"
 
@@ -606,7 +606,8 @@ def _check_decay_bound() -> tuple[bool, str]:
     rec = diag.TrajectoryRecorder(p, basis)
     itg.integrate(p, basis, st, itg.StepConfig(dt=1e-3, t_end=0.05), observers=[rec])
     rep = diag.decay_bound_report(rec)
-    return bool(rep["ok"]), f"min margin {rep['min_margin']:.3e}"
+    flags = all(r.heat_monotone_ok and r.density_bounds_ok for r in rec.records)
+    return bool(rep["ok"] and flags), f"min margin {rep['min_margin']:.3e}, heat and density flags {flags}"
 
 
 def _check_config_round_trip(cfg: RunConfig | None = None) -> tuple[bool, str]:

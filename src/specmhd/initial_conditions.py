@@ -38,7 +38,7 @@ import numpy as np
 from specmhd.config import RunConfig
 from specmhd.errors import ConfigError
 from specmhd.galerkin import SimState
-from specmhd.spectral import DivFreeSpectralBasis, Field
+from specmhd.spectral import DivFreeSpectralBasis
 
 
 def _uniform_rho_spec(basis: DivFreeSpectralBasis, mean: float) -> np.ndarray:
@@ -199,12 +199,11 @@ def build_initial_state(cfg: RunConfig, basis: DivFreeSpectralBasis) -> SimState
     builder = _BUILDERS.get(cfg.initial_family)
     if builder is None:
         raise ConfigError(f"unknown initial family {cfg.initial_family!r}")
-    rho_spec, a, b, c, = builder(cfg, basis, cfg.initial_params)
-    rho = Field("scalar", "spectral", rho_spec, basis.box_size)
+    rho, a, b, c = builder(cfg, basis, cfg.initial_params)
     state = SimState(t=0.0, rho=rho, a=a, b=b, c=c, basis=basis)
 
     p = cfg.constitutive
-    rho_grid = rho.to_grid().data
+    rho_grid = basis.spectral_to_grid(rho)
     problems = []
     if rho_grid.min() < p.density_min - 1e-12 or rho_grid.max() > p.density_max + 1e-12:
         problems.append(

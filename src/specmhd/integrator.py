@@ -29,9 +29,9 @@ import numpy as np
 
 from specmhd import galerkin as gal
 from specmhd.constitutive import ConstitutiveParams, validate_params
-from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, MassSolveError
+from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, NonlinearSolveError
 from specmhd.galerkin import GalerkinOperators, Rates, SimState
-from specmhd.spectral import DivFreeSpectralBasis, Field
+from specmhd.spectral import DivFreeSpectralBasis
 
 SCHEMES = ("implicit-midpoint", "explicit-rk4", "imex-cn-ab2")
 
@@ -81,43 +81,20 @@ class TrajectorySummary:
 
 def _linear_combination(state: SimState, new_t: float, pieces) -> SimState:
     """state + sum(coef * rates) with a fresh SimState."""
-    rho = state.rho.data.copy()
-    a = state.a.copy()
-    b = state.b.copy()
-    c = state.c.copy()
+    parts = [x.copy() for x in state.parts()]
     for coef, r in pieces:
-        rho = rho + coef * r.drho
-        a = a + coef * r.da
-        b = b + coef * r.db
-        c = c + coef * r.dc
-    return SimState(new_t, Field("scalar", "spectral", rho, state.rho.box_size), a, b, c, state.basis)
+        parts = [x + coef * dx for x, dx in zip(parts, r.parts())]
+    return SimState(new_t, *parts, state.basis)
 
 
 def _midpoint(state: SimState, mid: SimState) -> SimState:
-    rho = 0.5 * (state.rho.data + mid.rho.data)
-    return SimState(
-        0.5 * (state.t + mid.t),
-        Field("scalar", "spectral", rho, state.rho.box_size),
-        0.5 * (state.a + mid.a),
-        0.5 * (state.b + mid.b),
-        0.5 * (state.c + mid.c),
-        state.basis,
-    )
+    parts = (0.5 * (x + y) for x, y in zip(state.parts(), mid.parts()))
+    return SimState(0.5 * (state.t + mid.t), *parts, state.basis)
 
 
 def _delta(a: SimState, b: SimState) -> float:
-    num = max(
-        np.max(np.abs(a.rho.data - b.rho.data)),
-        np.max(np.abs(a.a - b.a), initial=0.0),
-        np.max(np.abs(a.b - b.b), initial=0.0),
-        np.max(np.abs(a.c - b.c), initial=0.0),
-    )
-    den = 1.0 + max(
-        np.max(np.abs(b.rho.data)),
-        np.max(np.abs(b.a), initial=0.0),
-        np.max(np.abs(b.b), initial=0.0),
-        np.max(np.abs(b.c), initial=0.0),
-    )
+    num = max(np.max(np.abs(x - y), initial=0.0) for x, y in zip(a.parts(), b.parts()))
+    den = 1.0 + max(np.max(np.abs(y), initial=0.0) for y in b.parts())
     return float(num / den)
 
 
@@ -130,12 +107,14 @@ def _step_implicit_midpoint(
         mid = _midpoint(state, candidate)
         rates = ops.rates(ops.fields(mid))
         updated = _linear_combination(state, t_new, [(dt, rates)])
-        if _delta(updated, candidate) <= cfg.solver_tolerance:
+        delta = _delta(updated, candidate)
+        if delta <= cfg.solver_tolerance:
             return updated
         candidate = updated
-    raise MassSolveError(
-        "mass solve failed: midpoint iteration did not converge in "
-        f"{cfg.max_nonlinear_iterations} iterations at t={state.t:.6g}"
+    raise NonlinearSolveError(
+        f"midpoint iteration did not converge in {cfg.max_nonlinear_iterations} iterations "
+        f"at t={state.t:.6g}: last relative delta {delta:.3e} > solver_tolerance "
+        f"{cfg.solver_tolerance:.3e}"
     )
 
 
@@ -161,7 +140,7 @@ def _explicit_parts(ops: GalerkinOperators, state: SimState, full: Rates) -> Rat
     dc_ex = full.dc + k2c * state.c
     drho_ex = full.drho.copy()
     if ops.eps_density:
-        drho_ex = drho_ex + ops.eps_density * ops._k2_n * state.rho.data
+        drho_ex = drho_ex + ops.eps_density * ops._k2_n * state.rho
     return Rates(drho_ex, full.da, full.db, dc_ex, full.clamp_count)
 
 
@@ -173,27 +152,14 @@ def _step_imex_cn_ab2(
         ex = cur
     else:
         ex = Rates(
-            1.5 * cur.drho - 0.5 * prev.drho,
-            1.5 * cur.da - 0.5 * prev.da,
-            1.5 * cur.db - 0.5 * prev.db,
-            1.5 * cur.dc - 0.5 * prev.dc,
-            cur.clamp_count,
+            *(1.5 * x - 0.5 * y for x, y in zip(cur.parts(), prev.parts())), cur.clamp_count
         )
     k2c = ops.magnetic_stiffness_diag[: len(state.c)]
     lam_c = 0.5 * dt * k2c
     c_new = ((1.0 - lam_c) * state.c + dt * ex.dc) / (1.0 + lam_c)
     lam_r = 0.5 * dt * ops.eps_density * ops._k2_n
-    rho_new = ((1.0 - lam_r) * state.rho.data + dt * ex.drho) / (1.0 + lam_r)
-    a_new = state.a + dt * ex.da
-    b_new = state.b + dt * ex.db
-    new = SimState(
-        state.t + dt,
-        Field("scalar", "spectral", rho_new, state.rho.box_size),
-        a_new,
-        b_new,
-        c_new,
-        state.basis,
-    )
+    rho_new = ((1.0 - lam_r) * state.rho + dt * ex.drho) / (1.0 + lam_r)
+    new = SimState(state.t + dt, rho_new, state.a + dt * ex.da, state.b + dt * ex.db, c_new, state.basis)
     return new, cur
 
 

@@ -416,56 +416,24 @@ class DivFreeSpectralBasis:
         count = count or self.k_modes
         return self.gather_vector(self.grid_to_spectral(values), count)
 
-    def project_scalar(self, values: np.ndarray, count: int) -> np.ndarray:
-        return self.gather_scalar(self.grid_to_spectral(values), count)
-
 
 @dataclass
 class Field:
-    """A scalar or vector field in grid samples or spectral amplitudes.
+    """One snapshot record: a scalar or vector field as grid samples or
+    spectral amplitudes, written by :meth:`save` and read by :meth:`load`.
 
     Grid payloads are real with trailing shape (G, G, G).  Spectral payloads
     are amplitude-normalized complex x-half spectra with trailing shape
-    (G // 2 + 1, G, G), as the module docstring describes; the grid size is
-    read from the last axis in both.  Vector data carries a leading component
-    axis of length 3.
+    (G // 2 + 1, G, G), as the module docstring describes.  Vector data
+    carries a leading component axis of length 3.  The solver itself holds
+    bare arrays; transforms are :meth:`DivFreeSpectralBasis.grid_to_spectral`
+    and :meth:`DivFreeSpectralBasis.spectral_to_grid`.
     """
 
     kind: str
     representation: str
     data: np.ndarray
     box_size: float
-
-    @property
-    def grid_points(self) -> int:
-        return self.data.shape[-1]
-
-    @classmethod
-    def from_grid(cls, values: np.ndarray, box_size: float) -> "Field":
-        values = np.asarray(values, dtype=float)
-        kind = "vector" if values.ndim == 4 else "scalar"
-        return cls(kind, "grid", values, float(box_size))
-
-    @classmethod
-    def from_spectral(cls, c: np.ndarray, box_size: float) -> "Field":
-        c = np.asarray(c, dtype=complex)
-        kind = "vector" if c.ndim == 4 else "scalar"
-        return cls(kind, "spectral", c, float(box_size))
-
-    def to_spectral(self) -> "Field":
-        if self.representation == "spectral":
-            return self
-        return Field(self.kind, "spectral", DivFreeSpectralBasis.grid_to_spectral(self.data), self.box_size)
-
-    def to_grid(self) -> "Field":
-        if self.representation == "grid":
-            return self
-        return Field(self.kind, "grid", DivFreeSpectralBasis.spectral_to_grid(self.data), self.box_size)
-
-    def copy(self) -> "Field":
-        return Field(self.kind, self.representation, self.data.copy(), self.box_size)
-
-    # ------------------------------------------------------------- snapshots
 
     def save(self, prefix: str | Path) -> None:
         """Write ``<prefix>.bin`` (raw little-endian float64, x fastest) plus

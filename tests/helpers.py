@@ -18,7 +18,6 @@ import numpy as np
 
 from specmhd import constitutive as cst
 from specmhd.galerkin import SimState
-from specmhd.spectral import Field
 
 
 def make_state(
@@ -59,8 +58,7 @@ def make_state(
         span = np.abs(basis.scalar_grid(rho_coeffs) - rho_mean).max()
         if span > 0:
             rho_coeffs[1:] *= rho_amp / span
-    rho_spec = basis.synth_scalar(rho_coeffs, basis.grid_points)
-    rho = Field("scalar", "spectral", rho_spec, basis.box_size)
+    rho = basis.synth_scalar(rho_coeffs, basis.grid_points)
     return SimState(t=t, rho=rho, a=a, b=b, c=c, basis=basis)
 
 
@@ -196,7 +194,7 @@ def oracle_velocity_mass(f):
     b = f.basis
     nvecs, phases = b.vec_n[:k_u], b.vec_phase[:k_u].astype(int)
     pref = b.vec_e[:k_u] @ b.vec_e[:k_u].T
-    mat = trig_product_matrix(b, f.st.rho.data, nvecs, phases, pref)
+    mat = trig_product_matrix(b, f.st.rho, nvecs, phases, pref)
     return 0.5 * (mat + mat.T)
 
 
@@ -207,7 +205,7 @@ def oracle_thermal_mass(f):
     b = f.basis
     if p.specific_heat_form == "constant":
         cbar = 0.5 * (p.specific_heat_min + p.specific_heat_max)
-        c_w = cbar * b.resample_spectrum(f.st.rho.data, f.m)
+        c_w = cbar * b.resample_spectrum(f.st.rho, f.m)
     else:
         w = f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0))
         c_w = b.grid_to_spectral(w)

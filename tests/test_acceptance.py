@@ -19,7 +19,7 @@ from specmhd import diagnostics as diag
 from specmhd import galerkin as gal
 from specmhd import harness
 from specmhd import spectral as sp
-from specmhd.config import load_config, replace_config
+from specmhd.config import load_config
 
 from helpers import (
     induction_matrix,
@@ -93,7 +93,7 @@ def test_criterion_2_discrete_energy_identity():
         for eps in (0.0, 1e-3):
             maxima = []
             for dt in (1e-4, 5e-5):
-                cfg = replace_config(
+                cfg = dataclasses.replace(
                     base,
                     density_regularization=eps,
                     step=dataclasses.replace(base.step, dt=dt),
@@ -149,7 +149,7 @@ def test_criterion_5_galerkin_operator_oracles():
         c = 0.5 * rng.normal(size=20)
         state = gal.SimState(
             t=0.0,
-            rho=sp.Field("scalar", "spectral", rho_spec, basis.box_size),
+            rho=rho_spec,
             a=a,
             b=bvec,
             c=c,

@@ -51,9 +51,8 @@ def uniform_rho_state(basis, a=None, b=None, c=None, rho0=1.0, theta0=1.0):
     bvec[0] = theta0 * np.sqrt(basis.volume)
     if b is not None:
         bvec[: len(b)] = b
-    rho_spec = basis.zero_spectrum()
-    rho_spec[0, 0, 0] = rho0
-    rho = sp.Field("scalar", "spectral", rho_spec, L)
+    rho = basis.zero_spectrum()
+    rho[0, 0, 0] = rho0
     return gal.SimState(
         t=0.0,
         rho=rho,
@@ -74,7 +73,7 @@ class TestDensityRhs:
     def test_heat_kernel_mode(self, basis, params):
         eps = 1e-2
         st = uniform_rho_state(basis)
-        st.rho.data[1, 0, 0] = 0.05
+        st.rho[1, 0, 0] = 0.05
         rate = gal.GalerkinOperators(params, basis, eps_density=eps).fields(st).density_rate
         expected = basis.zero_spectrum()
         expected[1, 0, 0] = -eps * 1.0 * 0.05
@@ -240,7 +239,7 @@ class TestMassMatrices:
         mesh = oracle_mesh(L, gd)
         # density on the dense grid straight from its spectrum by direct evaluation
         g = basis.grid_points
-        spec = st.rho.data
+        spec = st.rho
         x, y, z = mesh
         rho_dense = np.zeros_like(x)
         ints = np.fft.fftfreq(g, d=1.0 / g).astype(int)
@@ -265,6 +264,29 @@ class TestMassMatrices:
         n = ops.thermal_mass(ops.fields(st))
         np.testing.assert_allclose(n, 2.0 * np.eye(len(st.b)), atol=1e-12)
 
+    def test_rates_synthesize_each_spectrum_once(self, basis, ops, monkeypatch):
+        st = make_state(basis, np.random.default_rng(2))
+        calls = []
+
+        def counted(name):
+            raw = getattr(basis, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return raw(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("synth_vector", "synth_scalar"):
+            monkeypatch.setattr(basis, name, counted(name))
+        f = ops.fields(st)
+        ops.rates(f)
+        # velocity and magnetic field on the base grid; velocity, temperature
+        # and magnetic field on the oversampled grid
+        assert sorted(calls) == ["synth_scalar"] + ["synth_vector"] * 4
+        # the shared oversampled spectra do not outlive their two grids
+        assert not {"c_u_m", "c_theta_m"} & f.__dict__.keys()
+
     def test_not_spd_raises(self, basis, ops):
         f = ops.fields(uniform_rho_state(basis, rho0=-1.0))
         with pytest.raises(MassSolveError, match="not positive definite"):
@@ -272,7 +294,7 @@ class TestMassMatrices:
 
     def test_not_finite_raises(self, basis, ops):
         st = uniform_rho_state(basis)
-        st.rho.data[0, 0, 0] = np.nan
+        st.rho[0, 0, 0] = np.nan
         with pytest.raises(MassSolveError, match="not finite"):
             ops.solve_mass(ops.velocity_mass(ops.fields(st)), np.zeros(basis.k_modes))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from specmhd import cli, galerkin as gal, harness
 from specmhd import spectral as sp
-from specmhd.config import RunConfig, load_config, replace_config
+from specmhd.config import RunConfig, load_config
 from specmhd.errors import ConfigError
 from specmhd.initial_conditions import build_initial_state
 from specmhd.integrator import StepConfig
@@ -112,7 +113,7 @@ class TestInitialFamilies:
         )
         basis = harness.build_basis_for(cfg)
         state = build_initial_state(cfg, basis)
-        rho = state.rho.to_grid().data
+        rho = state.basis.spectral_to_grid(state.rho)
         assert rho.max() == pytest.approx(1.25, rel=1e-12)
         assert rho.min() == pytest.approx(0.75, rel=1e-12)
         u = basis.vector_grid(state.a)
@@ -151,7 +152,7 @@ class TestRunOutputs:
 
     def test_run_directory_contents(self, tmp_path):
         cfg = load_config(CONFIGS / "magnetic_decay.cfg")
-        cfg = replace_config(cfg, step=dataclasses.replace(cfg.step, t_end=0.01), snapshots=True)
+        cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, t_end=0.01), snapshots=True)
         rep = harness.run(cfg, output_dir=str(tmp_path / "out"), quiet=True)
         outdir = rep.output_dir
         for name in ("config.cfg", "diagnostics.csv", "summary.json", "schema.json"):
@@ -171,9 +172,18 @@ class TestRunOutputs:
         k2 = 1.0  # lowest shell at box 2 pi
         assert abs(rep.summary["magnetic_decay_rate"] - cfg.constitutive.magnetic_diffusivity * k2) < 1e-4
 
+    def test_midpoint_non_convergence_is_numerical_abort(self, tmp_path):
+        cfg = load_config(CONFIGS / "magnetic_decay.cfg")
+        cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, max_nonlinear_iterations=1))
+        rep = harness.run(cfg, output_dir=str(tmp_path / "stall"), quiet=True)
+        assert rep.exit_code == harness.EXIT_NUMERICAL
+        error = json.loads((rep.output_dir / "summary.json").read_text())["error"]
+        assert "did not converge in 1 iterations" in error and "solver_tolerance" in error
+        assert "mass solve" not in error
+
     def test_determinism_byte_identical(self):
         cfg = load_config(CONFIGS / "magnetic_decay.cfg")
-        cfg = replace_config(cfg, step=dataclasses.replace(cfg.step, t_end=0.02))
+        cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, t_end=0.02))
         ok, detail = harness.CHECKS["harness.determinism"](cfg=cfg)
         assert ok, detail
 
@@ -194,7 +204,7 @@ class TestRunOutputs:
 class TestSweeps:
     def test_two_value_sweep_rejected(self):
         cfg = load_config(CONFIGS / "sweep_eps.cfg")
-        cfg = replace_config(cfg, sweep_values=(4e-3, 2e-3))
+        cfg = dataclasses.replace(cfg, sweep_values=(4e-3, 2e-3))
         with pytest.raises(ConfigError, match="need >=3 values"):
             harness.convergence_study(cfg, quiet=True)
 
@@ -206,7 +216,7 @@ class TestSweeps:
     def test_diffusion_only_differences_vanish(self, tmp_path):
         # single magnetic mode: every truncation resolves the dynamics exactly
         cfg = load_config(CONFIGS / "magnetic_decay.cfg")
-        cfg = replace_config(
+        cfg = dataclasses.replace(
             cfg,
             step=dataclasses.replace(cfg.step, t_end=0.02),
             sweep_kind="modes",

@@ -30,7 +30,7 @@ def plain_state(basis, theta0=1.0, rho0=1.0):
     b[0] = theta0 * np.sqrt(basis.volume)
     return gal.SimState(
         t=0.0,
-        rho=sp.Field("scalar", "spectral", rho_spec, L),
+        rho=rho_spec,
         a=np.zeros(basis.k_modes),
         b=b,
         c=np.zeros(basis.k_modes),
@@ -52,7 +52,7 @@ class TestStepBasics:
         new, _ = itg.step(ops, st, itg.StepConfig(dt=0.05), ops.rates(ops.fields(st)))
         assert np.all(new.a == 0.0) and np.all(new.c == 0.0)
         np.testing.assert_allclose(new.b, st.b, rtol=1e-14)
-        np.testing.assert_allclose(new.rho.data, st.rho.data, atol=1e-16)
+        np.testing.assert_allclose(new.rho, st.rho, atol=1e-16)
 
     def test_config_validation(self):
         assert itg.StepConfig(dt=-1.0).validate()
@@ -90,8 +90,8 @@ class TestEnergyResidual:
         st = plain_state(basis)
         st.a[0] = 0.5
         st.c[12] = 0.5  # second shell: couples back onto retained modes
-        st.rho.data[0, 0, 1] = 0.15
-        st.rho.data[0, 0, -1] = 0.15
+        st.rho[0, 0, 1] = 0.15
+        st.rho[0, 0, -1] = 0.15
         return st
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -79,8 +80,7 @@ class TestFieldRoundTrip:
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=basis.k_modes)
         vals = basis.vector_grid(coeffs)
-        f = sp.Field.from_grid(vals, L)
-        back = f.to_spectral().to_grid().data
+        back = basis.spectral_to_grid(basis.grid_to_spectral(vals))
         np.testing.assert_allclose(back, vals, rtol=1e-12, atol=1e-13)
 
     def test_projection_recovers_coefficients(self, basis):
@@ -92,13 +92,13 @@ class TestFieldRoundTrip:
     def test_scalar_projection_with_constant(self, basis):
         rng = np.random.default_rng(5)
         coeffs = rng.normal(size=9)
-        got = basis.project_scalar(basis.scalar_grid(coeffs), 9)
+        got = basis.gather_scalar(basis.grid_to_spectral(basis.scalar_grid(coeffs)), 9)
         np.testing.assert_allclose(got, coeffs, rtol=1e-12, atol=1e-13)
 
     def test_snapshot_round_trip(self, basis, tmp_path):
         rng = np.random.default_rng(6)
         vals = basis.vector_grid(rng.normal(size=basis.k_modes))
-        f = sp.Field.from_grid(vals, L)
+        f = sp.Field("vector", "grid", vals, L)
         f.save(tmp_path / "snap")
         g = sp.Field.load(tmp_path / "snap")
         assert g.kind == "vector" and g.representation == "grid"
@@ -106,7 +106,7 @@ class TestFieldRoundTrip:
 
     def test_snapshot_spectral_round_trip(self, basis, tmp_path):
         c = basis.synth_scalar(np.array([1.0, 0.5, -0.25]))
-        f = sp.Field.from_spectral(c, L)
+        f = sp.Field("scalar", "spectral", c, L)
         f.save(tmp_path / "spec")
         g = sp.Field.load(tmp_path / "spec")
         np.testing.assert_array_equal(g.data, c)
@@ -116,7 +116,7 @@ class TestFieldRoundTrip:
         n = 4
         lin = np.arange(n, dtype=float)
         vals = np.broadcast_to(lin[:, None, None], (n, n, n)).copy()
-        sp.Field.from_grid(vals, L).save(tmp_path / "x")
+        sp.Field("scalar", "grid", vals, L).save(tmp_path / "x")
         raw = np.frombuffer((tmp_path / "x.bin").read_bytes(), dtype="<f8")
         np.testing.assert_array_equal(raw[:n], lin)
 
@@ -269,3 +269,21 @@ def test_transforms_only_in_spectral():
     calls = re.findall(r"np\.fft\.(\w+)\(", (src / "spectral.py").read_text())
     transforms = sorted(name for name in calls if name != "fftfreq")
     assert transforms == ["irfftn", "rfftn"]
+
+
+def test_field_is_only_the_snapshot_record():
+    """The solver state is bare arrays: no package code converts through a
+    ``Field``, and only the snapshot writer builds one."""
+    src = Path(sp.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        allowed = set()
+        if path.name == "harness.py":
+            fn = next(n for n in ast.parse(text).body if getattr(n, "name", None) == "_final_snapshots")
+            allowed = set(range(fn.lineno, fn.end_lineno + 1))
+        for i, line in enumerate(text.splitlines(), 1):
+            builds = re.search(r"\bField\(", line) and path.name != "spectral.py" and i not in allowed
+            if builds or re.search(r"\.to_grid\(|\.to_spectral\(|Field\.from_", line):
+                found.append(f"{path.name}:{i}")
+    assert not found, f"Field used outside the snapshot writer: {found}"
