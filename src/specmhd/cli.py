@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = load_config(args.config)
             report = harness.run(cfg, output_dir=args.output_dir, seed=args.seed, quiet=args.quiet)
-            if not args.quiet and report.output_dir is not None:
+            if not args.quiet:
                 print(f"outputs: {report.output_dir}")
             return report.exit_code
         if args.command == "sweep":

@@ -43,7 +43,22 @@ from specmhd.spectral import _canonical_wavevectors
 
 CONFIG_SCHEMA_VERSION = "2"
 
-INITIAL_FAMILIES = ("single_mode", "orszag_tang", "random_band", "layered_density")
+# The [initial] keys each family's builder in initial_conditions reads.  Every
+# family accepts ``seed``: a run started with a seed writes it into the config
+# copy in its output directory, and that copy must reload.
+_HARMONIC_DENSITY_KEYS = {"density_mean", "density_amplitude", "density_axis", "density_wavenumber"}
+_INITIAL_KEYS = {
+    "single_mode": {"seed", "velocity_amplitude", "velocity_mode", "magnetic_amplitude",
+                    "magnetic_mode", "temperature_base", *_HARMONIC_DENSITY_KEYS},
+    "orszag_tang": {"seed", "velocity_amplitude", "magnetic_amplitude", "temperature_base",
+                    *_HARMONIC_DENSITY_KEYS},
+    "random_band": {"seed", "velocity_amplitude", "magnetic_amplitude", "temperature_base",
+                    "temperature_amplitude", "density_mean", "density_amplitude",
+                    "spectrum_slope", "band_modes"},
+    "layered_density": {"seed", "velocity_amplitude", "magnetic_amplitude", "magnetic_mode",
+                        "temperature_base", "density_mean", "density_amplitude",
+                        "density_wavenumber"},
+}
 SWEEP_KINDS = ("modes", "density_regularization")
 
 
@@ -231,8 +246,16 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
                 initial_family = raw.strip()
             else:
                 initial_params[key] = _parse_scalar(raw)
-    if initial_family not in INITIAL_FAMILIES:
-        errors.append(f"unknown initial family {initial_family!r}; options {INITIAL_FAMILIES}")
+    allowed = _INITIAL_KEYS.get(initial_family)
+    if allowed is None:
+        errors.append(f"unknown initial family {initial_family!r}; options {tuple(_INITIAL_KEYS)}")
+    else:
+        for key in initial_params:
+            if key not in allowed:
+                errors.append(
+                    f"unknown key {key!r} in section [initial] for family {initial_family!r}; "
+                    f"allowed keys {sorted(allowed)}"
+                )
 
     out = read("output", {"directory": str, "cadence": int, "snapshots": str})
     directory = out.get("directory", "")

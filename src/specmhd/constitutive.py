@@ -1,14 +1,17 @@
 """Constitutive laws: power-law viscous stress, temperature-power heat flux,
 thermal energy, and parameter admissibility checks.
 
-Symmetric tensors are plain ndarrays of shape ``(..., 3, 3)``; the rate of
-strain is the unscaled symmetrization ``grad(u) + grad(u)^T``, so its
-Frobenius norm squared is twice the enstrophy-type quantity for solenoidal
-fields.  All coefficient functions (viscosity, conductivity, specific heat)
-are closed-form families that stay inside their configured bounds for every
-admissible input, which is what makes the coercivity / growth / monotonicity
-inequalities of the stress and the two heat-flux bounds verifiable by random
-sampling.
+Every pointwise law speaks one layout, components first: a vector is a
+``(3, ...)`` array and a symmetric tensor is a ``(6, ...)`` array of its
+independent components in ``SYM_PAIRS`` order, so the full contraction
+``S : D`` is the ``SYM_WEIGHTS``-weighted sum over the leading axis
+(:func:`contract`).  The rate of strain is the unscaled symmetrization
+``grad(u) + grad(u)^T``, so its Frobenius norm squared is twice the
+enstrophy-type quantity for solenoidal fields.  All coefficient functions
+(viscosity, conductivity, specific heat) are closed-form families that stay
+inside their configured bounds for every admissible input, which is what
+makes the coercivity / growth / monotonicity inequalities of the stress and
+the two heat-flux bounds verifiable by random sampling.
 """
 
 from __future__ import annotations
@@ -16,6 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# (i, j) index pairs of the independent components of a symmetric tensor,
+# and how often each occurs among the nine entries of the full tensor.
+SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+SYM_WEIGHTS = (1, 1, 1, 2, 2, 2)
 
 VISCOSITY_FORMS = ("constant", "density_temperature")
 CONDUCTIVITY_FORMS = ("constant", "density_affine")
@@ -97,14 +105,14 @@ def validate_params(p: ConstitutiveParams) -> ValidationReport:
     return ValidationReport(ok=not bad, violations=bad)
 
 
-def rate_of_strain(grad_u: np.ndarray) -> np.ndarray:
-    """Unscaled symmetrization ``grad_u + grad_u^T`` over the last two axes."""
-    return grad_u + np.swapaxes(grad_u, -1, -2)
+def contract(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Full contraction ``S : D`` of two symmetric tensors in component layout."""
+    return np.einsum("p...,p...,p->...", s, d, SYM_WEIGHTS)
 
 
 def frobenius_sq(tensor: np.ndarray) -> np.ndarray:
-    """Sum of squared entries over the trailing 3x3 axes."""
-    return np.sum(tensor * tensor, axis=(-2, -1))
+    """Squared Frobenius norm ``|T|^2 = T : T`` of a symmetric tensor."""
+    return contract(tensor, tensor)
 
 
 def viscosity(p: ConstitutiveParams, rho, theta) -> np.ndarray:
@@ -159,7 +167,8 @@ def stress_tensor(p: ConstitutiveParams, rho, theta, strain: np.ndarray) -> np.n
 
     The temperature is truncated to ``max(theta, 0)`` before evaluating the
     viscosity, matching how the truncated stress enters the discrete system.
-    Accepts batched tensors of shape ``(..., 3, 3)``.
+    ``strain`` and the returned stress are symmetric tensors of shape
+    ``(6, ...)``; ``rho`` and ``theta`` broadcast against ``strain[0]``.
     """
     strain = np.asarray(strain, dtype=float)
     if not np.all(np.isfinite(strain)):
@@ -168,11 +177,12 @@ def stress_tensor(p: ConstitutiveParams, rho, theta, strain: np.ndarray) -> np.n
     mu = viscosity(p, rho, theta_max)
     power = 0.5 * (p.power_law_exponent - 2.0)
     factor = mu * (p.stress_smoothing + frobenius_sq(strain)) ** power
-    return factor[..., None, None] * strain
+    return factor * strain
 
 
 def heat_flux(p: ConstitutiveParams, rho, theta, grad_theta: np.ndarray) -> np.ndarray:
-    """Heat flux ``kappa(rho) theta^alpha grad_theta``.
+    """Heat flux ``kappa(rho) theta^alpha grad_theta`` for a ``(3, ...)``
+    gradient; ``rho`` and ``theta`` broadcast against ``grad_theta[0]``.
 
     Callers must enforce the temperature floor first: a zero temperature with
     a negative conductivity exponent makes the flux singular.
@@ -185,14 +195,16 @@ def heat_flux(p: ConstitutiveParams, rho, theta, grad_theta: np.ndarray) -> np.n
         )
     kap = conductivity(p, rho)
     scale = kap * theta**p.conductivity_exponent
-    return scale[..., None] * np.asarray(grad_theta, dtype=float)
+    return scale * np.asarray(grad_theta, dtype=float)
 
 
 def sample_admissible(
-    p: ConstitutiveParams, n: int, rng: np.random.Generator, strain_scale: float = 1.0
+    p: ConstitutiveParams, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw random admissible (rho, theta, strain) triples for property checks."""
+    """Draw random admissible (rho, theta, strain) triples for property
+    checks; the strains are the symmetric parts of standard normal 3x3
+    matrices, shape ``(6, n)``."""
     rho = rng.uniform(p.density_min, p.density_max, size=n)
     theta = rng.uniform(p.temperature_floor, p.temperature_floor + 10.0, size=n)
-    raw = rng.normal(scale=strain_scale, size=(n, 3, 3))
-    return rho, theta, rate_of_strain(raw) * 0.5
+    raw = rng.normal(size=(n, 3, 3))
+    return rho, theta, np.stack([0.5 * (raw[:, i, j] + raw[:, j, i]) for i, j in SYM_PAIRS])

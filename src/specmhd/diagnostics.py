@@ -85,12 +85,10 @@ class TrajectoryRecorder:
         self,
         params: ConstitutiveParams,
         basis: DivFreeSpectralBasis,
-        eps_density: float = 0.0,
         store_history: bool = False,
     ):
         self.params = params
         self.basis = basis
-        self.eps_density = eps_density
         self.store_history = store_history
         self.records: list[DiagnosticsRecord] = []
         self.raw_reports: list[dict] = []
@@ -165,10 +163,10 @@ class TrajectoryRecorder:
             heat_monotone_ok=bool(heat_ok),
             density_bounds_ok=bool(density_ok),
             visc_floor_ok=bool(report["D_visc"] >= report["D_visc_floor"] - 1e-9),
-            strain_lr_r=report.get("strain_lr_r", 0.0),
-            sup_theta_negpow=report.get("sup_theta_negpow", 0.0),
-            rho_theta_l1=report.get("rho_theta_l1", 0.0),
-            theta_sobolev_sq=report.get("theta_sobolev_sq", 0.0),
+            strain_lr_r=report["strain_lr_r"],
+            sup_theta_negpow=report["sup_theta_negpow"],
+            rho_theta_l1=report["rho_theta_l1"],
+            theta_sobolev_sq=report["theta_sobolev_sq"],
         )
         self.records.append(rec)
         self.raw_reports.append(dict(report))
@@ -214,7 +212,7 @@ def residual_order(coarse: float, fine: float) -> float:
     return coarse / fine
 
 
-def kinetic_identity_check(recorder: TrajectoryRecorder, eps_density: float = 0.0) -> dict:
+def kinetic_identity_check(recorder: TrajectoryRecorder) -> dict:
     """Residual of the transported kinetic-energy identity over the window.
 
     Uses the stored right-hand-side contractions: the time integral of

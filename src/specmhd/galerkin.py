@@ -42,7 +42,7 @@ import numpy as np
 
 from specmhd import constitutive as cst
 from specmhd.errors import MassSolveError
-from specmhd.spectral import SYM_PAIRS, DivFreeSpectralBasis
+from specmhd.spectral import DivFreeSpectralBasis
 
 
 @dataclass
@@ -101,7 +101,6 @@ class Rates:
     da: np.ndarray
     db: np.ndarray
     dc: np.ndarray
-    clamp_count: int
 
     def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.drho, self.da, self.db, self.dc
@@ -175,6 +174,11 @@ class _StateFields:
         return self.basis.scalar_grid(self.st.b, self.n)
 
     @cached_property
+    def conv(self):
+        """Convective term (u . grad) u on the base grid."""
+        return np.einsum("mxyz,imxyz->ixyz", self.u, self.grad_u)
+
+    @cached_property
     def density_rate(self):
         """Spectral rate -div(rho u) + eps lap(rho), dealiased, mean zero."""
         flux = self.rho[None] * self.u
@@ -207,11 +211,12 @@ class _StateFields:
 
     @cached_property
     def strain_m(self):
-        """Rate of strain grad u + (grad u)^T on the oversampled grid."""
+        """Rate of strain grad u + (grad u)^T on the oversampled grid, in the
+        symmetric-tensor layout of :mod:`specmhd.constitutive`."""
         c = self._last_use("c_u_m", "u_m")
-        out = np.empty((3, 3) + (self.m,) * 3, dtype=float)
-        for i, j in SYM_PAIRS:
-            out[i, j] = out[j, i] = self.basis.spectral_to_grid(self.basis.strain(c, i, j))
+        out = np.empty((6,) + (self.m,) * 3, dtype=float)
+        for p, (i, j) in enumerate(cst.SYM_PAIRS):
+            out[p] = self.basis.spectral_to_grid(self.basis.strain(c, i, j))
         return out
 
     @cached_property
@@ -239,20 +244,18 @@ class _StateFields:
         return np.maximum(self.theta_m, self.ops.params.temperature_floor)
 
     @cached_property
-    def stress_m(self):
-        p = self.ops.params
-        return cst.stress_tensor(
-            p, self.rho_m, np.maximum(self.theta_m, 0.0), np.moveaxis(self.strain_m, (0, 1), (-2, -1))
-        )
+    def heat_m(self):
+        """Thermal energy Q(max(theta, 0)) on the oversampled grid."""
+        return cst.thermal_energy(self.ops.params, np.maximum(self.theta_m, 0.0))
 
     @cached_property
-    def stress_tensor_axes_first(self):
-        return np.moveaxis(self.stress_m, (-2, -1), (0, 1))
+    def stress_m(self):
+        return cst.stress_tensor(self.ops.params, self.rho_m, self.theta_m, self.strain_m)
 
     @cached_property
     def viscous_power_m(self):
         """Pointwise S : D on the oversampled grid."""
-        return np.sum(self.stress_tensor_axes_first * self.strain_m, axis=(0, 1))
+        return cst.contract(self.stress_m, self.strain_m)
 
     # ---- Galerkin right-hand sides read by both rates and energy_report
 
@@ -315,23 +318,19 @@ class GalerkinOperators:
 
     def momentum_rhs(self, f: _StateFields) -> np.ndarray:
         k_u = len(f.st.a)
-        conv = np.einsum("mxyz,imxyz->ixyz", f.u, f.grad_u)
-        integrand = -f.rho[None] * conv + np.cross(f.curl_H, f.H, axisa=0, axisb=0, axisc=0)
+        integrand = -f.rho[None] * f.conv + np.cross(f.curl_H, f.H, axisa=0, axisb=0, axisc=0)
         if self.eps_density:
             integrand = integrand + self.eps_density * np.einsum(
                 "mxyz,imxyz->ixyz", f.grad_rho, f.grad_u
             )
         entries = self.basis.gather_vector(self.basis.grid_to_spectral(integrand), k_u)
-        s = f.stress_tensor_axes_first
-        c_s = self.basis.grid_to_spectral(np.stack([s[i, m] for i, m in SYM_PAIRS]))
-        return entries - self.basis.gather_strain(c_s, k_u)
+        return entries - self.basis.gather_strain(self.basis.grid_to_spectral(f.stress_m), k_u)
 
     def thermal_rhs(self, f: _StateFields, density_coupling: bool = True) -> np.ndarray:
         p = self.params
         k_b = len(f.st.b)
-        heat = cst.thermal_energy(p, np.maximum(f.theta_m, 0.0))
-        flux = cst.heat_flux(p, f.rho_m, f.theta_floor_m, np.moveaxis(f.grad_theta_m, 0, -1))
-        transport = f.rho_m[None] * heat[None] * f.u_m - np.moveaxis(flux, -1, 0)
+        flux = cst.heat_flux(p, f.rho_m, f.theta_floor_m, f.grad_theta_m)
+        transport = f.rho_m[None] * f.heat_m[None] * f.u_m - flux
         source = (
             p.magnetic_diffusivity * np.sum(f.curl_H_m**2, axis=0) + f.viscous_power_m
         )
@@ -339,7 +338,7 @@ class GalerkinOperators:
             rho_t_m = self.basis.spectral_to_grid(
                 self.basis.resample_spectrum(f.density_rate, f.m)
             )
-            source = source - rho_t_m * heat
+            source = source - rho_t_m * f.heat_m
         entries = self.basis.gather_scalar_grad(self.basis.grid_to_spectral(transport), k_b)
         return entries + self.basis.gather_scalar(self.basis.grid_to_spectral(source), k_b)
 
@@ -352,13 +351,12 @@ class GalerkinOperators:
     def rates(self, f: _StateFields) -> Rates:
         da = self.solve_mass(self.velocity_mass(f), f.momentum_rhs)
         db = self.solve_mass(self.thermal_mass(f), self.thermal_rhs(f))
-        return Rates(f.density_rate, da, db, f.induction_rhs, f.clamp_count)
+        return Rates(f.density_rate, da, db, f.induction_rhs)
 
     def total_heat(self, f: _StateFields) -> float:
         """Quadrature of rho Q(theta), consistent with the thermal assembly."""
         w_m = self.basis.volume / f.m**3
-        q = cst.thermal_energy(self.params, np.maximum(f.theta_m, 0.0))
-        return w_m * float(np.sum(f.rho_m * q))
+        return w_m * float(np.sum(f.rho_m * f.heat_m))
 
     def solenoidal_residual(self, f: _StateFields) -> tuple[float, float]:
         """Largest spectral divergence amplitudes of velocity and magnetic field."""
@@ -448,8 +446,12 @@ class GalerkinOperators:
 
 # ----------------------------------------------------------- module-level API
 
+# The negative temperature power lambda of the a priori bound monitors
+# ``sup_theta_negpow`` and ``theta_sobolev_sq``.
+THETA_NEG_POWER = 0.5
 
-def energy_report(f: _StateFields, extras: bool = True, neg_power: float = 0.5) -> dict:
+
+def energy_report(f: _StateFields) -> dict:
     """Instantaneous energies, dissipations, monitors, and identity terms.
 
     All quadratures here are consistent with the right-hand-side assembly, so
@@ -480,18 +482,23 @@ def energy_report(f: _StateFields, extras: bool = True, neg_power: float = 0.5) 
 
     k2_a = b.vec_k2[: len(state.a)]
     grad_u_norm = float(np.sqrt(np.sum(state.a**2 * k2_a)))
-    strain_norm = float(np.sqrt(w_m * np.sum(f.strain_m**2)))
+    frob2_m = cst.frobenius_sq(f.strain_m)
+    strain_norm = float(np.sqrt(w_m * np.sum(frob2_m)))
     h_norm = float(np.sqrt(np.sum(state.c**2)))
     grad_h_norm = float(np.sqrt(np.sum(state.c**2 * k2_c)))
     div_u_max, div_h_max = ops.solenoidal_residual(f)
 
-    frob2_m = np.sum(f.strain_m**2, axis=(0, 1))
     power = 0.5 * (params.power_law_exponent - 2.0)
     d_visc_floor = params.viscosity_min * w_m * float(
         np.sum((params.stress_smoothing + frob2_m) ** power * frob2_m)
     )
 
-    report = {
+    theta_min = float(f.theta.min())
+    g = f.theta_floor_m ** (0.5 * (params.conductivity_exponent - THETA_NEG_POWER + 1.0))
+    c_g = b.grid_to_spectral(g)
+    grad_g2 = sum(b.sum_sq(b.grad(c_g, m)) for m in range(3))
+
+    return {
         "t": state.t,
         "E_kin": e_kin,
         "E_mag": e_mag,
@@ -501,7 +508,7 @@ def energy_report(f: _StateFields, extras: bool = True, neg_power: float = 0.5) 
         "heat_total": ops.total_heat(f),
         "rho_min": float(f.rho.min()),
         "rho_max": float(f.rho.max()),
-        "theta_min": float(f.theta.min()),
+        "theta_min": theta_min,
         "clamp_count": f.clamp_count,
         "div_u_max": div_u_max,
         "div_H_max": div_h_max,
@@ -514,25 +521,14 @@ def energy_report(f: _StateFields, extras: bool = True, neg_power: float = 0.5) 
         "identity_scale": identity_scale,
         "ddt_rho_kin": ddt_rho_kin,
         "adot_term": adot_term,
-        "conv_term": w_n
-        * float(np.sum(f.rho * np.einsum("ixyz,ixyz->xyz", np.einsum("mxyz,imxyz->ixyz", f.u, f.grad_u), f.u))),
+        "conv_term": w_n * float(np.sum(f.rho * np.einsum("ixyz,ixyz->xyz", f.conv, f.u))),
         "eps_lap_term": (
             -eps_density * w_n * float(np.sum(b.spectral_to_grid(ops._k2_n * state.rho) * u2))
             if eps_density
             else 0.0
         ),
+        "strain_lr_r": w_m * float(np.sum(frob2_m ** (params.power_law_exponent / 2.0))),
+        "sup_theta_negpow": float(theta_min ** (-THETA_NEG_POWER)) if theta_min > 0 else np.inf,
+        "rho_theta_l1": w_n * float(np.sum(np.abs(f.rho * f.theta))),
+        "theta_sobolev_sq": w_m * float(np.sum(g * g)) + b.volume * grad_g2,
     }
-    if extras:
-        p = params
-        lam = neg_power
-        r = p.power_law_exponent
-        report["strain_lr_r"] = w_m * float(np.sum(frob2_m ** (r / 2.0)))
-        theta_min = report["theta_min"]
-        report["sup_theta_negpow"] = float(theta_min ** (-lam)) if theta_min > 0 else np.inf
-        report["rho_theta_l1"] = w_n * float(np.sum(np.abs(f.rho * f.theta)))
-        expo = 0.5 * (p.conductivity_exponent - lam + 1.0)
-        g = f.theta_floor_m**expo
-        c_g = b.grid_to_spectral(g)
-        grad_g2 = sum(b.sum_sq(b.grad(c_g, m)) for m in range(3))
-        report["theta_sobolev_sq"] = w_m * float(np.sum(g * g)) + b.volume * grad_g2
-    return report

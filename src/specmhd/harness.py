@@ -39,7 +39,7 @@ EXIT_NUMERICAL = 3
 class RunReport:
     status: str
     exit_code: int
-    output_dir: Path | None
+    output_dir: Path
     summary: dict
     recorder: diag.TrajectoryRecorder | None = None
 
@@ -107,20 +107,16 @@ def run(
     seed: int | None = None,
     quiet: bool = False,
     store_history: bool = False,
-    write_outputs: bool = True,
 ) -> RunReport:
     """Execute one configured run and emit its artifact directory."""
     if seed is not None:
         cfg = replace(cfg, initial_params={**cfg.initial_params, "seed": int(seed)})
-    outdir = _resolve_output_dir(cfg, output_dir, "run") if write_outputs else None
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "config.cfg").write_text(serialize_config(cfg))
-        _write_stamp(outdir)
+    outdir = _resolve_output_dir(cfg, output_dir, "run")
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "config.cfg").write_text(serialize_config(cfg))
+    _write_stamp(outdir)
 
-    recorder = diag.TrajectoryRecorder(
-        cfg.constitutive, None, eps_density=cfg.density_regularization, store_history=store_history
-    )
+    recorder = diag.TrajectoryRecorder(cfg.constitutive, None, store_history=store_history)
     status = "completed"
     exit_code = EXIT_PASS
     error_msg = ""
@@ -144,7 +140,7 @@ def run(
             "clamp_total": traj.clamp_total,
             "monitors": traj.monitors,
         }
-        if outdir is not None and cfg.snapshots:
+        if cfg.snapshots:
             _final_snapshots(outdir, traj.final_state)
     except ConfigError as exc:
         status, exit_code, error_msg = "config_error", EXIT_CONFIG, str(exc)
@@ -191,9 +187,8 @@ def run(
         if rate is not None:
             summary["magnetic_decay_rate"] = rate
 
-    if outdir is not None:
-        _write_csv(outdir, recorder)
-        (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    _write_csv(outdir, recorder)
+    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     if not quiet:
         print(f"[{status}] {cfg.initial_family}: {len(recorder.records)} samples, {wall:.2f}s")
     return RunReport(status, exit_code, outdir, summary, recorder)
@@ -392,18 +387,18 @@ def _check_constitutive_inequalities(
     s = cst.stress_tensor(p, rho, theta, d)
     d2 = cst.frobenius_sq(d)
     factor = (p.stress_smoothing + d2) ** (0.5 * (p.power_law_exponent - 2.0))
-    coercive = np.all(np.sum(s * d, axis=(-2, -1)) >= p.viscosity_min * factor * d2 - 1e-12)
+    coercive = np.all(cst.contract(s, d) >= p.viscosity_min * factor * d2 - 1e-12)
     growth = np.all(np.sqrt(cst.frobenius_sq(s)) <= p.viscosity_max * factor * np.sqrt(d2) + 1e-12)
     _, _, b = cst.sample_admissible(p, 10_000, rng)
     sb = cst.stress_tensor(p, rho, theta, b)
-    monotone = np.all(np.sum((s - sb) * (d - b), axis=(-2, -1)) >= -1e-12)
-    grad = rng.normal(size=(10_000, 3))
+    monotone = np.all(cst.contract(s - sb, d - b) >= -1e-12)
+    grad = rng.normal(size=(10_000, 3)).T
     q = cst.heat_flux(p, rho, theta, grad)
-    g2 = np.sum(grad * grad, axis=-1)
+    g2 = np.sum(grad * grad, axis=0)
     talpha = theta**p.conductivity_exponent
-    flux_lower = np.all(np.sum(q * grad, axis=-1) >= p.conductivity_min * talpha * g2 - 1e-12)
+    flux_lower = np.all(np.sum(q * grad, axis=0) >= p.conductivity_min * talpha * g2 - 1e-12)
     flux_upper = np.all(
-        np.sqrt(np.sum(q * q, axis=-1)) <= p.conductivity_max * talpha * np.sqrt(g2) + 1e-12
+        np.sqrt(np.sum(q * q, axis=0)) <= p.conductivity_max * talpha * np.sqrt(g2) + 1e-12
     )
     holds = {
         "coercivity": coercive,
@@ -475,7 +470,7 @@ def _check_mass_matrices(fields=None) -> tuple[bool, str]:
 
 def _check_energy_identity(fields=None) -> tuple[bool, str]:
     f = fields if fields is not None else _check_fields(seed=4, amp=0.6, eps_density=1e-3)
-    rep = gal.energy_report(f, extras=False)
+    rep = gal.energy_report(f)
     defect, scale = rep["identity_defect"], rep["identity_scale"]
     return bool(defect < 1e-9 * scale), f"defect {defect:.2e} vs scale {scale:.2e}"
 
@@ -486,9 +481,8 @@ def _check_heat_balance(fields=None) -> tuple[bool, str]:
     nmat = ops.thermal_mass(f)
     db = ops.solve_mass(nmat, ops.thermal_rhs(f))
     w_m = basis.volume / f.m**3
-    heat = cst.thermal_energy(p, np.maximum(f.theta_m, 0.0))
     rho_t_m = basis.spectral_to_grid(basis.resample_spectrum(f.density_rate, f.m))
-    lhs = np.sqrt(basis.volume) * (nmat @ db)[0] + w_m * np.sum(rho_t_m * heat)
+    lhs = np.sqrt(basis.volume) * (nmat @ db)[0] + w_m * np.sum(rho_t_m * f.heat_m)
     src = p.magnetic_diffusivity * np.sum(f.curl_H_m**2, axis=0) + f.viscous_power_m
     rhs = w_m * np.sum(src)
     err = abs(lhs - rhs)
@@ -545,7 +539,7 @@ def _check_density_decay(eps_density: float = 5e-3) -> tuple[bool, str]:
     st = _decay_test_state(basis)
     st.c[:] = 0.0
     basis.set_amplitude(st.rho, (1, 0, 0), 0.1)
-    rec = diag.TrajectoryRecorder(p, basis, eps_density=eps_density)
+    rec = diag.TrajectoryRecorder(p, basis)
     summary = itg.integrate(
         p, basis, st, itg.StepConfig(dt=1e-3, t_end=0.1), observers=[rec], eps_density=eps_density
     )
@@ -566,7 +560,7 @@ def _check_energy_residual_order(
     p = cst.ConstitutiveParams()
     maxima = []
     for dt in (2e-3, 1e-3):
-        rec = diag.TrajectoryRecorder(p, state.basis, eps_density=eps_density)
+        rec = diag.TrajectoryRecorder(p, state.basis)
         step = itg.StepConfig(dt=dt, t_end=0.02)
         itg.integrate(p, state.basis, state, step, observers=[rec], eps_density=eps_density)
         maxima.append(diag.energy_balance(rec)["max_abs_residual"])

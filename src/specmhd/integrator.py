@@ -141,7 +141,7 @@ def _explicit_parts(ops: GalerkinOperators, state: SimState, full: Rates) -> Rat
     drho_ex = full.drho.copy()
     if ops.eps_density:
         drho_ex = drho_ex + ops.eps_density * ops._k2_n * state.rho
-    return Rates(drho_ex, full.da, full.db, dc_ex, full.clamp_count)
+    return Rates(drho_ex, full.da, full.db, dc_ex)
 
 
 def _step_imex_cn_ab2(
@@ -151,9 +151,7 @@ def _step_imex_cn_ab2(
     if prev is None:
         ex = cur
     else:
-        ex = Rates(
-            *(1.5 * x - 0.5 * y for x, y in zip(cur.parts(), prev.parts())), cur.clamp_count
-        )
+        ex = Rates(*(1.5 * x - 0.5 * y for x, y in zip(cur.parts(), prev.parts())))
     k2c = ops.magnetic_stiffness_diag[: len(state.c)]
     lam_c = 0.5 * dt * k2c
     c_new = ((1.0 - lam_c) * state.c + dt * ex.dc) / (1.0 + lam_c)

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from specmhd.constitutive import SYM_PAIRS, SYM_WEIGHTS
 from specmhd.errors import ResolutionError
 
 MODE_ORDERING_VERSION = "1"
@@ -45,10 +46,6 @@ FIELD_SCHEMA_VERSION = "field-v2"
 _PHASE_COS = 0
 _PHASE_SIN = 1
 _PHASE_CONST = 2
-
-# Independent components (i, m), i <= m, of a symmetric 3 x 3 tensor: the
-# leading axis of the stress spectra that ``gather_strain`` reads.
-SYM_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 def _canonical_wavevectors(cutoff: int) -> np.ndarray:
@@ -348,17 +345,18 @@ class DivFreeSpectralBasis:
     def gather_strain(self, c_sym: np.ndarray, count: int) -> np.ndarray:
         """Inner products (S, D(psi_j)) for a symmetric tensor spectrum.
 
-        ``c_sym`` holds the spectra of the six independent components of S in
-        the order of ``SYM_PAIRS``.  The strain of a mode is ``grad +
-        grad^T``, symmetric like S, so each off-diagonal pair counts twice.
+        ``c_sym`` stacks the spectra of the six components of S along its
+        leading axis, the symmetric-tensor layout of
+        :mod:`specmhd.constitutive`.  The strain of a mode is ``grad +
+        grad^T``, symmetric like S, so each component enters with its
+        ``SYM_WEIGHTS`` multiplicity.
         """
         g = c_sym.shape[-1]
         n, e, phase = self.vec_n[:count], self.vec_e[:count], self.vec_phase[:count]
         k = self.vec_k[:count]
         idx = self._flat_indices(n, g)
         dot = np.zeros(count, dtype=complex)
-        for p, (i, m) in enumerate(SYM_PAIRS):
-            weight = 1.0 if i == m else 2.0
+        for p, ((i, m), weight) in enumerate(zip(SYM_PAIRS, SYM_WEIGHTS)):
             dot += weight * (e[:, i] * k[:, m] + e[:, m] * k[:, i]) * c_sym[p].reshape(-1)[idx]
         s = np.sqrt(2.0 * self.volume)
         return s * self._phase_select(phase, np.imag(dot), np.real(dot))

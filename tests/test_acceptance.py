@@ -62,8 +62,8 @@ class _Timer:
         return False
 
 
-def _run_config(cfg):
-    rep = harness.run(cfg, quiet=True, write_outputs=False)
+def _run_config(cfg, outdir):
+    rep = harness.run(cfg, output_dir=str(outdir), quiet=True)
     assert rep.status == "completed", rep.summary
     return rep
 
@@ -86,7 +86,7 @@ def test_criterion_1_constitutive_inequality_suite():
         t.finish(detail)
 
 
-def test_criterion_2_discrete_energy_identity():
+def test_criterion_2_discrete_energy_identity(tmp_path):
     with _Timer("discrete energy identity", 120.0) as t:
         base = load_config(CONFIGS / "single_mode_mhd.cfg")
         details = []
@@ -98,7 +98,7 @@ def test_criterion_2_discrete_energy_identity():
                     density_regularization=eps,
                     step=dataclasses.replace(base.step, dt=dt),
                 )
-                rep = _run_config(cfg)
+                rep = _run_config(cfg, tmp_path / f"eps{eps}-dt{dt}")
                 _RUNS[f"single_mode_mhd eps={eps} dt={dt}"] = rep.recorder
                 maxima.append(diag.energy_balance(rep.recorder)["max_abs_residual"])
             ratio = diag.residual_order(maxima[0], maxima[1])
@@ -108,10 +108,10 @@ def test_criterion_2_discrete_energy_identity():
         t.finish("; ".join(details))
 
 
-def test_criterion_3_density_maximum_principle():
+def test_criterion_3_density_maximum_principle(tmp_path):
     with _Timer("density maximum principle", 60.0) as t:
         cfg = load_config(CONFIGS / "layered_density.cfg")
-        rep = _run_config(cfg)
+        rep = _run_config(cfg, tmp_path)
         _RUNS["layered_density"] = rep.recorder
         assert rep.summary["n_steps"] == 500
         drift = rep.summary["monitors"]["rho_drift_rate_max"]
@@ -119,10 +119,10 @@ def test_criterion_3_density_maximum_principle():
         t.finish(f"500 steps, min/max drift rate {drift:.3e} per unit time")
 
 
-def test_criterion_4_magnetic_decay_oracle():
+def test_criterion_4_magnetic_decay_oracle(tmp_path):
     with _Timer("magnetic decay oracle", 10.0) as t:
         cfg = load_config(CONFIGS / "magnetic_decay.cfg")
-        rep = _run_config(cfg)
+        rep = _run_config(cfg, tmp_path)
         _RUNS["magnetic_decay"] = rep.recorder
         rec = rep.recorder.records[-1]
         nu = cfg.constitutive.magnetic_diffusivity
@@ -190,9 +190,9 @@ def test_criterion_5_galerkin_operator_oracles():
         u_m = oracle_vector_field(basis, a, mesh_m)
         grad_u_m = oracle_vector_field_grad(basis, a, mesh_m)
         curl_h_m = oracle_vector_field_curl(basis, c, mesh_m)
-        strain_m = grad_u_m + np.swapaxes(grad_u_m, 0, 1)
-        stress_m = cst.stress_tensor(params, 1.0, 1.0, np.moveaxis(strain_m, (0, 1), (-2, -1)))
-        s_dot_d = np.sum(np.moveaxis(stress_m, (-2, -1), (0, 1)) * strain_m, axis=(0, 1))
+        strain_m = np.stack([grad_u_m[i, j] + grad_u_m[j, i] for i, j in cst.SYM_PAIRS])
+        stress_m = cst.stress_tensor(params, 1.0, 1.0, strain_m)
+        s_dot_d = cst.contract(stress_m, strain_m)
         source = nu * np.sum(curl_h_m**2, axis=0) + s_dot_d
         transport = 1.0 * 1.0 * u_m  # rho Q(theta) u with unit density and heat
         th = ops.thermal_rhs(ops.fields(state))
@@ -243,10 +243,10 @@ def test_criterion_8_limit_studies(tmp_path):
         )
 
 
-def test_criterion_9_magnetic_decay_bound():
+def test_criterion_9_magnetic_decay_bound(tmp_path):
     with _Timer("magnetic decay envelope", 120.0) as t:
         for name in ("orszag_tang", "random_band"):
-            rep = _run_config(load_config(CONFIGS / f"{name}.cfg"))
+            rep = _run_config(load_config(CONFIGS / f"{name}.cfg"), tmp_path / name)
             _RUNS[name] = rep.recorder
         assert _RUNS, "no cached runs"
         audited = 0

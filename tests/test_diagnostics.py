@@ -39,7 +39,7 @@ def plain_state(basis, theta0=1.0):
 
 def run(params, basis, state, dt, t_end, eps=0.0):
     cfg = itg.StepConfig(dt=dt, t_end=t_end)
-    rec = diag.TrajectoryRecorder(params, basis, eps_density=eps)
+    rec = diag.TrajectoryRecorder(params, basis)
     itg.integrate(params, basis, state, cfg, observers=[rec], eps_density=eps)
     return rec
 
@@ -137,7 +137,7 @@ class TestKineticIdentity:
         st = make_state(basis, rng, amp=0.4, rho_amp=0.2)
         eps = 1e-3
         rec = run(params, basis, st, dt=5e-4, t_end=0.01, eps=eps)
-        rep = diag.kinetic_identity_check(rec, eps_density=eps)
+        rep = diag.kinetic_identity_check(rec)
         assert abs(rep["residual"]) < 1e-7 * max(rep["scale"], 1e-9) + 1e-9
 
 

@@ -357,7 +357,7 @@ class TestEnergyIdentity:
         f = lorentz_flipped(ops.fields(st))
         ok, detail = harness.CHECKS["galerkin.energy_identity"](fields=f)
         assert not ok, detail
-        rep = gal.energy_report(f, extras=False)
+        rep = gal.energy_report(f)
         assert rep["identity_defect"] > 1e-6 * rep["identity_scale"]
 
     def test_report_monitors(self, basis, params):

@@ -77,6 +77,29 @@ class TestConfigLoading:
         ok, detail = harness.CHECKS["harness.config_round_trip"](cfg=cfg)
         assert ok, detail
 
+    def test_seeded_single_mode_round_trips(self):
+        # a run with --seed writes the seed into every family's config copy
+        cfg = load_config(CONFIGS / "single_mode_mhd.cfg")
+        cfg = dataclasses.replace(cfg, initial_params={**cfg.initial_params, "seed": 4})
+        ok, detail = harness.CHECKS["harness.config_round_trip"](cfg=cfg)
+        assert ok, detail
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("random_band", "velocity_amplitude", "velocty_amplitude"),
+            ("layered_density", "temperature_base", "density_axis"),
+        ],
+    )
+    def test_unknown_initial_key_rejected(self, tmp_path, name, old, new):
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        assert f"\n{old} =" in text
+        path = tmp_path / "typo.cfg"
+        path.write_text(text.replace(f"\n{old} =", f"\n{new} =", 1))
+        with pytest.raises(ConfigError, match=f"unknown key '{new}' in section \\[initial\\]"):
+            load_config(path)
+        assert cli.main(["run", "--config", str(path), "--quiet"]) == harness.EXIT_CONFIG
+
     def test_shipped_configs_load(self):
         for path in sorted(CONFIGS.glob("*.cfg")):
             load_config(path)

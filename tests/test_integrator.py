@@ -40,7 +40,7 @@ def plain_state(basis, theta0=1.0, rho0=1.0):
 
 def run(params, basis, state, dt, t_end, scheme="implicit-midpoint", eps=0.0, cadence=1):
     cfg = itg.StepConfig(dt=dt, t_end=t_end, scheme=scheme)
-    rec = diag.TrajectoryRecorder(params, basis, eps_density=eps)
+    rec = diag.TrajectoryRecorder(params, basis)
     summary = itg.integrate(params, basis, state, cfg, observers=[rec], eps_density=eps, cadence=cadence)
     return summary, rec
 

@@ -239,8 +239,8 @@ class TestHalfSpectrumLayout:
         p = cst.ConstitutiveParams(conductivity_exponent=1.0)
         st = make_state(basis, np.random.default_rng(24), theta_amp=0.5)
         f = gal.GalerkinOperators(p, basis).fields(st)
-        lam = 0.5
-        rep = gal.energy_report(f, neg_power=lam)
+        lam = gal.THETA_NEG_POWER
+        rep = gal.energy_report(f)
         # g = theta^e and grad g = e theta^(e-1) grad theta from the closed
         # trigonometric forms of the temperature modes on the oversampled grid
         mesh = oracle_mesh(L, f.m)
