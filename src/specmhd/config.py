@@ -39,7 +39,7 @@ import numpy as np
 from specmhd.constitutive import ConstitutiveParams, validate_params
 from specmhd.errors import ConfigError
 from specmhd.integrator import StepConfig
-from specmhd.spectral import _canonical_wavevectors
+from specmhd.spectral import available_modes
 
 CONFIG_SCHEMA_VERSION = "2"
 
@@ -138,15 +138,6 @@ def auto_density_regularization(box_size: float, grid_points: int) -> float:
     return 0.25 * (box_size / grid_points) ** 2
 
 
-def available_modes(box_size: float, grid_points: int) -> tuple[int, int]:
-    """(vector, scalar) mode counts under the dealiasing cutoff."""
-    cutoff = (grid_points - 1) // 3
-    if cutoff < 1:
-        return 0, 0
-    n_canon = len(_canonical_wavevectors(cutoff))
-    return 4 * n_canon, 2 * n_canon + 1
-
-
 def load_config(path: str | Path) -> RunConfig:
     """Parse and fully validate a configuration file."""
     path = Path(path)
@@ -186,8 +177,7 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
 
     cst_kwargs = read("constitutive", _CONSTITUTIVE_KEYS)
     params = ConstitutiveParams(**cst_kwargs)
-    rep = validate_params(params)
-    errors.extend(rep.violations)
+    errors.extend(validate_params(params))
 
     dom = read("domain", {"box_size": float, "grid_points": int})
     box_size = dom.get("box_size", 2.0 * np.pi)
@@ -220,7 +210,7 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
             eps = 0.0
     if eps < 0:
         errors.append(f"density_regularization must be nonnegative (got {eps})")
-    n_vec, n_scal = available_modes(box_size, grid_points)
+    n_vec, n_scal = available_modes(grid_points)
     for name, want, avail in (
         ("velocity_modes", velocity_modes, n_vec),
         ("magnetic_modes", magnetic_modes, n_vec),
@@ -285,6 +275,15 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
         for key, _ in parser.items("sweep"):
             if key not in ("kind", "values"):
                 errors.append(f"unknown key {key!r} in section [sweep]")
+        # each cell is a run with one [truncation] setting replaced
+        for v in sweep_values:
+            if sweep_kind == "modes" and not 1 <= v <= min(n_vec, n_scal - 1):
+                errors.append(
+                    f"sweep value {v}: a modes cell needs 1 <= {v} <= {n_vec} vector modes and "
+                    f"{v + 1} <= {n_scal} temperature modes at grid_points={grid_points}"
+                )
+            elif sweep_kind == "density_regularization" and v < 0:
+                errors.append(f"sweep value {v}: density_regularization must be nonnegative")
 
     cfg = RunConfig(
         constitutive=params,

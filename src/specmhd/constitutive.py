@@ -16,7 +16,7 @@ the two heat-flux bounds verifiable by random sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +58,9 @@ class ConstitutiveParams:
     specific_heat_form: str = "constant"
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_params(p: ConstitutiveParams) -> ValidationReport:
-    """Check every admissibility condition; report all violations by name."""
+def validate_params(p: ConstitutiveParams) -> list[str]:
+    """Check every admissibility condition; return all violations by name
+    (empty when admissible)."""
     bad: list[str] = []
     if not p.power_law_exponent > 2.0:
         bad.append(f"power_law_exponent must exceed 2 (got {p.power_law_exponent})")
@@ -102,7 +94,7 @@ def validate_params(p: ConstitutiveParams) -> ValidationReport:
         bad.append(
             f"unknown specific_heat_form {p.specific_heat_form!r}; options {SPECIFIC_HEAT_FORMS}"
         )
-    return ValidationReport(ok=not bad, violations=bad)
+    return bad
 
 
 def contract(s: np.ndarray, d: np.ndarray) -> np.ndarray:

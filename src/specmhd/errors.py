@@ -10,7 +10,7 @@ class ConfigError(ValueError):
     """
 
 
-class ResolutionError(ValueError):
+class ResolutionError(ConfigError):
     """Requested truncation level does not fit under the dealiasing cutoff."""
 
 

@@ -26,6 +26,11 @@ Conventions fixed here and relied on by the integrator and diagnostics:
 
       dc_j/dt = -nu |k_j|^2 c_j + (u x H, curl pi_j)
 
+Each mass matrix is the spectral Gram matrix of its weight
+(:meth:`DivFreeSpectralBasis.vector_gram` of rho,
+:meth:`DivFreeSpectralBasis.scalar_gram` of ``rho c(theta)``); only
+:mod:`specmhd.spectral` knows the mode tables behind them.
+
 Quadratic and cubic products of basis-band fields are integrated exactly on
 the base grid (the mode cutoff sits strictly inside the two-thirds rule);
 non-polynomial factors (power-law stress, temperature powers, specific heat)
@@ -71,8 +76,9 @@ class SimState:
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(x)) for x in self.parts())
 
-    def validate(self, params: cst.ConstitutiveParams, tol: float = 1e-10) -> list[str]:
+    def validate(self, params: cst.ConstitutiveParams) -> list[str]:
         """Return a list of violated state invariants (empty when valid)."""
+        tol = 1e-10  # slack on the grid density bounds
         problems = []
         if not self.is_finite():
             problems.append("non-finite state entries")
@@ -295,7 +301,8 @@ class GalerkinOperators:
 
     Pure given (params, state): safe to share across threads for independent
     states.  Every per-state method takes the state's :class:`_StateFields`
-    from :meth:`fields`.  The dense mass matrices are assembled per
+    from :meth:`fields`.  A mass matrix is the spectral Gram matrix of its
+    weight, the density or ``rho c(theta)``, assembled by the basis per
     wavevector pair and Cholesky-factorized on every call.  At 800 modes that
     is 69% of a random_band run's time (``galerkin.mass_share`` 0.69 in a
     traced run of the ``mass_k800`` benchmark workload, up from 0.61 once
@@ -326,7 +333,7 @@ class GalerkinOperators:
         entries = self.basis.gather_vector(self.basis.grid_to_spectral(integrand), k_u)
         return entries - self.basis.gather_strain(self.basis.grid_to_spectral(f.stress_m), k_u)
 
-    def thermal_rhs(self, f: _StateFields, density_coupling: bool = True) -> np.ndarray:
+    def thermal_rhs(self, f: _StateFields) -> np.ndarray:
         p = self.params
         k_b = len(f.st.b)
         flux = cst.heat_flux(p, f.rho_m, f.theta_floor_m, f.grad_theta_m)
@@ -334,11 +341,8 @@ class GalerkinOperators:
         source = (
             p.magnetic_diffusivity * np.sum(f.curl_H_m**2, axis=0) + f.viscous_power_m
         )
-        if density_coupling:
-            rho_t_m = self.basis.spectral_to_grid(
-                self.basis.resample_spectrum(f.density_rate, f.m)
-            )
-            source = source - rho_t_m * f.heat_m
+        rho_t_m = self.basis.spectral_to_grid(self.basis.resample_spectrum(f.density_rate, f.m))
+        source = source - rho_t_m * f.heat_m
         entries = self.basis.gather_scalar_grad(self.basis.grid_to_spectral(transport), k_b)
         return entries + self.basis.gather_scalar(self.basis.grid_to_spectral(source), k_b)
 
@@ -364,72 +368,21 @@ class GalerkinOperators:
 
     # -------------------------------------------------------- mass matrices
 
-    def _phase_blocks(self, c_w, group_n):
-        """Entries (w mode_i, mode_j) on the distinct wavevector pairs.
-
-        Products of two real trig modes reduce to weight amplitudes at the
-        difference and sum wavevectors, so the four phase combinations of one
-        pair of wavevectors share two lookups.  ``out[g, p, h, q]`` is the
-        entry for wavevectors ``group_n[g]``, ``group_n[h]`` and phases ``p``,
-        ``q`` (0 cos, 1 sin), before any polarization factor.
-        """
-        g = len(group_n)
-        # (3, g, g) component planes, passed as a (g*g, 3) view: each component
-        # stays contiguous for the index arithmetic
-        n_i, n_j = group_n.T[:, :, None], group_n.T[:, None, :]
-        cd = self.basis.gather_amplitudes(c_w, (n_i - n_j).reshape(3, -1).T).reshape(g, g)
-        cs = self.basis.gather_amplitudes(c_w, (n_i + n_j).reshape(3, -1).T).reshape(g, g)
-        out = np.empty((g, 2, g, 2))
-        out[:, 0, :, 0] = cd.real + cs.real
-        out[:, 1, :, 1] = cd.real - cs.real
-        out[:, 1, :, 0] = -cd.imag - cs.imag
-        out[:, 0, :, 1] = cd.imag - cs.imag
-        return out
-
     def velocity_mass(self, f: _StateFields) -> np.ndarray:
-        """Density-weighted Gram matrix (rho psi_i, psi_j); exact quadrature."""
-        k_u = len(f.st.a)
-        b = self.basis
-        # mode 4g + 2a + p has wavevector g, polarization vec_e[4g + 2a] and
-        # phase p: entry (4g + 2a + p, 4h + 2s + q) is the phase block
-        # (g, p, h, q) times the polarization product (g, a, h, s).  Sixteen
-        # strided g x g products run faster than one broadcast over length-2
-        # axes.
-        g = -(-k_u // 4)
-        blocks = self._phase_blocks(f.st.rho, b.vec_n[: 4 * g : 4])
-        e = b.vec_e[: 4 * g : 2]
-        pol = (e @ e.T).reshape(g, 2, g, 2)
-        mat = np.empty((g, 2, 2, g, 2, 2))
-        for a, p, s, q in np.ndindex(2, 2, 2, 2):
-            np.multiply(blocks[:, p, :, q], pol[:, a, :, s], out=mat[:, a, p, :, s, q])
-        mat = mat.reshape(4 * g, 4 * g)[:k_u, :k_u]
-        return 0.5 * (mat + mat.T)
+        """(rho psi_i, psi_j): the spectral Gram matrix of the density."""
+        return self.basis.vector_gram(f.st.rho, len(f.st.a))
 
     def thermal_mass(self, f: _StateFields) -> np.ndarray:
-        """(rho c(theta) omega_i, omega_j) with the constant mode included."""
+        """(rho c(theta) omega_i, omega_j): the spectral Gram matrix of
+        ``rho c(theta)`` on the oversampled grid."""
         p = self.params
-        k_b = len(f.st.b)
         b = self.basis
         if p.specific_heat_form == "constant":
             cbar = 0.5 * (p.specific_heat_min + p.specific_heat_max)
             c_w = cbar * b.resample_spectrum(f.st.rho, f.m)
         else:
-            w = f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0))
-            c_w = b.grid_to_spectral(w)
-        # mode 0 is the constant; mode 1 + 2g + phase has wavevector g
-        g = k_b // 2
-        blocks = self._phase_blocks(c_w, b.scal_n[1 : 1 + 2 * g : 2])
-        mat = np.empty((k_b, k_b))
-        mat[1:, 1:] = blocks.reshape(2 * g, 2 * g)[: k_b - 1, : k_b - 1]
-        # constant-mode row and column: omega_0 = 1/sqrt(V)
-        amps = b.gather_amplitudes(c_w, b.scal_n[:k_b])
-        row = np.where(
-            b.scal_phase[:k_b] == 0, np.sqrt(2.0) * amps.real, -np.sqrt(2.0) * amps.imag
-        )
-        row[0] = amps[0].real
-        mat[0, :] = row
-        mat[:, 0] = row
-        return 0.5 * (mat + mat.T)
+            c_w = b.grid_to_spectral(f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0)))
+        return b.scalar_gram(c_w, len(f.st.b))
 
     @staticmethod
     def solve_mass(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

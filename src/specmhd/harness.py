@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -233,17 +233,6 @@ class StudyReport:
     aborted_cells: list = field(default_factory=list)
     uniformity_flags: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "values": list(self.values),
-            "pairs": self.pairs,
-            "strictly_decreasing": self.strictly_decreasing,
-            "rates": self.rates,
-            "aborted_cells": self.aborted_cells,
-            "uniformity_flags": self.uniformity_flags,
-        }
-
 
 def convergence_study(cfg: RunConfig, output_dir: str | None = None, quiet: bool = False) -> StudyReport:
     """Refinement study over mode counts or the density regularization.
@@ -353,7 +342,7 @@ def convergence_study(cfg: RunConfig, output_dir: str | None = None, quiet: bool
         aborted_cells=aborted,
         uniformity_flags=uniformity,
     )
-    (outdir / "study.json").write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+    (outdir / "study.json").write_text(json.dumps(asdict(report), indent=2, sort_keys=True))
     if not quiet:
         print(f"[study] {cfg.sweep_kind}: decreasing={report.strictly_decreasing} pairs={len(pairs)}")
     return report

@@ -205,10 +205,7 @@ def integrate(
     increasing times.  They must be reentrant or externally serialized when
     trajectories run concurrently.
     """
-    rep = validate_params(params)
-    if not rep.ok:
-        raise ConfigError("\n".join(rep.violations))
-    bad = cfg.validate()
+    bad = validate_params(params) + cfg.validate()
     if bad:
         raise ConfigError("\n".join(bad))
     problems = state0.validate(params)

@@ -1,6 +1,8 @@
 """Periodic-box spectral spaces.
 
-Real trigonometric modes on ``[0, L)^3``:
+This module is the only one that knows the mode family: its ordering, the
+half-spectrum layout and the phase convention.  Real trigonometric modes on
+``[0, L)^3``:
 
 * vector modes: for each canonical wavevector ``k`` two polarization
   directions orthogonal to ``k``, each with a cosine and a sine phase, scaled
@@ -27,6 +29,17 @@ and resampling between grids is a pure pad/truncate.  All wavevectors live
 strictly inside the two-thirds dealiasing cutoff ``(N - 1) // 3``, which
 makes uniform-grid quadrature of products of up to three basis-band fields
 exact.
+
+The phase rule: ``cos(k.x)`` has amplitude ``1/2`` at ``k`` and ``sin(k.x)``
+has ``-i/2``, so the inner product of a field with a cosine mode reads the
+real part of the field's amplitude at ``k`` and with a sine mode minus its
+imaginary part.  A test function carrying a derivative has an extra factor
+``i k``, which swaps the two: cosine reads the imaginary part, sine the real
+part.  Synthesis (``_synth``) and projection (``_gather``) are the two
+kernels that apply it.  The two Gram matrices, ``vector_gram`` and
+``scalar_gram``, give ``(w phi_i, phi_j)`` for a weight ``w`` from its
+spectrum; with the density or ``rho c(theta)`` as the weight they are the
+Galerkin mass matrices.
 """
 
 from __future__ import annotations
@@ -64,6 +77,12 @@ def _canonical_wavevectors(cutoff: int) -> np.ndarray:
     return n[order]
 
 
+def available_modes(grid_points: int) -> tuple[int, int]:
+    """(vector, scalar) mode counts under the dealiasing cutoff."""
+    n_canon = len(_canonical_wavevectors((grid_points - 1) // 3))
+    return 4 * n_canon, 2 * n_canon + 1
+
+
 def _polarization_pair(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal pair spanning the plane orthogonal to n."""
     khat = n / np.linalg.norm(n)
@@ -99,8 +118,7 @@ class DivFreeSpectralBasis:
             )
         base = 2.0 * np.pi / self.box_size
 
-        canon = _canonical_wavevectors(self.cutoff)
-        n_vec_avail = 4 * len(canon)
+        n_vec_avail, _ = available_modes(grid_points)
         if k_modes > n_vec_avail:
             raise ResolutionError(
                 f"insufficient resolution: {k_modes} vector modes requested but "
@@ -113,6 +131,7 @@ class DivFreeSpectralBasis:
 
         # vector table: per canonical wavevector, (pol 0, cos), (pol 0, sin),
         # (pol 1, cos), (pol 1, sin)
+        canon = _canonical_wavevectors(self.cutoff)
         vec_n, vec_e, vec_phase = [], [], []
         for n in canon:
             e1, e2 = _polarization_pair(n.astype(float))
@@ -138,7 +157,6 @@ class DivFreeSpectralBasis:
         self.scal_n = np.array(scal_n, dtype=int)
         self.scal_phase = np.array(scal_phase, dtype=np.uint8)
         self.scal_k = base * self.scal_n.astype(float)
-        self.scal_k2 = np.sum(self.scal_k * self.scal_k, axis=1)
 
         self.n_vector_modes = len(self.vec_n)
         self.n_scalar_modes = len(self.scal_n)
@@ -274,43 +292,40 @@ class DivFreeSpectralBasis:
                 f"insufficient resolution: {m} {kind} modes requested, {avail} available"
             )
 
-    def synth_vector(self, coeffs: np.ndarray, grid: int | None = None) -> np.ndarray:
-        """Spectrum (3, G // 2 + 1, G, G) of ``sum_j coeffs[j] psi_j``."""
-        g = grid or self.grid_points
-        m = len(coeffs)
-        self._check_counts(m, scalar=False)
-        n, e, phase = self.vec_n[:m], self.vec_e[:m], self.vec_phase[:m]
+    def _synth(self, n, phase, coeffs, weights, out: np.ndarray) -> np.ndarray:
+        """Add ``sum_j coeffs[j]`` times the mode at ``n[j]`` with ``phase[j]``
+        and component weights ``weights[j, p]`` to the spectrum ``out``: its
+        amplitude at ``+n[j]``, plus the conjugate partner at ``-n[j]``, which
+        the half layout stores only in the plane nx = 0."""
         scale = 1.0 / np.sqrt(2.0 * self.volume)
         amp = coeffs * scale * np.where(phase == _PHASE_COS, 1.0 + 0.0j, -1.0j)
-        # the conjugate partner at -n is stored only in the plane nx = 0
+        g = out.shape[-1]
         plane = n[:, 0] == 0
         idx_pos = self._flat_indices(n, g)
         idx_neg = self._flat_indices(-n[plane], g)
-        c = self.zero_spectrum((3,), g)
-        for comp in range(3):
-            flat = c[comp].reshape(-1)
-            np.add.at(flat, idx_pos, amp * e[:, comp])
-            np.add.at(flat, idx_neg, np.conj(amp[plane]) * e[plane, comp])
-        return c
+        for p in range(weights.shape[1]):
+            flat = out[p].reshape(-1)
+            amp_p = amp * weights[:, p]
+            np.add.at(flat, idx_pos, amp_p)
+            np.add.at(flat, idx_neg, np.conj(amp_p[plane]))
+        return out
+
+    def synth_vector(self, coeffs: np.ndarray, grid: int | None = None) -> np.ndarray:
+        """Spectrum (3, G // 2 + 1, G, G) of ``sum_j coeffs[j] psi_j``."""
+        m = len(coeffs)
+        self._check_counts(m, scalar=False)
+        out = self.zero_spectrum((3,), grid or self.grid_points)
+        return self._synth(self.vec_n[:m], self.vec_phase[:m], coeffs, self.vec_e[:m], out)
 
     def synth_scalar(self, coeffs: np.ndarray, grid: int | None = None) -> np.ndarray:
         """Spectrum (G // 2 + 1, G, G) of ``sum_j coeffs[j] omega_j``."""
-        g = grid or self.grid_points
         m = len(coeffs)
         self._check_counts(m, scalar=True)
-        n, phase = self.scal_n[:m], self.scal_phase[:m]
-        c = self.zero_spectrum((), g)
-        flat = c.reshape(-1)
-        const = phase == _PHASE_CONST
-        if np.any(const):
-            c[0, 0, 0] += np.sum(coeffs[const]) / np.sqrt(self.volume)
-        trig = ~const
-        if np.any(trig):
-            scale = 1.0 / np.sqrt(2.0 * self.volume)
-            amp = np.where(phase[trig] == _PHASE_COS, 1.0, -1j) * coeffs[trig] * scale
-            plane = n[trig, 0] == 0
-            np.add.at(flat, self._flat_indices(n[trig], g), amp)
-            np.add.at(flat, self._flat_indices(-n[trig][plane], g), np.conj(amp[plane]))
+        c = self.zero_spectrum((), grid or self.grid_points)
+        # mode 0 is the constant
+        c[0, 0, 0] = np.sum(coeffs[:1]) / np.sqrt(self.volume)
+        trig = coeffs[1:]
+        self._synth(self.scal_n[1:m], self.scal_phase[1:m], trig, np.ones((len(trig), 1)), c[None])
         return c
 
     def vector_grid(self, coeffs: np.ndarray, grid: int | None = None) -> np.ndarray:
@@ -321,26 +336,29 @@ class DivFreeSpectralBasis:
 
     # --------------------------------------------------------------- gathers
 
-    def _phase_select(self, phase, cos_vals, sin_vals):
-        return np.where(phase == _PHASE_COS, cos_vals, sin_vals)
+    @staticmethod
+    def _by_phase(phase: np.ndarray, dot: np.ndarray, derivative: bool = False) -> np.ndarray:
+        """The phase rule of the module docstring, unscaled."""
+        if derivative:
+            return np.where(phase == _PHASE_COS, dot.imag, dot.real)
+        return np.where(phase == _PHASE_COS, dot.real, -dot.imag)
+
+    def _gather(self, c, n, phase, weights, derivative: bool) -> np.ndarray:
+        """Inner products of the field with spectrum ``c`` and the test
+        functions whose amplitude at ``n[j]`` is ``weights[j, p]`` in
+        component ``p`` times the mode's own; ``derivative`` marks test
+        functions with an ``i k`` factor."""
+        idx = self._flat_indices(n, c.shape[-1])
+        dot = sum(weights[:, p] * c[p].reshape(-1)[idx] for p in range(weights.shape[1]))
+        return np.sqrt(2.0 * self.volume) * self._by_phase(phase, dot, derivative)
 
     def gather_vector(self, c: np.ndarray, count: int) -> np.ndarray:
         """Inner products (f, psi_j) for j < count from a vector spectrum."""
-        g = c.shape[-1]
-        n, e, phase = self.vec_n[:count], self.vec_e[:count], self.vec_phase[:count]
-        idx = self._flat_indices(n, g)
-        dot = sum(e[:, comp] * c[comp].reshape(-1)[idx] for comp in range(3))
-        s = np.sqrt(2.0 * self.volume)
-        return s * self._phase_select(phase, np.real(dot), -np.imag(dot))
+        return self._gather(c, self.vec_n[:count], self.vec_phase[:count], self.vec_e[:count], False)
 
     def gather_vector_curl(self, c: np.ndarray, count: int) -> np.ndarray:
         """Inner products (f, curl psi_j) for j < count."""
-        g = c.shape[-1]
-        n, ce, phase = self.vec_n[:count], self.vec_curl_e[:count], self.vec_phase[:count]
-        idx = self._flat_indices(n, g)
-        dot = sum(ce[:, comp] * c[comp].reshape(-1)[idx] for comp in range(3))
-        s = np.sqrt(2.0 * self.volume)
-        return s * self._phase_select(phase, np.imag(dot), np.real(dot))
+        return self._gather(c, self.vec_n[:count], self.vec_phase[:count], self.vec_curl_e[:count], True)
 
     def gather_strain(self, c_sym: np.ndarray, count: int) -> np.ndarray:
         """Inner products (S, D(psi_j)) for a symmetric tensor spectrum.
@@ -351,37 +369,24 @@ class DivFreeSpectralBasis:
         grad^T``, symmetric like S, so each component enters with its
         ``SYM_WEIGHTS`` multiplicity.
         """
-        g = c_sym.shape[-1]
-        n, e, phase = self.vec_n[:count], self.vec_e[:count], self.vec_phase[:count]
-        k = self.vec_k[:count]
-        idx = self._flat_indices(n, g)
-        dot = np.zeros(count, dtype=complex)
-        for p, ((i, m), weight) in enumerate(zip(SYM_PAIRS, SYM_WEIGHTS)):
-            dot += weight * (e[:, i] * k[:, m] + e[:, m] * k[:, i]) * c_sym[p].reshape(-1)[idx]
-        s = np.sqrt(2.0 * self.volume)
-        return s * self._phase_select(phase, np.imag(dot), np.real(dot))
+        e, k = self.vec_e[:count], self.vec_k[:count]
+        weights = np.stack(
+            [wt * (e[:, i] * k[:, m] + e[:, m] * k[:, i]) for (i, m), wt in zip(SYM_PAIRS, SYM_WEIGHTS)],
+            axis=1,
+        )
+        return self._gather(c_sym, self.vec_n[:count], self.vec_phase[:count], weights, True)
 
     def gather_scalar(self, c: np.ndarray, count: int) -> np.ndarray:
         """Inner products (f, omega_j) for j < count from a scalar spectrum."""
-        g = c.shape[-1]
-        n, phase = self.scal_n[:count], self.scal_phase[:count]
-        idx = self._flat_indices(n, g)
-        vals = c.reshape(-1)[idx]
-        s = np.sqrt(2.0 * self.volume)
-        out = s * self._phase_select(phase, np.real(vals), -np.imag(vals))
-        const = phase == _PHASE_CONST
-        out[const] = np.sqrt(self.volume) * np.real(vals[const])
+        phase = self.scal_phase[:count]
+        out = self._gather(c[None], self.scal_n[:count], phase, np.ones((count, 1)), False)
+        out[phase == _PHASE_CONST] = np.sqrt(self.volume) * c[0, 0, 0].real
         return out
 
     def gather_scalar_grad(self, c_vec: np.ndarray, count: int) -> np.ndarray:
         """Inner products (g, grad omega_j) for a vector spectrum g."""
-        g = c_vec.shape[-1]
-        n, phase = self.scal_n[:count], self.scal_phase[:count]
-        k = self.scal_k[:count]
-        idx = self._flat_indices(n, g)
-        dot = sum(k[:, comp] * c_vec[comp].reshape(-1)[idx] for comp in range(3))
-        s = np.sqrt(2.0 * self.volume)
-        out = s * self._phase_select(phase, np.imag(dot), np.real(dot))
+        phase = self.scal_phase[:count]
+        out = self._gather(c_vec, self.scal_n[:count], phase, self.scal_k[:count], True)
         out[phase == _PHASE_CONST] = 0.0
         return out
 
@@ -406,6 +411,64 @@ class DivFreeSpectralBasis:
         full = self._flat_indices(nvecs, c.shape[-1])
         vals = c.reshape(-1)[index[full]]
         return np.where(flip[full], np.conj(vals), vals)
+
+    # --------------------------------------------------------- Gram matrices
+
+    def _phase_blocks(self, c_w, group_n):
+        """Entries (w mode_i, mode_j) on the distinct wavevector pairs.
+
+        Products of two real trig modes reduce to weight amplitudes at the
+        difference and sum wavevectors, so the four phase combinations of one
+        pair of wavevectors share two lookups.  ``out[g, p, h, q]`` is the
+        entry for wavevectors ``group_n[g]``, ``group_n[h]`` and phases ``p``,
+        ``q`` (0 cos, 1 sin), before any polarization factor.
+        """
+        g = len(group_n)
+        # (3, g, g) component planes, passed as a (g*g, 3) view: each component
+        # stays contiguous for the index arithmetic
+        n_i, n_j = group_n.T[:, :, None], group_n.T[:, None, :]
+        cd = self.gather_amplitudes(c_w, (n_i - n_j).reshape(3, -1).T).reshape(g, g)
+        cs = self.gather_amplitudes(c_w, (n_i + n_j).reshape(3, -1).T).reshape(g, g)
+        out = np.empty((g, 2, g, 2))
+        out[:, 0, :, 0] = cd.real + cs.real
+        out[:, 1, :, 1] = cd.real - cs.real
+        out[:, 1, :, 0] = -cd.imag - cs.imag
+        out[:, 0, :, 1] = cd.imag - cs.imag
+        return out
+
+    def vector_gram(self, c_w: np.ndarray, count: int) -> np.ndarray:
+        """Gram matrix (w psi_i, psi_j), i, j < count, of the weight with
+        spectrum ``c_w`` on the base grid; exact quadrature."""
+        # mode 4g + 2a + p has wavevector g, polarization vec_e[4g + 2a] and
+        # phase p: entry (4g + 2a + p, 4h + 2s + q) is the phase block
+        # (g, p, h, q) times the polarization product (g, a, h, s).  Sixteen
+        # strided g x g products run faster than one broadcast over length-2
+        # axes.
+        g = -(-count // 4)
+        blocks = self._phase_blocks(c_w, self.vec_n[: 4 * g : 4])
+        e = self.vec_e[: 4 * g : 2]
+        pol = (e @ e.T).reshape(g, 2, g, 2)
+        mat = np.empty((g, 2, 2, g, 2, 2))
+        for a, p, s, q in np.ndindex(2, 2, 2, 2):
+            np.multiply(blocks[:, p, :, q], pol[:, a, :, s], out=mat[:, a, p, :, s, q])
+        mat = mat.reshape(4 * g, 4 * g)[:count, :count]
+        return 0.5 * (mat + mat.T)
+
+    def scalar_gram(self, c_w: np.ndarray, count: int) -> np.ndarray:
+        """Gram matrix (w omega_i, omega_j), i, j < count, constant mode
+        included, of the weight with spectrum ``c_w``."""
+        # mode 0 is the constant; mode 1 + 2g + phase has wavevector g
+        g = count // 2
+        blocks = self._phase_blocks(c_w, self.scal_n[1 : 1 + 2 * g : 2])
+        mat = np.empty((count, count))
+        mat[1:, 1:] = blocks.reshape(2 * g, 2 * g)[: count - 1, : count - 1]
+        # constant-mode row and column: omega_0 = 1/sqrt(V)
+        amps = self.gather_amplitudes(c_w, self.scal_n[:count])
+        row = np.sqrt(2.0) * self._by_phase(self.scal_phase[:count], amps)
+        row[0] = amps[0].real
+        mat[0, :] = row
+        mat[:, 0] = row
+        return 0.5 * (mat + mat.T)
 
     # ------------------------------------------------------------ projection
 

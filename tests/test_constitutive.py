@@ -13,28 +13,26 @@ def make_params(**kw):
 
 class TestValidation:
     def test_admissible_region_passes(self):
-        rep = cst.validate_params(make_params(power_law_exponent=2.5, conductivity_exponent=0.0))
-        assert rep.ok and rep.violations == []
+        assert cst.validate_params(make_params(power_law_exponent=2.5, conductivity_exponent=0.0)) == []
 
     def test_alpha_boundary_fails(self):
-        rep = cst.validate_params(make_params(conductivity_exponent=-2.0 / 3.0))
-        assert not rep.ok
-        assert any("conductivity_exponent" in v for v in rep.violations)
+        bad = cst.validate_params(make_params(conductivity_exponent=-2.0 / 3.0))
+        assert bad
+        assert any("conductivity_exponent" in v for v in bad)
 
     def test_r_boundary_fails(self):
-        rep = cst.validate_params(make_params(power_law_exponent=2.0))
-        assert not rep.ok
-        assert any("power_law_exponent" in v for v in rep.violations)
+        bad = cst.validate_params(make_params(power_law_exponent=2.0))
+        assert bad
+        assert any("power_law_exponent" in v for v in bad)
 
     def test_all_violations_reported(self):
-        rep = cst.validate_params(
+        bad = cst.validate_params(
             make_params(power_law_exponent=1.0, magnetic_diffusivity=-1.0, temperature_floor=0.0)
         )
-        assert len(rep.violations) >= 3
+        assert len(bad) >= 3
 
     def test_bound_ordering(self):
-        rep = cst.validate_params(make_params(viscosity_min=2.0, viscosity_max=1.0))
-        assert not rep.ok
+        assert cst.validate_params(make_params(viscosity_min=2.0, viscosity_max=1.0))
 
 
 class TestStress:

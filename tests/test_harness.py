@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,30 @@ class TestSweeps:
             assert pair["u_diff"] < 1e-15
             assert pair["rho_diff"] < 1e-15
         assert (tmp_path / "study" / "study.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, values, bad",
+        [
+            ("sweep_modes", "8,16,5000", "5000"),  # more vector modes than fit
+            ("sweep_modes", "8,16,600", "600"),  # the cell's 601 temperature modes do not fit
+            ("sweep_eps", "4e-3,2e-3,-1.0", "-1.0"),  # anti-diffusive density transport
+        ],
+    )
+    def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, name, values, bad):
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        text = re.sub(r"\nt_end = .*", "\nt_end = 0.002", text)
+        path = tmp_path / "bad.cfg"
+        path.write_text(re.sub(r"\nvalues = .*", f"\nvalues = {values}", text))
+        assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "out"), "--quiet"]) == (
+            harness.EXIT_CONFIG
+        )
+        assert f"sweep value {bad}:" in capsys.readouterr().err
+
+    def test_unresolvable_truncation_returns_config_exit(self, tmp_path):
+        cfg = RunConfig(velocity_modes=5000, magnetic_modes=5000)
+        rep = harness.run(cfg, output_dir=str(tmp_path / "run"), quiet=True)
+        assert rep.exit_code == harness.EXIT_CONFIG
+        assert "5000 vector modes" in rep.summary["error"]
 
     def test_density_difference_is_grid_l2_norm(self):
         basis = sp.build_basis(2.0 * np.pi, 12, 20)

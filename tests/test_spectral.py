@@ -13,10 +13,15 @@ from specmhd.errors import ResolutionError
 
 from helpers import (
     make_state,
+    oracle_dense_grid,
     oracle_mesh,
     oracle_scalar_mode,
     oracle_scalar_mode_grad,
     oracle_vector_field,
+    oracle_vector_mode,
+    oracle_vector_mode_curl,
+    oracle_vector_mode_grad,
+    riemann,
 )
 
 L = 2.0 * np.pi
@@ -252,6 +257,75 @@ class TestHalfSpectrumLayout:
         grad_g = expo * theta ** (expo - 1.0) * grad_theta
         want = basis.volume / f.m**3 * float(np.sum(g * g + np.sum(grad_g**2, axis=0)))
         assert rep["theta_sobolev_sq"] == pytest.approx(want, rel=1e-12)
+
+
+def _full_tensor(sym):
+    """(3, 3, ...) tensor from its six components in ``SYM_PAIRS`` order."""
+    full = np.empty((3, 3) + sym.shape[1:])
+    for p, (i, m) in enumerate(cst.SYM_PAIRS):
+        full[i, m] = full[m, i] = sym[p]
+    return full
+
+
+# per gather: the components of its field, and the closed-form test function
+# of mode j as a (components, G, G, G) array
+_GATHER_ORACLES = {
+    "gather_vector": (3, oracle_vector_mode),
+    "gather_vector_curl": (3, oracle_vector_mode_curl),
+    "gather_strain": (6, oracle_vector_mode_grad),
+    "gather_scalar": (1, lambda b, j, mesh: oracle_scalar_mode(b, j, mesh)[None]),
+    "gather_scalar_grad": (3, oracle_scalar_mode_grad),
+}
+
+
+@pytest.mark.parametrize("gather", _GATHER_ORACLES)
+def test_gathers_vs_dense_quadrature(basis, gather):
+    """Each projection against Riemann sums of the closed-form modes on a
+    dense grid, for a random band-limited field that is neither solenoidal
+    nor symmetric under any of the mode family's conventions."""
+    ncomp, test_function = _GATHER_ORACLES[gather]
+    scalar = gather.startswith("gather_scalar")
+    count = 61 if scalar else 60
+    coeffs = np.random.default_rng(31).normal(size=(ncomp, 121))
+
+    def field(grid):
+        mesh = oracle_mesh(L, grid)
+        modes = np.array([oracle_scalar_mode(basis, j, mesh) for j in range(coeffs.shape[1])])
+        return np.einsum("pj,jxyz->pxyz", coeffs, modes)
+
+    c = basis.grid_to_spectral(field(basis.grid_points))
+    got = getattr(basis, gather)(c[0] if ncomp == 1 else c, count)
+    mesh = oracle_mesh(L, oracle_dense_grid(basis))
+    f = field(mesh[0].shape[0])
+    if gather == "gather_strain":
+        # (S, D(psi_j)) with D = grad + grad^T, contracted over all nine entries
+        f = _full_tensor(f)
+        want = [
+            riemann(L, np.sum(f * (t + t.swapaxes(0, 1)), axis=(0, 1)))
+            for t in (test_function(basis, j, mesh) for j in range(count))
+        ]
+    else:
+        want = [riemann(L, np.sum(f * test_function(basis, j, mesh), axis=0)) for j in range(count)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_mode_family_only_in_spectral():
+    """One home for the mode family: no other module reads the mode tables
+    (``vec_k2`` aside), looks up raw amplitudes in the half layout, or
+    enumerates the wavevectors."""
+    src = Path(sp.__file__).parent
+    pattern = re.compile(
+        r"\b(vec_n|vec_e|vec_phase|vec_curl_e|scal_n|scal_phase|scal_k|gather_amplitudes"
+        r"|_canonical_wavevectors)\b"
+    )
+    found = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "spectral.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not found, f"mode family used outside spectral.py: {found}"
 
 
 def test_transforms_only_in_spectral():
