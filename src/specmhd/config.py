@@ -23,15 +23,23 @@ Sections and keys mirror the solver blocks:
 ``[sweep]`` (optional)
     kind (modes | density_regularization), values (comma separated)
 
-Loading fills defaults, validates every admissibility condition, and reports
-all violations at once.  ``serialize_config`` emits canonical text whose
-reload compares equal, which is what the round-trip contract requires.
+Loading fills every missing key from the defaults of ``RunConfig`` and the
+dataclasses it holds (except that ``temperature_modes`` defaults to
+``velocity_modes + 1`` and ``magnetic_modes`` to ``velocity_modes``), and
+``validate_config`` reports every violated admissibility condition at once.
+It is the one validator: every loaded file, every ``RunConfig`` built in code
+that reaches :func:`specmhd.harness.run`, and every sweep cell goes through
+it.  The rule for which mode counts a grid resolves lives in
+:func:`specmhd.spectral.resolution_problems`.  ``serialize_config`` emits
+canonical text whose reload compares equal, which is what the round-trip
+contract requires.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +47,7 @@ import numpy as np
 from specmhd.constitutive import ConstitutiveParams, validate_params
 from specmhd.errors import ConfigError
 from specmhd.integrator import StepConfig
-from specmhd.spectral import available_modes
+from specmhd.spectral import dealias_cutoff, resolution_problems
 
 CONFIG_SCHEMA_VERSION = "2"
 
@@ -81,33 +89,15 @@ class RunConfig:
     sweep_values: tuple = ()
 
 
-_CONSTITUTIVE_KEYS = {
-    "power_law_exponent": float,
-    "conductivity_exponent": float,
-    "stress_smoothing": float,
-    "magnetic_diffusivity": float,
-    "viscosity_min": float,
-    "viscosity_max": float,
-    "conductivity_min": float,
-    "conductivity_max": float,
-    "specific_heat_min": float,
-    "specific_heat_max": float,
-    "density_min": float,
-    "density_max": float,
-    "temperature_floor": float,
-    "viscosity_form": str,
-    "conductivity_form": str,
-    "specific_heat_form": str,
-}
+def _section_keys(cls) -> dict:
+    """The keys of a config section held by a dataclass: its fields, each
+    parsed as the type of its default."""
+    return {f.name: type(f.default) for f in fields(cls)}
 
-_STEP_KEYS = {
-    "dt": float,
-    "t_end": float,
-    "scheme": str,
-    "solver_tolerance": float,
-    "max_nonlinear_iterations": int,
-    "theta_clamp": str,
-}
+
+_CONSTITUTIVE_KEYS = _section_keys(ConstitutiveParams)
+_STEP_KEYS = _section_keys(StepConfig)
+_SECTIONS = ("constitutive", "domain", "truncation", "step", "initial", "output", "sweep")
 
 
 def _parse_scalar(text: str):
@@ -143,22 +133,29 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    return _load_text(path.read_text(), str(path))
+
+
+def load_config_text(text: str) -> RunConfig:
+    return _load_text(text, "config text")
+
+
+def _load_text(text: str, origin: str) -> RunConfig:
     parser = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None
     )
     try:
-        parser.read_string(path.read_text())
+        parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"parse error in {path}: {exc}") from exc
+        raise ConfigError(f"parse error in {origin}: {exc}") from exc
     return config_from_parser(parser)
 
 
 def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
-    errors: list[str] = []
-    known_sections = {"constitutive", "domain", "truncation", "step", "initial", "output", "sweep"}
-    for sec in parser.sections():
-        if sec not in known_sections:
-            errors.append(f"unknown section [{sec}]")
+    """Read each section into a RunConfig and validate it; raise one
+    ConfigError naming every unparsable value and violated condition."""
+    errors = [f"unknown section [{sec}]" for sec in parser.sections() if sec not in _SECTIONS]
+    default = RunConfig()
 
     def read(section: str, keys: dict) -> dict:
         out = {}
@@ -169,66 +166,37 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
                 errors.append(f"unknown key {key!r} in section [{section}]")
                 continue
             typ = keys[key]
+            raw = raw.strip()
             try:
-                out[key] = typ(raw) if typ is not str else raw.strip()
+                if typ is bool and raw.lower() not in ("true", "false"):
+                    raise ValueError(raw)
+                out[key] = raw.lower() == "true" if typ is bool else typ(raw)
             except ValueError:
                 errors.append(f"key {key!r} in [{section}]: cannot parse {raw!r} as {typ.__name__}")
         return out
 
-    cst_kwargs = read("constitutive", _CONSTITUTIVE_KEYS)
-    params = ConstitutiveParams(**cst_kwargs)
-    errors.extend(validate_params(params))
-
     dom = read("domain", {"box_size": float, "grid_points": int})
-    box_size = dom.get("box_size", 2.0 * np.pi)
-    grid_points = dom.get("grid_points", 16)
-    if grid_points < 4 or grid_points % 2 != 0:
-        errors.append(f"grid_points must be an even integer >= 4 (got {grid_points})")
-    if box_size <= 0:
-        errors.append(f"box_size must be positive (got {box_size})")
+    box_size = dom.get("box_size", default.box_size)
+    grid_points = dom.get("grid_points", default.grid_points)
 
     tr = read(
         "truncation",
-        {
-            "velocity_modes": int,
-            "temperature_modes": int,
-            "magnetic_modes": int,
-            "density_regularization": str,
-        },
+        {"velocity_modes": int, "temperature_modes": int, "magnetic_modes": int,
+         "density_regularization": str},
     )
-    velocity_modes = tr.get("velocity_modes", 12)
-    temperature_modes = tr.get("temperature_modes", velocity_modes + 1)
-    magnetic_modes = tr.get("magnetic_modes", velocity_modes)
-    eps_raw = tr.get("density_regularization", "0.0")
+    velocity_modes = tr.get("velocity_modes", default.velocity_modes)
+    eps = default.density_regularization
+    eps_raw = tr.get("density_regularization")
     if eps_raw == "auto":
-        eps = auto_density_regularization(box_size, grid_points)
-    else:
+        if grid_points > 0:  # any other grid is reported by validate_config
+            eps = auto_density_regularization(box_size, grid_points)
+    elif eps_raw is not None:
         try:
             eps = float(eps_raw)
         except ValueError:
             errors.append(f"density_regularization must be a number or 'auto' (got {eps_raw!r})")
-            eps = 0.0
-    if eps < 0:
-        errors.append(f"density_regularization must be nonnegative (got {eps})")
-    n_vec, n_scal = available_modes(grid_points)
-    for name, want, avail in (
-        ("velocity_modes", velocity_modes, n_vec),
-        ("magnetic_modes", magnetic_modes, n_vec),
-        ("temperature_modes", temperature_modes, n_scal),
-    ):
-        if want < 1:
-            errors.append(f"{name} must be at least 1 (got {want})")
-        elif want > avail:
-            errors.append(
-                f"insufficient resolution: {name}={want} but only {avail} modes fit "
-                f"under the dealiasing cutoff at grid_points={grid_points}"
-            )
 
-    step_kwargs = read("step", _STEP_KEYS)
-    step = StepConfig(**step_kwargs)
-    errors.extend(step.validate())
-
-    initial_family = "single_mode"
+    initial_family = default.initial_family
     initial_params: dict = {}
     if parser.has_section("initial"):
         for key, raw in parser.items("initial"):
@@ -236,83 +204,103 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
                 initial_family = raw.strip()
             else:
                 initial_params[key] = _parse_scalar(raw)
-    allowed = _INITIAL_KEYS.get(initial_family)
-    if allowed is None:
-        errors.append(f"unknown initial family {initial_family!r}; options {tuple(_INITIAL_KEYS)}")
-    else:
-        for key in initial_params:
-            if key not in allowed:
-                errors.append(
-                    f"unknown key {key!r} in section [initial] for family {initial_family!r}; "
-                    f"allowed keys {sorted(allowed)}"
-                )
 
-    out = read("output", {"directory": str, "cadence": int, "snapshots": str})
-    directory = out.get("directory", "")
-    cadence = out.get("cadence", 1)
-    snapshots_raw = out.get("snapshots", "false")
-    if str(snapshots_raw).lower() not in ("true", "false"):
-        errors.append(f"snapshots must be true or false (got {snapshots_raw!r})")
-    snapshots = str(snapshots_raw).lower() == "true"
-    if cadence < 1:
-        errors.append(f"cadence must be at least 1 (got {cadence})")
+    out = read("output", {"directory": str, "cadence": int, "snapshots": bool})
 
-    sweep_kind = ""
-    sweep_values: tuple = ()
-    if parser.has_section("sweep"):
-        sweep_kind = parser.get("sweep", "kind", fallback="").strip()
-        if sweep_kind and sweep_kind not in SWEEP_KINDS:
-            errors.append(f"unknown sweep kind {sweep_kind!r}; options {SWEEP_KINDS}")
-        raw_vals = parser.get("sweep", "values", fallback="").strip()
-        if raw_vals:
-            try:
-                if sweep_kind == "modes":
-                    sweep_values = tuple(int(v) for v in raw_vals.split(","))
-                else:
-                    sweep_values = tuple(float(v) for v in raw_vals.split(","))
-            except ValueError:
-                errors.append(f"cannot parse sweep values {raw_vals!r}")
-        for key, _ in parser.items("sweep"):
-            if key not in ("kind", "values"):
-                errors.append(f"unknown key {key!r} in section [sweep]")
-        # each cell is a run with one [truncation] setting replaced
-        for v in sweep_values:
-            if sweep_kind == "modes" and not 1 <= v <= min(n_vec, n_scal - 1):
-                errors.append(
-                    f"sweep value {v}: a modes cell needs 1 <= {v} <= {n_vec} vector modes and "
-                    f"{v + 1} <= {n_scal} temperature modes at grid_points={grid_points}"
-                )
-            elif sweep_kind == "density_regularization" and v < 0:
-                errors.append(f"sweep value {v}: density_regularization must be nonnegative")
+    sweep = read("sweep", {"kind": str, "values": str})
+    sweep_kind = sweep.get("kind", default.sweep_kind)
+    sweep_values = default.sweep_values
+    if sweep.get("values"):
+        typ = int if sweep_kind == "modes" else float
+        try:
+            sweep_values = tuple(typ(v) for v in sweep["values"].split(","))
+        except ValueError:
+            errors.append(f"cannot parse sweep values {sweep['values']!r}")
 
     cfg = RunConfig(
-        constitutive=params,
+        constitutive=ConstitutiveParams(**read("constitutive", _CONSTITUTIVE_KEYS)),
         box_size=box_size,
         grid_points=grid_points,
         velocity_modes=velocity_modes,
-        temperature_modes=temperature_modes,
-        magnetic_modes=magnetic_modes,
+        temperature_modes=tr.get("temperature_modes", velocity_modes + 1),
+        magnetic_modes=tr.get("magnetic_modes", velocity_modes),
         density_regularization=eps,
-        step=step,
+        step=StepConfig(**read("step", _STEP_KEYS)),
         initial_family=initial_family,
         initial_params=initial_params,
-        output_directory=directory,
-        cadence=cadence,
-        snapshots=snapshots,
+        output_directory=out.get("directory", default.output_directory),
+        cadence=out.get("cadence", default.cadence),
+        snapshots=out.get("snapshots", default.snapshots),
         sweep_kind=sweep_kind,
         sweep_values=sweep_values,
     )
-    errors.extend(_validate_initial(cfg))
+    errors.extend(validate_config(cfg))
     if errors:
         raise ConfigError("\n".join(errors))
     return cfg
 
 
+def sweep_cells(cfg: RunConfig) -> list[RunConfig]:
+    """The runs of a sweep, one per value: the config with that
+    [truncation] setting replaced, and with no sweep, output directory or
+    snapshots of its own."""
+    cells = []
+    for v in cfg.sweep_values:
+        if cfg.sweep_kind == "modes":
+            k = int(v)
+            change = {"velocity_modes": k, "magnetic_modes": k, "temperature_modes": k + 1}
+        else:
+            change = {"density_regularization": float(v)}
+        cells.append(
+            replace(cfg, **change, sweep_kind="", sweep_values=(), output_directory="", snapshots=False)
+        )
+    return cells
+
+
+def validate_config(cfg: RunConfig) -> list[str]:
+    """Every violated admissibility condition of a run configuration, one
+    message each (empty when admissible).  A sweep's cells are checked as the
+    runs they become; their problems that the base config does not share
+    are prefixed with ``sweep value {v}: ``."""
+    bad = validate_params(cfg.constitutive)
+    bad += resolution_problems(
+        cfg.box_size,
+        cfg.grid_points,
+        vector={"velocity_modes": cfg.velocity_modes, "magnetic_modes": cfg.magnetic_modes},
+        scalar={"temperature_modes": cfg.temperature_modes},
+    )
+    if not cfg.density_regularization >= 0:
+        bad.append(f"density_regularization must be nonnegative (got {cfg.density_regularization})")
+    bad += cfg.step.validate()
+    if cfg.cadence < 1:
+        bad.append(f"cadence must be at least 1 (got {cfg.cadence})")
+    bad += _validate_initial(cfg)
+    if cfg.sweep_kind and cfg.sweep_kind not in SWEEP_KINDS:
+        bad.append(f"unknown sweep kind {cfg.sweep_kind!r}; options {SWEEP_KINDS}")
+    elif cfg.sweep_kind:
+        for v, cell in zip(cfg.sweep_values, sweep_cells(cfg)):
+            bad += [f"sweep value {v}: {msg}" for msg in validate_config(cell) if msg not in bad]
+    return bad
+
+
 def _validate_initial(cfg: RunConfig) -> list[str]:
-    """Admissibility of the initial data implied by the family parameters."""
-    bad = []
-    p = cfg.constitutive
+    """The [initial] family and keys, and the admissibility of the initial
+    data implied by the family parameters."""
+    allowed = _INITIAL_KEYS.get(cfg.initial_family)
+    if allowed is None:
+        return [f"unknown initial family {cfg.initial_family!r}; options {tuple(_INITIAL_KEYS)}"]
     ip = cfg.initial_params
+    bad = [
+        f"unknown key {key!r} in section [initial] for family {cfg.initial_family!r}; "
+        f"allowed keys {sorted(allowed)}"
+        for key in ip
+        if key not in allowed
+    ]
+    not_numbers = {key: value for key, value in ip.items() if not isinstance(value, numbers.Real)}
+    bad += [f"key {key!r} in [initial] must be a number (got {value!r})" for key, value in not_numbers.items()]
+    if not_numbers:
+        return bad
+    p = cfg.constitutive
     theta_base = float(ip.get("temperature_base", 1.0))
     theta_amp = abs(float(ip.get("temperature_amplitude", 0.0)))
     if theta_base - theta_amp < p.temperature_floor:
@@ -333,6 +321,17 @@ def _validate_initial(cfg: RunConfig) -> list[str]:
             limit = cfg.velocity_modes if key == "velocity_mode" else cfg.magnetic_modes
             if not 0 <= idx < limit:
                 bad.append(f"{key}={idx} outside the truncation (0..{limit - 1})")
+    if ip.get("band_modes", 0) < 0:
+        bad.append(f"band_modes={ip['band_modes']} must be nonnegative (0 picks the default band)")
+    if "density_axis" in ip and ip["density_axis"] not in (0, 1, 2):
+        bad.append(f"density_axis={ip['density_axis']} is not an axis (0, 1 or 2)")
+    if "density_wavenumber" in ip:
+        wavenumber, cutoff = int(ip["density_wavenumber"]), dealias_cutoff(cfg.grid_points)
+        if not 1 <= wavenumber <= cutoff:
+            bad.append(
+                f"density_wavenumber={wavenumber} outside 1..{cutoff}, the dealiasing cutoff "
+                f"at grid_points={cfg.grid_points}"
+            )
     return bad
 
 
@@ -367,10 +366,3 @@ def serialize_config(cfg: RunConfig) -> str:
         lines.append("values = " + ",".join(_format_scalar(v) for v in cfg.sweep_values))
     return "\n".join(lines) + "\n"
 
-
-def load_config_text(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(
-        comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None
-    )
-    parser.read_string(text)
-    return config_from_parser(parser)

@@ -77,8 +77,8 @@ class TrajectoryRecorder:
     """Observer building diagnostics records and optional state history.
 
     Read-only over the states it sees; never mutates them.  ``store_history``
-    keeps coefficient vectors and the spectral density per sample, which the
-    convergence studies need.
+    keeps the velocity coefficients and the spectral density per sample,
+    which the convergence studies compare.
     """
 
     def __init__(
@@ -171,15 +171,7 @@ class TrajectoryRecorder:
         self.records.append(rec)
         self.raw_reports.append(dict(report))
         if self.store_history:
-            self.history.append(
-                {
-                    "t": t,
-                    "a": state.a.copy(),
-                    "b": state.b.copy(),
-                    "c": state.c.copy(),
-                    "rho_spec": state.rho.copy(),
-                }
-            )
+            self.history.append({"t": t, "a": state.a.copy(), "rho_spec": state.rho.copy()})
 
 
 # ------------------------------------------------------------ trajectory checks

@@ -77,26 +77,18 @@ class SimState:
         return all(np.all(np.isfinite(x)) for x in self.parts())
 
     def validate(self, params: cst.ConstitutiveParams) -> list[str]:
-        """Return a list of violated state invariants (empty when valid)."""
-        tol = 1e-10  # slack on the grid density bounds
-        problems = []
+        """Return a list of violated state invariants (empty when valid):
+        non-finite entries, or a grid density outside the bounds."""
         if not self.is_finite():
-            problems.append("non-finite state entries")
-            return problems
+            return ["non-finite state entries"]
         rho_grid = self.basis.spectral_to_grid(self.rho)
-        if rho_grid.min() < params.density_min - tol or rho_grid.max() > params.density_max + tol:
-            problems.append(
+        lo, hi = rho_grid.min(), rho_grid.max()
+        if lo < params.density_min - 1e-12 or hi > params.density_max + 1e-12:
+            return [
                 f"density outside [{params.density_min}, {params.density_max}] "
-                f"(range [{rho_grid.min():.3e}, {rho_grid.max():.3e}])"
-            )
-        for name, vec, avail in (
-            ("velocity", self.a, self.basis.n_vector_modes),
-            ("temperature", self.b, self.basis.n_scalar_modes),
-            ("magnetic", self.c, self.basis.n_vector_modes),
-        ):
-            if len(vec) > avail:
-                problems.append(f"{name} truncation {len(vec)} exceeds available modes {avail}")
-        return problems
+                f"(range [{lo:.6g}, {hi:.6g}])"
+            ]
+        return []
 
 
 @dataclass

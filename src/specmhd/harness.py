@@ -23,7 +23,7 @@ from specmhd import diagnostics as diag
 from specmhd import galerkin as gal
 from specmhd import integrator as itg
 from specmhd import spectral as sp
-from specmhd.config import CONFIG_SCHEMA_VERSION, RunConfig, serialize_config
+from specmhd.config import CONFIG_SCHEMA_VERSION, RunConfig, serialize_config, sweep_cells, validate_config
 from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, MassSolveError, NonlinearSolveError
 from specmhd.initial_conditions import build_initial_state
 
@@ -91,14 +91,13 @@ def _final_snapshots(outdir: Path, state: gal.SimState) -> None:
 
 
 def build_basis_for(cfg: RunConfig) -> sp.DivFreeSpectralBasis:
-    k = max(cfg.velocity_modes, cfg.magnetic_modes)
-    basis = sp.build_basis(cfg.box_size, cfg.grid_points, k)
-    if cfg.temperature_modes > basis.n_scalar_modes:
-        raise ConfigError(
-            f"insufficient resolution: temperature_modes={cfg.temperature_modes} but only "
-            f"{basis.n_scalar_modes} scalar modes available"
-        )
-    return basis
+    return sp.build_basis(cfg.box_size, cfg.grid_points, max(cfg.velocity_modes, cfg.magnetic_modes))
+
+
+def _require_valid(cfg: RunConfig) -> None:
+    bad = validate_config(cfg)
+    if bad:
+        raise ConfigError("\n".join(bad))
 
 
 def run(
@@ -123,6 +122,7 @@ def run(
     summary_extra: dict = {}
     t_start = time.perf_counter()
     try:
+        _require_valid(cfg)
         basis = build_basis_for(cfg)
         recorder.basis = basis
         state0 = build_initial_state(cfg, basis)
@@ -158,7 +158,7 @@ def run(
         )
     )
     heat_drop = summary_extra.get("monitors", {}).get("heat_drop_worst", 0.0)
-    flags_ok = flags_ok and heat_drop <= 1e-10
+    flags_ok = flags_ok and heat_drop <= diag.HEAT_MONOTONE_SLACK
     if status == "completed" and not flags_ok:
         status, exit_code = "invariant_failure", EXIT_INVARIANT
 
@@ -241,6 +241,7 @@ def convergence_study(cfg: RunConfig, output_dir: str | None = None, quiet: bool
     differences between consecutive refinements: velocity in the discrete
     L2-in-time Sobolev norm, density in the sup-in-time L2 norm.
     """
+    _require_valid(cfg)
     if not cfg.sweep_kind:
         raise ConfigError("config has no [sweep] section")
     values = list(cfg.sweep_values)
@@ -255,28 +256,7 @@ def convergence_study(cfg: RunConfig, output_dir: str | None = None, quiet: bool
     cells: dict = {}
     aborted = []
     apriori = {}
-    for val in values:
-        if cfg.sweep_kind == "modes":
-            k = int(val)
-            sub = replace(
-                cfg,
-                velocity_modes=k,
-                magnetic_modes=k,
-                temperature_modes=k + 1,
-                sweep_kind="",
-                sweep_values=(),
-                output_directory="",
-                snapshots=False,
-            )
-        else:
-            sub = replace(
-                cfg,
-                density_regularization=float(val),
-                sweep_kind="",
-                sweep_values=(),
-                output_directory="",
-                snapshots=False,
-            )
+    for val, sub in zip(values, sweep_cells(cfg)):
         rep = run(
             sub,
             output_dir=str(outdir / f"cell-{val}"),

@@ -2,8 +2,11 @@
 
 Each family documents its closed form; all fields are band-limited to the
 basis cutoff by construction, so the spectral projection onto the retained
-modes is exact and the admissibility checks (density bounds, temperature
-floor, finite energies) can be verified on the grid after construction.
+modes is exact.  The builders read configs that
+:func:`specmhd.config.validate_config` has accepted (known family and keys,
+mode indices inside the truncation, density wavenumber under the cutoff);
+the temperature floor is checked here on the grid, the density bounds and
+finiteness by :meth:`specmhd.galerkin.SimState.validate`.
 
 Families
 --------
@@ -51,10 +54,6 @@ def _harmonic_rho_spec(basis, mean, amplitude, axis, wavenumber) -> np.ndarray:
     """Spectrum of mean + amplitude * cos(2 pi wavenumber x_axis / L)."""
     spec = _uniform_rho_spec(basis, mean)
     if amplitude != 0.0:
-        if wavenumber > basis.cutoff:
-            raise ConfigError(
-                f"density wavenumber {wavenumber} above the dealiasing cutoff {basis.cutoff}"
-            )
         n = [0, 0, 0]
         n[axis] = wavenumber
         basis.set_amplitude(spec, n, 0.5 * amplitude)
@@ -195,28 +194,13 @@ _BUILDERS = {
 
 
 def build_initial_state(cfg: RunConfig, basis: DivFreeSpectralBasis) -> SimState:
-    """Construct, project, and admissibility-check the initial state."""
-    builder = _BUILDERS.get(cfg.initial_family)
-    if builder is None:
-        raise ConfigError(f"unknown initial family {cfg.initial_family!r}")
-    rho, a, b, c = builder(cfg, basis, cfg.initial_params)
-    state = SimState(t=0.0, rho=rho, a=a, b=b, c=c, basis=basis)
-
-    p = cfg.constitutive
-    rho_grid = basis.spectral_to_grid(rho)
-    problems = []
-    if rho_grid.min() < p.density_min - 1e-12 or rho_grid.max() > p.density_max + 1e-12:
-        problems.append(
-            f"initial density range [{rho_grid.min():.6g}, {rho_grid.max():.6g}] leaves "
-            f"[{p.density_min}, {p.density_max}]"
-        )
-    theta_grid = basis.scalar_grid(b)
-    if theta_grid.min() < p.temperature_floor - 1e-12:
-        problems.append(
-            f"initial temperature min {theta_grid.min():.6g} below the floor {p.temperature_floor}"
-        )
-    if not state.is_finite():
-        problems.append("non-finite initial data")
-    if problems:
-        raise ConfigError("\n".join(problems))
-    return state
+    """Construct and project the initial state of a validated config, and
+    check it against the temperature floor.  Its density range and
+    finiteness are checked by :meth:`SimState.validate` when it is
+    integrated."""
+    rho, a, b, c = _BUILDERS[cfg.initial_family](cfg, basis, cfg.initial_params)
+    theta_min = basis.scalar_grid(b).min()
+    floor = cfg.constitutive.temperature_floor
+    if theta_min < floor - 1e-12:
+        raise ConfigError(f"initial temperature min {theta_min:.6g} below the floor {floor}")
+    return SimState(t=0.0, rho=rho, a=a, b=b, c=c, basis=basis)

@@ -22,7 +22,6 @@ of the ``mass_k800`` and ``transform_n32`` benchmark workloads, traced).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,8 +73,6 @@ class TrajectorySummary:
     final_state: SimState
     n_steps: int
     clamp_total: int
-    status: str
-    wall_time: float
     monitors: dict = field(default_factory=dict)
 
 
@@ -214,7 +211,6 @@ def integrate(
     if cadence < 1:
         raise ConfigError(f"cadence must be at least 1 (got {cadence})")
 
-    start = time.perf_counter()
     ops = GalerkinOperators(params, basis, eps_density)
     state = state0.copy()
     fields = ops.fields(state)
@@ -284,8 +280,6 @@ def integrate(
         final_state=state,
         n_steps=n_steps,
         clamp_total=clamp_total,
-        status="completed",
-        wall_time=time.perf_counter() - start,
         monitors={
             "rho_drift_rate_max": worst_drift,
             "rho_min_initial": rho_min0,

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -77,10 +78,40 @@ def _canonical_wavevectors(cutoff: int) -> np.ndarray:
     return n[order]
 
 
+def dealias_cutoff(grid_points: int) -> int:
+    """Largest retained integer wavenumber |n| on a G^3 grid (two-thirds rule)."""
+    return (grid_points - 1) // 3
+
+
+@lru_cache
 def available_modes(grid_points: int) -> tuple[int, int]:
     """(vector, scalar) mode counts under the dealiasing cutoff."""
-    n_canon = len(_canonical_wavevectors((grid_points - 1) // 3))
+    n_canon = len(_canonical_wavevectors(dealias_cutoff(grid_points)))
     return 4 * n_canon, 2 * n_canon + 1
+
+
+def resolution_problems(
+    box_size: float, grid_points: int, vector: dict | None = None, scalar: dict | None = None
+) -> list[str]:
+    """Every reason the box, the grid and the requested mode counts cannot
+    make a basis (empty when they can).  ``vector`` and ``scalar`` map a
+    name to the number of modes of that kind it asks for; each must be at
+    least 1 and fit under the dealiasing cutoff."""
+    bad = [] if box_size > 0 else [f"box_size must be positive (got {box_size})"]
+    if grid_points < 4 or grid_points % 2 != 0:
+        return bad + [f"grid_points must be an even integer >= 4 (got {grid_points})"]
+    n_vec, n_scal = available_modes(grid_points)
+    for kind, counts, avail in (("vector", vector or {}, n_vec), ("scalar", scalar or {}, n_scal)):
+        for name, want in counts.items():
+            if want < 1:
+                bad.append(f"{name} must be at least 1 (got {want})")
+            elif want > avail:
+                bad.append(
+                    f"insufficient resolution: {name} asks for {want} {kind} modes but only "
+                    f"{avail} fit under the dealiasing cutoff |n| <= "
+                    f"{dealias_cutoff(grid_points)} at grid_points={grid_points}"
+                )
+    return bad
 
 
 def _polarization_pair(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,31 +134,15 @@ class DivFreeSpectralBasis:
     """
 
     def __init__(self, box_size: float, grid_points: int, k_modes: int):
-        if grid_points % 2 != 0:
-            raise ResolutionError(f"grid_points must be even (got {grid_points})")
-        if box_size <= 0:
-            raise ResolutionError(f"box_size must be positive (got {box_size})")
+        bad = resolution_problems(box_size, grid_points, vector={"k_modes": k_modes})
+        if bad:
+            raise ResolutionError("\n".join(bad))
         self.box_size = float(box_size)
         self.grid_points = int(grid_points)
         self.volume = self.box_size**3
-        self.cutoff = (grid_points - 1) // 3
-        if self.cutoff < 1:
-            raise ResolutionError(
-                f"insufficient resolution: grid_points={grid_points} leaves no "
-                "modes under the dealiasing cutoff"
-            )
-        base = 2.0 * np.pi / self.box_size
-
-        n_vec_avail, _ = available_modes(grid_points)
-        if k_modes > n_vec_avail:
-            raise ResolutionError(
-                f"insufficient resolution: {k_modes} vector modes requested but "
-                f"only {n_vec_avail} available under the dealiasing cutoff "
-                f"|n| <= {self.cutoff}"
-            )
-        if k_modes < 1:
-            raise ResolutionError(f"k_modes must be at least 1 (got {k_modes})")
+        self.cutoff = dealias_cutoff(grid_points)
         self.k_modes = int(k_modes)
+        base = 2.0 * np.pi / self.box_size
 
         # vector table: per canonical wavevector, (pol 0, cos), (pol 0, sin),
         # (pol 1, cos), (pol 1, sin)

@@ -73,8 +73,9 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="insufficient resolution"):
             load_config(path)
 
-    def test_round_trip_identity(self):
-        cfg = load_config(CONFIGS / "single_mode_mhd.cfg")
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_round_trip_identity(self, path):
+        cfg = load_config(path)
         ok, detail = harness.CHECKS["harness.config_round_trip"](cfg=cfg)
         assert ok, detail
 
@@ -110,6 +111,12 @@ class TestConfigLoading:
         path.write_text(MINIMAL + "\n[truncation]\ndensity_regularization = auto\n")
         cfg = load_config(path)
         assert cfg.density_regularization == pytest.approx(0.25 * (cfg.box_size / 16) ** 2)
+
+    def test_auto_regularization_on_bad_grid_reported(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINIMAL + "\n[domain]\ngrid_points = 0\n\n[truncation]\ndensity_regularization = auto\n")
+        with pytest.raises(ConfigError, match="grid_points must be an even integer >= 4"):
+            load_config(path)
 
 
 class TestInitialFamilies:
@@ -275,6 +282,44 @@ class TestSweeps:
         rep = harness.run(cfg, output_dir=str(tmp_path / "run"), quiet=True)
         assert rep.exit_code == harness.EXIT_CONFIG
         assert "5000 vector modes" in rep.summary["error"]
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"initial_params": {"velocty_amplitude": 0.1}}, "unknown key 'velocty_amplitude'"),
+            ({"initial_params": {"velocity_amplitude": 0.1, "velocity_mode": 50}}, "velocity_mode=50"),
+            ({"temperature_modes": 0}, "temperature_modes must be at least 1"),
+            ({"initial_params": {"density_amplitude": 0.1, "density_axis": 3}}, "density_axis=3"),
+            ({"initial_params": {"density_amplitude": 0.1, "density_wavenumber": 0}}, "density_wavenumber=0"),
+            ({"initial_params": {"velocity_amplitude": "0.1x"}}, "'velocity_amplitude' in [initial] must be a number"),
+            ({"initial_family": "random_band", "initial_params": {"band_modes": -1}}, "band_modes=-1"),
+        ],
+    )
+    def test_code_built_config_is_validated_by_run(self, tmp_path, change, named):
+        rep = harness.run(RunConfig(**change), output_dir=str(tmp_path / "run"), quiet=True)
+        assert rep.exit_code == harness.EXIT_CONFIG
+        assert named in rep.summary["error"]
+
+    @pytest.mark.parametrize(
+        "name, edit, named",
+        [
+            # the 8-mode cell cannot hold the magnetic mode 12
+            ("single_mode_mhd", ("\n[output]", "\n[sweep]\nkind = modes\nvalues = 8,16,24\n\n[output]"),
+             "sweep value 8: magnetic_mode=12"),
+            # the cutoff at grid_points = 16 is 5
+            ("sweep_eps", ("\n[initial]\n", "\n[initial]\ndensity_wavenumber = 9\n"),
+             "density_wavenumber=9"),
+        ],
+    )
+    def test_inadmissible_cell_is_config_error(self, tmp_path, capsys, name, edit, named):
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        assert edit[0] in text
+        path = tmp_path / "bad.cfg"
+        path.write_text(text.replace(edit[0], edit[1], 1))
+        for command in ("run", "sweep"):
+            code = cli.main([command, "--config", str(path), "--output-dir", str(tmp_path / command), "--quiet"])
+            assert code == harness.EXIT_CONFIG
+            assert named in capsys.readouterr().err
 
     def test_density_difference_is_grid_l2_norm(self):
         basis = sp.build_basis(2.0 * np.pi, 12, 20)

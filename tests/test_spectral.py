@@ -328,6 +328,21 @@ def test_mode_family_only_in_spectral():
     assert not found, f"mode family used outside spectral.py: {found}"
 
 
+def test_resolution_rule_only_in_spectral():
+    """One home for the resolution rule: no other module counts the modes
+    under the cutoff or judges whether a truncation fits."""
+    src = Path(sp.__file__).parent
+    pattern = re.compile(r"\bavailable_modes\b|insufficient resolution")
+    found = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "spectral.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not found, f"resolution rule outside spectral.py: {found}"
+
+
 def test_transforms_only_in_spectral():
     """One transform layer: every FFT runs through ``grid_to_spectral`` and
     ``spectral_to_grid``, the two functions the benchmark tracer wraps."""
