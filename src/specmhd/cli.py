@@ -7,8 +7,9 @@ Subcommands::
     specmhd check [--suite NAME] [--quiet]
 
 Exit codes: 0 pass, 1 invariant failure, 2 configuration error,
-3 numerical abort.  The environment variable ``SPECMHD_OUTPUT_ROOT`` sets the
-default output root when neither the config nor ``--output-dir`` names one.
+3 numerical abort; a sweep exits with the code of its first aborted cell.
+The environment variable ``SPECMHD_OUTPUT_ROOT`` sets the default output
+root when neither the config nor ``--output-dir`` names one.
 """
 
 from __future__ import annotations
@@ -48,13 +49,15 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = load_config(args.config)
             report = harness.run(cfg, output_dir=args.output_dir, seed=args.seed, quiet=args.quiet)
+            if report.exit_code == harness.EXIT_CONFIG:  # e.g. a --seed the config does not admit
+                raise ConfigError(report.summary["error"])
             if not args.quiet:
                 print(f"outputs: {report.output_dir}")
             return report.exit_code
         if args.command == "sweep":
             cfg = load_config(args.config)
             study = harness.convergence_study(cfg, output_dir=args.output_dir, quiet=args.quiet)
-            return harness.EXIT_NUMERICAL if study.aborted_cells else harness.EXIT_PASS
+            return study.aborted_cells[0]["exit_code"] if study.aborted_cells else harness.EXIT_PASS
         if args.command == "check":
             ok, _ = harness.check(suite=args.suite, quiet=args.quiet)
             return harness.EXIT_PASS if ok else harness.EXIT_INVARIANT

@@ -17,7 +17,7 @@ Sections and keys mirror the solver blocks:
     dt, t_end, scheme, solver_tolerance, max_nonlinear_iterations,
     theta_clamp
 ``[initial]``
-    family plus family-specific keys (amplitudes, mode indices, seed)
+    family plus that family's keys in ``initial_conditions.FAMILIES``
 ``[output]``
     directory, cadence, snapshots
 ``[sweep]`` (optional)
@@ -25,7 +25,10 @@ Sections and keys mirror the solver blocks:
 
 Loading fills every missing key from the defaults of ``RunConfig`` and the
 dataclasses it holds (except that ``temperature_modes`` defaults to
-``velocity_modes + 1`` and ``magnetic_modes`` to ``velocity_modes``), and
+``velocity_modes + 1`` and ``magnetic_modes`` to ``velocity_modes``).
+``[initial]`` reads the ``FAMILIES`` table as the other sections read their
+dataclasses (a key's type is the type of its default); ``initial_params``
+keeps only the keys given, and ``family_params`` merges in the defaults.
 ``validate_config`` reports every violated admissibility condition at once.
 It is the one validator: every loaded file, every ``RunConfig`` built in code
 that reaches :func:`specmhd.harness.run`, and every sweep cell goes through
@@ -46,27 +49,12 @@ import numpy as np
 
 from specmhd.constitutive import ConstitutiveParams, validate_params
 from specmhd.errors import ConfigError
+from specmhd.initial_conditions import FAMILIES, family_params
 from specmhd.integrator import StepConfig
 from specmhd.spectral import dealias_cutoff, resolution_problems
 
 CONFIG_SCHEMA_VERSION = "2"
 
-# The [initial] keys each family's builder in initial_conditions reads.  Every
-# family accepts ``seed``: a run started with a seed writes it into the config
-# copy in its output directory, and that copy must reload.
-_HARMONIC_DENSITY_KEYS = {"density_mean", "density_amplitude", "density_axis", "density_wavenumber"}
-_INITIAL_KEYS = {
-    "single_mode": {"seed", "velocity_amplitude", "velocity_mode", "magnetic_amplitude",
-                    "magnetic_mode", "temperature_base", *_HARMONIC_DENSITY_KEYS},
-    "orszag_tang": {"seed", "velocity_amplitude", "magnetic_amplitude", "temperature_base",
-                    *_HARMONIC_DENSITY_KEYS},
-    "random_band": {"seed", "velocity_amplitude", "magnetic_amplitude", "temperature_base",
-                    "temperature_amplitude", "density_mean", "density_amplitude",
-                    "spectrum_slope", "band_modes"},
-    "layered_density": {"seed", "velocity_amplitude", "magnetic_amplitude", "magnetic_mode",
-                        "temperature_base", "density_mean", "density_amplitude",
-                        "density_wavenumber"},
-}
 SWEEP_KINDS = ("modes", "density_regularization")
 
 
@@ -284,49 +272,54 @@ def validate_config(cfg: RunConfig) -> list[str]:
 
 
 def _validate_initial(cfg: RunConfig) -> list[str]:
-    """The [initial] family and keys, and the admissibility of the initial
-    data implied by the family parameters."""
-    allowed = _INITIAL_KEYS.get(cfg.initial_family)
-    if allowed is None:
-        return [f"unknown initial family {cfg.initial_family!r}; options {tuple(_INITIAL_KEYS)}"]
-    ip = cfg.initial_params
+    """The [initial] family and keys, each value's type (the type of its
+    default in ``FAMILIES``), and the admissibility of the initial data
+    implied by the family parameters with the family's defaults filled in."""
+    defaults = FAMILIES.get(cfg.initial_family)
+    if defaults is None:
+        return [f"unknown initial family {cfg.initial_family!r}; options {tuple(FAMILIES)}"]
+    given = cfg.initial_params
     bad = [
         f"unknown key {key!r} in section [initial] for family {cfg.initial_family!r}; "
-        f"allowed keys {sorted(allowed)}"
-        for key in ip
-        if key not in allowed
+        f"allowed keys {sorted(defaults)}"
+        for key in given
+        if key not in defaults
     ]
-    not_numbers = {key: value for key, value in ip.items() if not isinstance(value, numbers.Real)}
-    bad += [f"key {key!r} in [initial] must be a number (got {value!r})" for key, value in not_numbers.items()]
-    if not_numbers:
-        return bad
+    mistyped = []
+    for key, value in given.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            mistyped.append(f"key {key!r} in [initial] must be a number (got {value!r})")
+        elif type(defaults.get(key)) is int and not isinstance(value, numbers.Integral):
+            mistyped.append(f"key {key!r} in [initial] must be an integer (got {value!r})")
+    if mistyped:
+        return bad + mistyped
+    ip = family_params(cfg)
     p = cfg.constitutive
-    theta_base = float(ip.get("temperature_base", 1.0))
-    theta_amp = abs(float(ip.get("temperature_amplitude", 0.0)))
+    if ip["seed"] < 0:
+        bad.append(f"seed={ip['seed']} must be a nonnegative integer")
+    theta_base = float(ip["temperature_base"])
+    theta_amp = abs(float(ip["temperature_amplitude"])) if "temperature_amplitude" in ip else 0.0
     if theta_base - theta_amp < p.temperature_floor:
         bad.append(
             f"initial temperature must stay at or above temperature_floor="
             f"{p.temperature_floor} (base {theta_base} minus amplitude {theta_amp})"
         )
-    rho_mean = float(ip.get("density_mean", 1.0))
-    rho_amp = abs(float(ip.get("density_amplitude", 0.0)))
+    rho_mean, rho_amp = float(ip["density_mean"]), abs(float(ip["density_amplitude"]))
     if rho_mean - rho_amp < p.density_min or rho_mean + rho_amp > p.density_max:
         bad.append(
             f"initial density must stay within [{p.density_min}, {p.density_max}] "
             f"(mean {rho_mean}, amplitude {rho_amp})"
         )
-    for key in ("velocity_mode", "magnetic_mode"):
-        if key in ip:
-            idx = int(ip[key])
-            limit = cfg.velocity_modes if key == "velocity_mode" else cfg.magnetic_modes
-            if not 0 <= idx < limit:
-                bad.append(f"{key}={idx} outside the truncation (0..{limit - 1})")
-    if ip.get("band_modes", 0) < 0:
-        bad.append(f"band_modes={ip['band_modes']} must be nonnegative (0 picks the default band)")
-    if "density_axis" in ip and ip["density_axis"] not in (0, 1, 2):
-        bad.append(f"density_axis={ip['density_axis']} is not an axis (0, 1 or 2)")
-    if "density_wavenumber" in ip:
-        wavenumber, cutoff = int(ip["density_wavenumber"]), dealias_cutoff(cfg.grid_points)
+    # the defaults' indices fit every admissible resolution, so only given ones are checked
+    for key, limit in (("velocity_mode", cfg.velocity_modes), ("magnetic_mode", cfg.magnetic_modes)):
+        if key in given and not 0 <= given[key] < limit:
+            bad.append(f"{key}={given[key]} outside the truncation (0..{limit - 1})")
+    if "band_modes" in given and given["band_modes"] < 0:
+        bad.append(f"band_modes={given['band_modes']} must be nonnegative (0 picks the default band)")
+    if "density_axis" in given and given["density_axis"] not in (0, 1, 2):
+        bad.append(f"density_axis={given['density_axis']} is not an axis (0, 1 or 2)")
+    if "density_wavenumber" in given:
+        wavenumber, cutoff = given["density_wavenumber"], dealias_cutoff(cfg.grid_points)
         if not 1 <= wavenumber <= cutoff:
             bad.append(
                 f"density_wavenumber={wavenumber} outside 1..{cutoff}, the dealiasing cutoff "

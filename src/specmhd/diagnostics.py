@@ -24,6 +24,12 @@ HEAT_MONOTONE_SLACK = 1e-10
 DECAY_BOUND_SLACK = 0.01
 
 
+def decay_margin(lhs: float, rhs: float) -> float:
+    """Slack left in the magnetic decay bound lhs <= rhs, with relative
+    slack ``DECAY_BOUND_SLACK``; the bound holds when it is nonnegative."""
+    return rhs * (1.0 + DECAY_BOUND_SLACK) + 1e-14 - lhs
+
+
 @dataclass
 class DiagnosticsRecord:
     """One diagnostics sample; field order defines the CSV column order."""
@@ -133,7 +139,7 @@ class TrajectoryRecorder:
         decay_rhs = self._h0_sq * np.exp(-c_nu * (t - self._t0)) + (
             2.0 / c_nu
         ) * self._decay_integral
-        decay_ok = h_sq <= decay_rhs * (1.0 + DECAY_BOUND_SLACK) + 1e-14
+        decay_ok = decay_margin(h_sq, decay_rhs) >= 0.0
         density_ok = (
             report["rho_min"] >= self.params.density_min - 1e-10
             and report["rho_max"] <= self.params.density_max + 1e-10
@@ -251,9 +257,7 @@ def apriori_monitor(params: ConstitutiveParams, recorder: TrajectoryRecorder) ->
 def decay_bound_report(recorder: TrajectoryRecorder) -> dict:
     recs = recorder.records
     ok = all(r.decay_ok for r in recs)
-    margins = [
-        (r.decay_rhs * (1.0 + DECAY_BOUND_SLACK) + 1e-14) - r.decay_lhs for r in recs
-    ]
+    margins = [decay_margin(r.decay_lhs, r.decay_rhs) for r in recs]
     return {"ok": bool(ok), "min_margin": float(min(margins)) if margins else 0.0}
 
 

@@ -109,7 +109,7 @@ def run(
 ) -> RunReport:
     """Execute one configured run and emit its artifact directory."""
     if seed is not None:
-        cfg = replace(cfg, initial_params={**cfg.initial_params, "seed": int(seed)})
+        cfg = replace(cfg, initial_params={**cfg.initial_params, "seed": seed})
     outdir = _resolve_output_dir(cfg, output_dir, "run")
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.cfg").write_text(serialize_config(cfg))
@@ -264,7 +264,8 @@ def convergence_study(cfg: RunConfig, output_dir: str | None = None, quiet: bool
             store_history=True,
         )
         if rep.status != "completed":
-            aborted.append({"value": val, "status": rep.status, "error": rep.summary.get("error", "")})
+            error = rep.summary["error"]
+            aborted.append({"value": val, "status": rep.status, "exit_code": rep.exit_code, "error": error})
             continue
         cells[val] = rep.recorder
         apriori[val] = diag.apriori_monitor(cfg.constitutive, rep.recorder)
@@ -459,28 +460,13 @@ def _check_heat_balance(fields=None) -> tuple[bool, str]:
     return bool(ok), f"total heat rate equals the integrated sources to {err:.2e}"
 
 
-def _decay_test_state(basis):
-    """Unit density and temperature with one lowest-shell magnetic mode."""
-    rho_spec = basis.zero_spectrum()
-    rho_spec[0, 0, 0] = 1.0
-    nb = min(basis.k_modes + 1, basis.n_scalar_modes)
-    b = np.zeros(nb)
-    b[0] = np.sqrt(basis.volume)
-    st = gal.SimState(
-        t=0.0,
-        rho=rho_spec,
-        a=np.zeros(basis.k_modes),
-        b=b,
-        c=np.zeros(basis.k_modes),
-        basis=basis,
-    )
-    st.c[0] = 0.5
-    return st
-
-
-def _integrator_basis() -> sp.DivFreeSpectralBasis:
-    # 36 modes: full first and second shells, so triad couplings are active
-    return sp.build_basis(2 * np.pi, 8, 36)
+def _single_mode_state(**initial) -> gal.SimState:
+    """A single_mode initial state on the 8^3 grid with 36 vector modes (full
+    first and second shells, so triad couplings are active) and all 33
+    scalar modes."""
+    cfg = RunConfig(grid_points=8, velocity_modes=36, temperature_modes=33, magnetic_modes=36,
+                    initial_family="single_mode", initial_params=initial)
+    return build_initial_state(cfg, build_basis_for(cfg))
 
 
 # closed-form decay tolerance by the order of the scheme
@@ -488,11 +474,12 @@ _DECAY_TOLERANCE = {"implicit-midpoint": 1e-6, "imex-cn-ab2": 1e-6, "explicit-rk
 
 
 def _check_magnetic_decay(scheme: str = "implicit-midpoint") -> tuple[bool, str]:
-    basis = _integrator_basis()
+    state = _single_mode_state(magnetic_amplitude=0.5)
+    basis = state.basis
     p = cst.ConstitutiveParams()
     rec = diag.TrajectoryRecorder(p, basis)
     step = itg.StepConfig(dt=1e-3, t_end=0.1, scheme=scheme)
-    summary = itg.integrate(p, basis, _decay_test_state(basis), step, observers=[rec])
+    summary = itg.integrate(p, basis, state, step, observers=[rec])
     h_final = np.sqrt(2.0 * rec.records[-1].E_mag)
     expected = 0.5 * np.exp(-p.magnetic_diffusivity * basis.vec_k2[0] * 0.1)
     err = abs(h_final - expected) / expected
@@ -503,14 +490,11 @@ def _check_magnetic_decay(scheme: str = "implicit-midpoint") -> tuple[bool, str]
 
 
 def _check_density_decay(eps_density: float = 5e-3) -> tuple[bool, str]:
-    basis = _integrator_basis()
+    state = _single_mode_state(density_amplitude=0.2, density_axis=0)
     p = cst.ConstitutiveParams()
-    st = _decay_test_state(basis)
-    st.c[:] = 0.0
-    basis.set_amplitude(st.rho, (1, 0, 0), 0.1)
-    rec = diag.TrajectoryRecorder(p, basis)
+    rec = diag.TrajectoryRecorder(p, state.basis)
     summary = itg.integrate(
-        p, basis, st, itg.StepConfig(dt=1e-3, t_end=0.1), observers=[rec], eps_density=eps_density
+        p, state.basis, state, itg.StepConfig(dt=1e-3, t_end=0.1), observers=[rec], eps_density=eps_density
     )
     amp = summary.final_state.rho[1, 0, 0].real
     expected = 0.1 * np.exp(-eps_density * 0.1)
@@ -522,10 +506,8 @@ def _check_energy_residual_order(
     state: gal.SimState | None = None, eps_density: float = 0.0
 ) -> tuple[bool, str]:
     if state is None:
-        state = _decay_test_state(_integrator_basis())
-        state.a[0] = 0.5
-        state.c[:] = 0.0
-        state.c[12] = 0.5
+        # the second-shell magnetic mode couples back onto the retained modes
+        state = _single_mode_state(velocity_amplitude=0.5, magnetic_amplitude=0.5, magnetic_mode=12)
     p = cst.ConstitutiveParams()
     maxima = []
     for dt in (2e-3, 1e-3):
@@ -562,12 +544,10 @@ def _check_functional_inequalities(basis: sp.DivFreeSpectralBasis | None = None)
 
 
 def _check_decay_bound() -> tuple[bool, str]:
-    basis = _integrator_basis()
+    state = _single_mode_state(velocity_amplitude=0.3, magnetic_amplitude=0.5)
     p = cst.ConstitutiveParams()
-    st = _decay_test_state(basis)
-    st.a[0] = 0.3
-    rec = diag.TrajectoryRecorder(p, basis)
-    itg.integrate(p, basis, st, itg.StepConfig(dt=1e-3, t_end=0.05), observers=[rec])
+    rec = diag.TrajectoryRecorder(p, state.basis)
+    itg.integrate(p, state.basis, state, itg.StepConfig(dt=1e-3, t_end=0.05), observers=[rec])
     rep = diag.decay_bound_report(rec)
     flags = all(r.heat_monotone_ok and r.density_bounds_ok for r in rec.records)
     return bool(rep["ok"] and flags), f"min margin {rep['min_margin']:.3e}, heat and density flags {flags}"

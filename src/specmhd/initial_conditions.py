@@ -2,11 +2,16 @@
 
 Each family documents its closed form; all fields are band-limited to the
 basis cutoff by construction, so the spectral projection onto the retained
-modes is exact.  The builders read configs that
-:func:`specmhd.config.validate_config` has accepted (known family and keys,
-mode indices inside the truncation, density wavenumber under the cutoff);
-the temperature floor is checked here on the grid, the density bounds and
-finiteness by :meth:`specmhd.galerkin.SimState.validate`.
+modes is exact.
+
+``FAMILIES`` declares each family's ``[initial]`` keys and defaults (a key's
+type is the type of its default); the config validator reads it, and the
+builders merge in its defaults themselves through :func:`family_params`.
+They read configs that :func:`specmhd.config.validate_config` has accepted
+(known family, keys of the right type, mode indices inside the truncation,
+density wavenumber under the cutoff); the temperature floor is checked here
+on the grid, the density bounds and finiteness by
+:meth:`specmhd.galerkin.SimState.validate`.
 
 Families
 --------
@@ -36,12 +41,37 @@ Families
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from specmhd.config import RunConfig
 from specmhd.errors import ConfigError
 from specmhd.galerkin import SimState
 from specmhd.spectral import DivFreeSpectralBasis
+
+if TYPE_CHECKING:
+    from specmhd.config import RunConfig
+
+# Every family accepts ``seed``: a run started with a seed writes it into the
+# config copy in its output directory, and that copy must reload.
+_HARMONIC_DENSITY = {"density_mean": 1.0, "density_amplitude": 0.0, "density_axis": 2, "density_wavenumber": 1}
+FAMILIES = {
+    "single_mode": {"seed": 0, "velocity_amplitude": 0.0, "velocity_mode": 0, "magnetic_amplitude": 0.0,
+                    "magnetic_mode": 0, "temperature_base": 1.0, **_HARMONIC_DENSITY},
+    "orszag_tang": {"seed": 0, "velocity_amplitude": 0.2, "magnetic_amplitude": 0.2, "temperature_base": 1.0,
+                    **_HARMONIC_DENSITY},
+    "random_band": {"seed": 0, "velocity_amplitude": 0.3, "magnetic_amplitude": 0.3, "temperature_base": 1.0,
+                    "temperature_amplitude": 0.0, "density_mean": 1.0, "density_amplitude": 0.0,
+                    "spectrum_slope": 2.0, "band_modes": 0},
+    "layered_density": {"seed": 0, "velocity_amplitude": 0.05, "magnetic_amplitude": 0.0, "magnetic_mode": 0,
+                        "temperature_base": 1.0, "density_mean": 1.0, "density_amplitude": 0.3,
+                        "density_wavenumber": 1},
+}
+
+
+def family_params(cfg: RunConfig) -> dict:
+    """The config's ``[initial]`` values over its family's defaults."""
+    return {**FAMILIES[cfg.initial_family], **cfg.initial_params}
 
 
 def _uniform_rho_spec(basis: DivFreeSpectralBasis, mean: float) -> np.ndarray:
@@ -50,13 +80,13 @@ def _uniform_rho_spec(basis: DivFreeSpectralBasis, mean: float) -> np.ndarray:
     return spec
 
 
-def _harmonic_rho_spec(basis, mean, amplitude, axis, wavenumber) -> np.ndarray:
-    """Spectrum of mean + amplitude * cos(2 pi wavenumber x_axis / L)."""
-    spec = _uniform_rho_spec(basis, mean)
-    if amplitude != 0.0:
+def _harmonic_rho_spec(basis, ip: dict, axis: int) -> np.ndarray:
+    """Spectrum of density_mean + density_amplitude * cos(2 pi density_wavenumber x_axis / L)."""
+    spec = _uniform_rho_spec(basis, ip["density_mean"])
+    if ip["density_amplitude"] != 0.0:
         n = [0, 0, 0]
-        n[axis] = wavenumber
-        basis.set_amplitude(spec, n, 0.5 * amplitude)
+        n[axis] = ip["density_wavenumber"]
+        basis.set_amplitude(spec, n, 0.5 * ip["density_amplitude"])
     return spec
 
 
@@ -69,26 +99,17 @@ def _uniform_theta(basis, count, base) -> np.ndarray:
 def _build_single_mode(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
     a = np.zeros(cfg.velocity_modes)
     c = np.zeros(cfg.magnetic_modes)
-    va = float(ip.get("velocity_amplitude", 0.0))
-    ma = float(ip.get("magnetic_amplitude", 0.0))
-    if va:
-        a[int(ip.get("velocity_mode", 0))] = va
-    if ma:
-        c[int(ip.get("magnetic_mode", 0))] = ma
-    rho = _harmonic_rho_spec(
-        basis,
-        float(ip.get("density_mean", 1.0)),
-        float(ip.get("density_amplitude", 0.0)),
-        int(ip.get("density_axis", 2)),
-        int(ip.get("density_wavenumber", 1)),
-    )
-    b = _uniform_theta(basis, cfg.temperature_modes, float(ip.get("temperature_base", 1.0)))
+    if ip["velocity_amplitude"]:
+        a[ip["velocity_mode"]] = ip["velocity_amplitude"]
+    if ip["magnetic_amplitude"]:
+        c[ip["magnetic_mode"]] = ip["magnetic_amplitude"]
+    rho = _harmonic_rho_spec(basis, ip, ip["density_axis"])
+    b = _uniform_theta(basis, cfg.temperature_modes, ip["temperature_base"])
     return rho, a, b, c
 
 
 def _build_orszag_tang(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
-    va = float(ip.get("velocity_amplitude", 0.2))
-    ma = float(ip.get("magnetic_amplitude", 0.2))
+    va, ma = ip["velocity_amplitude"], ip["magnetic_amplitude"]
     x, y, _ = basis.mesh()
     two_pi = 2.0 * np.pi / basis.box_size
     zeros = np.zeros_like(x)
@@ -96,14 +117,8 @@ def _build_orszag_tang(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
     h = np.stack([-ma * np.sin(two_pi * y), ma * np.sin(2.0 * two_pi * x), zeros])
     a = basis.project_vector(u, cfg.velocity_modes)
     c = basis.project_vector(h, cfg.magnetic_modes)
-    rho = _harmonic_rho_spec(
-        basis,
-        float(ip.get("density_mean", 1.0)),
-        float(ip.get("density_amplitude", 0.0)),
-        int(ip.get("density_axis", 2)),
-        int(ip.get("density_wavenumber", 1)),
-    )
-    b = _uniform_theta(basis, cfg.temperature_modes, float(ip.get("temperature_base", 1.0)))
+    rho = _harmonic_rho_spec(basis, ip, ip["density_axis"])
+    b = _uniform_theta(basis, cfg.temperature_modes, ip["temperature_base"])
     return rho, a, b, c
 
 
@@ -128,16 +143,16 @@ def _master_band(band, count, amplitude, slope, rng) -> np.ndarray:
 
 
 def _build_random_band(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
-    rng = np.random.default_rng(int(ip.get("seed", 0)))
-    slope = float(ip.get("spectrum_slope", 2.0))
-    band = int(ip.get("band_modes", 0)) or min(64, basis.n_vector_modes)
-    a = _master_band(band, cfg.velocity_modes, float(ip.get("velocity_amplitude", 0.3)), slope, rng)
-    c = _master_band(band, cfg.magnetic_modes, float(ip.get("magnetic_amplitude", 0.3)), slope, rng)
+    rng = np.random.default_rng(ip["seed"])
+    slope = ip["spectrum_slope"]
+    band = ip["band_modes"] or min(64, basis.n_vector_modes)
+    a = _master_band(band, cfg.velocity_modes, ip["velocity_amplitude"], slope, rng)
+    c = _master_band(band, cfg.magnetic_modes, ip["magnetic_amplitude"], slope, rng)
 
     # temperature and density perturbations use fixed master mode counts so
     # the constructed fields do not depend on the velocity truncation level
-    theta_base = float(ip.get("temperature_base", 1.0))
-    theta_amp = float(ip.get("temperature_amplitude", 0.0))
+    theta_base = ip["temperature_base"]
+    theta_amp = ip["temperature_amplitude"]
     n_theta = min(13, basis.n_scalar_modes)
     master_b = _uniform_theta(basis, n_theta, theta_base)
     if theta_amp > 0 and n_theta > 1:
@@ -149,8 +164,8 @@ def _build_random_band(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
     take = min(n_theta, cfg.temperature_modes)
     b[:take] = master_b[:take]
 
-    rho_mean = float(ip.get("density_mean", 1.0))
-    rho_amp = float(ip.get("density_amplitude", 0.0))
+    rho_mean = ip["density_mean"]
+    rho_amp = ip["density_amplitude"]
     rho = _uniform_rho_spec(basis, rho_mean)
     if rho_amp > 0:
         n_pert = min(13, basis.n_scalar_modes)
@@ -164,24 +179,16 @@ def _build_random_band(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
 
 
 def _build_layered_density(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
-    rho = _harmonic_rho_spec(
-        basis,
-        float(ip.get("density_mean", 1.0)),
-        float(ip.get("density_amplitude", 0.3)),
-        2,
-        int(ip.get("density_wavenumber", 1)),
-    )
-    va = float(ip.get("velocity_amplitude", 0.05))
+    rho = _harmonic_rho_spec(basis, ip, 2)
     x, _, _ = basis.mesh()
     two_pi = 2.0 * np.pi / basis.box_size
     zeros = np.zeros_like(x)
-    u = np.stack([zeros, zeros, va * np.sin(two_pi * x)])
+    u = np.stack([zeros, zeros, ip["velocity_amplitude"] * np.sin(two_pi * x)])
     a = basis.project_vector(u, cfg.velocity_modes)
     c = np.zeros(cfg.magnetic_modes)
-    ma = float(ip.get("magnetic_amplitude", 0.0))
-    if ma:
-        c[int(ip.get("magnetic_mode", 0))] = ma
-    b = _uniform_theta(basis, cfg.temperature_modes, float(ip.get("temperature_base", 1.0)))
+    if ip["magnetic_amplitude"]:
+        c[ip["magnetic_mode"]] = ip["magnetic_amplitude"]
+    b = _uniform_theta(basis, cfg.temperature_modes, ip["temperature_base"])
     return rho, a, b, c
 
 
@@ -198,7 +205,7 @@ def build_initial_state(cfg: RunConfig, basis: DivFreeSpectralBasis) -> SimState
     check it against the temperature floor.  Its density range and
     finiteness are checked by :meth:`SimState.validate` when it is
     integrated."""
-    rho, a, b, c = _BUILDERS[cfg.initial_family](cfg, basis, cfg.initial_params)
+    rho, a, b, c = _BUILDERS[cfg.initial_family](cfg, basis, family_params(cfg))
     theta_min = basis.scalar_grid(b).min()
     floor = cfg.constitutive.temperature_floor
     if theta_min < floor - 1e-12:

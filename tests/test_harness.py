@@ -10,7 +10,7 @@ from specmhd import cli, galerkin as gal, harness
 from specmhd import spectral as sp
 from specmhd.config import RunConfig, load_config
 from specmhd.errors import ConfigError
-from specmhd.initial_conditions import build_initial_state
+from specmhd.initial_conditions import FAMILIES, build_initial_state
 from specmhd.integrator import StepConfig
 
 from helpers import lorentz_flipped
@@ -166,6 +166,19 @@ class TestInitialFamilies:
         np.testing.assert_array_equal(s8.a, s16.a[:8])
         np.testing.assert_array_equal(s8.c, s16.c[:8])
 
+    def test_initial_defaults_only_in_families(self):
+        """One home for the [initial] defaults: no module reads an [initial]
+        value with ``.get(key, default)``; the table ``FAMILIES`` holds them."""
+        keys = "|".join(sorted({key for defaults in FAMILIES.values() for key in defaults}))
+        pattern = re.compile(rf"\.get\(\s*[\"'](?:{keys})[\"']\s*,")
+        found = [
+            f"{path.name}:{i}"
+            for path in sorted(Path(harness.__file__).parent.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert not found, f"[initial] default read outside FAMILIES: {found}"
+
 
 class TestRunOutputs:
     def test_zero_initial_data_passes(self, tmp_path):
@@ -293,6 +306,14 @@ class TestSweeps:
             ({"initial_params": {"density_amplitude": 0.1, "density_wavenumber": 0}}, "density_wavenumber=0"),
             ({"initial_params": {"velocity_amplitude": "0.1x"}}, "'velocity_amplitude' in [initial] must be a number"),
             ({"initial_family": "random_band", "initial_params": {"band_modes": -1}}, "band_modes=-1"),
+            ({"initial_family": "random_band", "initial_params": {"seed": 2.5}},
+             "'seed' in [initial] must be an integer"),
+            ({"initial_params": {"velocity_amplitude": 0.1, "velocity_mode": 1.5}},
+             "'velocity_mode' in [initial] must be an integer"),
+            ({"initial_params": {"density_amplitude": 0.1, "density_wavenumber": 1.9}},
+             "'density_wavenumber' in [initial] must be an integer"),
+            ({"initial_params": {"velocity_amplitude": True}}, "'velocity_amplitude' in [initial] must be a number"),
+            ({"initial_family": "random_band", "initial_params": {"seed": -1}}, "seed=-1"),
         ],
     )
     def test_code_built_config_is_validated_by_run(self, tmp_path, change, named):
@@ -304,22 +325,38 @@ class TestSweeps:
         "name, edit, named",
         [
             # the 8-mode cell cannot hold the magnetic mode 12
-            ("single_mode_mhd", ("\n[output]", "\n[sweep]\nkind = modes\nvalues = 8,16,24\n\n[output]"),
+            ("single_mode_mhd", [("\n[output]", "\n[sweep]\nkind = modes\nvalues = 8,16,24\n\n[output]")],
              "sweep value 8: magnetic_mode=12"),
             # the cutoff at grid_points = 16 is 5
-            ("sweep_eps", ("\n[initial]\n", "\n[initial]\ndensity_wavenumber = 9\n"),
+            ("sweep_eps", [("\n[initial]\n", "\n[initial]\ndensity_wavenumber = 9\n")],
              "density_wavenumber=9"),
+            # layered_density's default amplitude 0.3 reaches below the raised density_min
+            ("sweep_eps",
+             [("density_amplitude = 0.3\n", ""), ("\n[constitutive]\n", "\n[constitutive]\ndensity_min = 0.8\n")],
+             "initial density must stay within [0.8, 2.0] (mean 1.0, amplitude 0.3)"),
         ],
     )
     def test_inadmissible_cell_is_config_error(self, tmp_path, capsys, name, edit, named):
         text = (CONFIGS / f"{name}.cfg").read_text()
-        assert edit[0] in text
+        for old, new in edit:
+            assert old in text
+            text = text.replace(old, new, 1)
         path = tmp_path / "bad.cfg"
-        path.write_text(text.replace(edit[0], edit[1], 1))
+        path.write_text(text)
         for command in ("run", "sweep"):
             code = cli.main([command, "--config", str(path), "--output-dir", str(tmp_path / command), "--quiet"])
             assert code == harness.EXIT_CONFIG
             assert named in capsys.readouterr().err
+
+    def test_sweep_exits_as_its_first_aborted_cell(self, tmp_path):
+        # with seed 3 every cell trips the density monitor at the first step
+        text = (CONFIGS / "sweep_modes.cfg").read_text().replace("\nseed = 7\n", "\nseed = 3\n")
+        path = tmp_path / "seed3.cfg"
+        path.write_text(text)
+        code = cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "out"), "--quiet"])
+        assert code == harness.EXIT_INVARIANT
+        aborted = json.loads((tmp_path / "out" / "study.json").read_text())["aborted_cells"]
+        assert [cell["exit_code"] for cell in aborted] == [harness.EXIT_INVARIANT] * 3
 
     def test_density_difference_is_grid_l2_norm(self):
         basis = sp.build_basis(2.0 * np.pi, 12, 20)
@@ -391,6 +428,14 @@ class TestCli:
         assert a != b
         saved = load_config(tmp_path / "s2" / "config.cfg")
         assert saved.initial_params["seed"] == 2
+
+    def test_bad_seed_override_is_config_error(self, tmp_path, capsys):
+        args = ["run", "--config", str(CONFIGS / "random_band.cfg"), "--output-dir", str(tmp_path), "--seed", "-1"]
+        assert cli.main(args + ["--quiet"]) == harness.EXIT_CONFIG
+        assert "seed=-1 must be a nonnegative integer" in capsys.readouterr().err
+        rep = harness.run(load_config(CONFIGS / "random_band.cfg"), output_dir=str(tmp_path), seed=2.5, quiet=True)
+        assert rep.exit_code == harness.EXIT_CONFIG
+        assert "'seed' in [initial] must be an integer" in rep.summary["error"]
 
     def test_numerical_abort_exit_code(self, tmp_path):
         blowup = tmp_path / "blowup.cfg"
