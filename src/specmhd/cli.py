@@ -8,6 +8,8 @@ Subcommands::
 
 Exit codes: 0 pass, 1 invariant failure, 2 configuration error,
 3 numerical abort; a sweep exits with the code of its first aborted cell.
+Every failure names its cause on stderr: ``<status>: <error>`` for a run,
+one such line per aborted cell for a sweep.
 The environment variable ``SPECMHD_OUTPUT_ROOT`` sets the default output
 root when neither the config nor ``--output-dir`` names one.
 """
@@ -51,12 +53,16 @@ def main(argv=None) -> int:
             report = harness.run(cfg, output_dir=args.output_dir, seed=args.seed, quiet=args.quiet)
             if report.exit_code == harness.EXIT_CONFIG:  # e.g. a --seed the config does not admit
                 raise ConfigError(report.summary["error"])
+            if report.exit_code != harness.EXIT_PASS:
+                print(f"{report.status}: {report.summary['error']}", file=sys.stderr)
             if not args.quiet:
                 print(f"outputs: {report.output_dir}")
             return report.exit_code
         if args.command == "sweep":
             cfg = load_config(args.config)
             study = harness.convergence_study(cfg, output_dir=args.output_dir, quiet=args.quiet)
+            for cell in study.aborted_cells:
+                print(f"sweep value {cell['value']}: {cell['status']}: {cell['error']}", file=sys.stderr)
             return study.aborted_cells[0]["exit_code"] if study.aborted_cells else harness.EXIT_PASS
         if args.command == "check":
             ok, _ = harness.check(suite=args.suite, quiet=args.quiet)

@@ -23,12 +23,18 @@ Sections and keys mirror the solver blocks:
 ``[sweep]`` (optional)
     kind (modes | density_regularization), values (comma separated)
 
-Loading fills every missing key from the defaults of ``RunConfig`` and the
-dataclasses it holds (except that ``temperature_modes`` defaults to
-``velocity_modes + 1`` and ``magnetic_modes`` to ``velocity_modes``).
-``[initial]`` reads the ``FAMILIES`` table as the other sections read their
-dataclasses (a key's type is the type of its default); ``initial_params``
-keeps only the keys given, and ``family_params`` merges in the defaults.
+The sections are stated once, in one table that both the loader and
+``serialize_config`` iterate: ``[constitutive]`` and ``[step]`` are the
+fields of their dataclasses, and each ``[domain]``, ``[truncation]``,
+``[output]`` and ``[sweep]`` key is a ``RunConfig`` field named in
+``_FIELD_KEYS``.  A key parses as the type of its default, except
+``density_regularization`` (a number or ``auto``) and the sweep ``values``
+(typed by the sweep kind).  Loading fills every missing key from the
+defaults (except that ``temperature_modes`` defaults to ``velocity_modes +
+1`` and ``magnetic_modes`` to ``velocity_modes``).  ``[initial]`` reads the
+``FAMILIES`` table as the other sections read their dataclasses (a key's
+type is the type of its default); ``initial_params`` keeps only the keys
+given, and ``family_params`` merges in the defaults.
 ``validate_config`` reports every violated admissibility condition at once.
 It is the one validator: every loaded file, every ``RunConfig`` built in code
 that reaches :func:`specmhd.harness.run`, and every sweep cell goes through
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import configparser
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,15 +83,38 @@ class RunConfig:
     sweep_values: tuple = ()
 
 
-def _section_keys(cls) -> dict:
-    """The keys of a config section held by a dataclass: its fields, each
-    parsed as the type of its default."""
-    return {f.name: type(f.default) for f in fields(cls)}
+# The sections held by a dataclass: its fields are the section's keys, each
+# parsed as the type of its default.  The section is the RunConfig field.
+_DATACLASS_SECTIONS = {"constitutive": ConstitutiveParams, "step": StepConfig}
 
+# The sections of plain RunConfig fields.  A key is its field's name less the
+# ``<section>_`` prefix and parses as the type of the field's default, except
+# the two that _PARSE_AS names.
+_FIELD_KEYS = {
+    section: {name.removeprefix(section + "_"): name for name in names}
+    for section, names in {
+        "domain": ("box_size", "grid_points"),
+        "truncation": ("velocity_modes", "temperature_modes", "magnetic_modes", "density_regularization"),
+        "output": ("output_directory", "cadence", "snapshots"),
+        "sweep": ("sweep_kind", "sweep_values"),
+    }.items()
+}
 
-_CONSTITUTIVE_KEYS = _section_keys(ConstitutiveParams)
-_STEP_KEYS = _section_keys(StepConfig)
+# Every section, in the order serialize_config writes them.
 _SECTIONS = ("constitutive", "domain", "truncation", "step", "initial", "output", "sweep")
+
+
+def _number_or_auto(text: str):
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"density_regularization must be a number or 'auto' (got {text!r})") from None
+
+
+# sweep values are typed by the sweep kind, so they are read as text first
+_PARSE_AS = {"density_regularization": _number_or_auto, "sweep_values": str}
 
 
 def _parse_scalar(text: str):
@@ -104,6 +133,8 @@ def _parse_scalar(text: str):
 
 
 def _format_scalar(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_format_scalar(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -129,6 +160,8 @@ def load_config_text(text: str) -> RunConfig:
 
 
 def _load_text(text: str, origin: str) -> RunConfig:
+    """Read each section into a RunConfig and validate it; raise one
+    ConfigError naming every unparsable value and violated condition."""
     parser = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None
     )
@@ -136,12 +169,6 @@ def _load_text(text: str, origin: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"parse error in {origin}: {exc}") from exc
-    return config_from_parser(parser)
-
-
-def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
-    """Read each section into a RunConfig and validate it; raise one
-    ConfigError naming every unparsable value and violated condition."""
     errors = [f"unknown section [{sec}]" for sec in parser.sections() if sec not in _SECTIONS]
     default = RunConfig()
 
@@ -159,30 +186,33 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
                 if typ is bool and raw.lower() not in ("true", "false"):
                     raise ValueError(raw)
                 out[key] = raw.lower() == "true" if typ is bool else typ(raw)
+            except ConfigError as exc:  # a parser with its own message, caught before ValueError
+                errors.append(str(exc))
             except ValueError:
                 errors.append(f"key {key!r} in [{section}]: cannot parse {raw!r} as {typ.__name__}")
         return out
 
-    dom = read("domain", {"box_size": float, "grid_points": int})
-    box_size = dom.get("box_size", default.box_size)
-    grid_points = dom.get("grid_points", default.grid_points)
+    given = {}
+    for section, keys in _FIELD_KEYS.items():
+        types = {key: _PARSE_AS.get(name, type(getattr(default, name))) for key, name in keys.items()}
+        given.update((keys[key], value) for key, value in read(section, types).items())
 
-    tr = read(
-        "truncation",
-        {"velocity_modes": int, "temperature_modes": int, "magnetic_modes": int,
-         "density_regularization": str},
-    )
-    velocity_modes = tr.get("velocity_modes", default.velocity_modes)
-    eps = default.density_regularization
-    eps_raw = tr.get("density_regularization")
-    if eps_raw == "auto":
+    if given.get("density_regularization") == "auto":
+        del given["density_regularization"]
+        grid_points = given.get("grid_points", default.grid_points)
         if grid_points > 0:  # any other grid is reported by validate_config
-            eps = auto_density_regularization(box_size, grid_points)
-    elif eps_raw is not None:
+            box_size = given.get("box_size", default.box_size)
+            given["density_regularization"] = auto_density_regularization(box_size, grid_points)
+    values = given.pop("sweep_values", "")
+    if values:
+        typ = int if given.get("sweep_kind") == "modes" else float
         try:
-            eps = float(eps_raw)
+            given["sweep_values"] = tuple(typ(v) for v in values.split(","))
         except ValueError:
-            errors.append(f"density_regularization must be a number or 'auto' (got {eps_raw!r})")
+            errors.append(f"cannot parse sweep values {values!r}")
+    velocity_modes = given.get("velocity_modes", default.velocity_modes)
+    given.setdefault("temperature_modes", velocity_modes + 1)
+    given.setdefault("magnetic_modes", velocity_modes)
 
     initial_family = default.initial_family
     initial_params: dict = {}
@@ -193,35 +223,9 @@ def config_from_parser(parser: configparser.ConfigParser) -> RunConfig:
             else:
                 initial_params[key] = _parse_scalar(raw)
 
-    out = read("output", {"directory": str, "cadence": int, "snapshots": bool})
-
-    sweep = read("sweep", {"kind": str, "values": str})
-    sweep_kind = sweep.get("kind", default.sweep_kind)
-    sweep_values = default.sweep_values
-    if sweep.get("values"):
-        typ = int if sweep_kind == "modes" else float
-        try:
-            sweep_values = tuple(typ(v) for v in sweep["values"].split(","))
-        except ValueError:
-            errors.append(f"cannot parse sweep values {sweep['values']!r}")
-
-    cfg = RunConfig(
-        constitutive=ConstitutiveParams(**read("constitutive", _CONSTITUTIVE_KEYS)),
-        box_size=box_size,
-        grid_points=grid_points,
-        velocity_modes=velocity_modes,
-        temperature_modes=tr.get("temperature_modes", velocity_modes + 1),
-        magnetic_modes=tr.get("magnetic_modes", velocity_modes),
-        density_regularization=eps,
-        step=StepConfig(**read("step", _STEP_KEYS)),
-        initial_family=initial_family,
-        initial_params=initial_params,
-        output_directory=out.get("directory", default.output_directory),
-        cadence=out.get("cadence", default.cadence),
-        snapshots=out.get("snapshots", default.snapshots),
-        sweep_kind=sweep_kind,
-        sweep_values=sweep_values,
-    )
+    for section, cls in _DATACLASS_SECTIONS.items():
+        given[section] = cls(**read(section, {f.name: type(f.default) for f in fields(cls)}))
+    cfg = RunConfig(initial_family=initial_family, initial_params=initial_params, **given)
     errors.extend(validate_config(cfg))
     if errors:
         raise ConfigError("\n".join(errors))
@@ -331,31 +335,14 @@ def _validate_initial(cfg: RunConfig) -> list[str]:
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; reloading it yields an equal RunConfig."""
     lines = [f"# specmhd configuration (schema {CONFIG_SCHEMA_VERSION})", ""]
-    lines.append("[constitutive]")
-    for key in _CONSTITUTIVE_KEYS:
-        lines.append(f"{key} = {_format_scalar(getattr(cfg.constitutive, key))}")
-    lines += ["", "[domain]"]
-    lines.append(f"box_size = {_format_scalar(cfg.box_size)}")
-    lines.append(f"grid_points = {cfg.grid_points}")
-    lines += ["", "[truncation]"]
-    lines.append(f"velocity_modes = {cfg.velocity_modes}")
-    lines.append(f"temperature_modes = {cfg.temperature_modes}")
-    lines.append(f"magnetic_modes = {cfg.magnetic_modes}")
-    lines.append(f"density_regularization = {_format_scalar(cfg.density_regularization)}")
-    lines += ["", "[step]"]
-    for key in _STEP_KEYS:
-        lines.append(f"{key} = {_format_scalar(getattr(cfg.step, key))}")
-    lines += ["", "[initial]"]
-    lines.append(f"family = {cfg.initial_family}")
-    for key in sorted(cfg.initial_params):
-        lines.append(f"{key} = {_format_scalar(cfg.initial_params[key])}")
-    lines += ["", "[output]"]
-    lines.append(f"directory = {cfg.output_directory}")
-    lines.append(f"cadence = {cfg.cadence}")
-    lines.append(f"snapshots = {_format_scalar(cfg.snapshots)}")
-    if cfg.sweep_kind:
-        lines += ["", "[sweep]"]
-        lines.append(f"kind = {cfg.sweep_kind}")
-        lines.append("values = " + ",".join(_format_scalar(v) for v in cfg.sweep_values))
-    return "\n".join(lines) + "\n"
-
+    for section in _SECTIONS:
+        if section == "sweep" and not cfg.sweep_kind:
+            continue
+        if section in _DATACLASS_SECTIONS:
+            items = asdict(getattr(cfg, section)).items()
+        elif section == "initial":
+            items = [("family", cfg.initial_family), *sorted(cfg.initial_params.items())]
+        else:
+            items = [(key, getattr(cfg, name)) for key, name in _FIELD_KEYS[section].items()]
+        lines += [f"[{section}]", *(f"{key} = {_format_scalar(value)}" for key, value in items), ""]
+    return "\n".join(lines)

@@ -123,15 +123,6 @@ class _StateFields:
         self.n = ops.basis.grid_points
         self.m = ops.basis.oversample_grid()
 
-    def _grad_grid(self, c):
-        """Grid gradient ``out[..., m, :, :, :] = d_m c`` of a spectrum, one
-        component transformed at a time."""
-        g = c.shape[-1]
-        out = np.empty(c.shape[:-3] + (3, g, g, g))
-        for m in range(3):
-            out[..., m, :, :, :] = self.basis.spectral_to_grid(self.basis.grad(c, m))
-        return out
-
     # ---- base grid (exact for polynomial nonlinearities)
 
     @cached_property
@@ -153,7 +144,7 @@ class _StateFields:
     @cached_property
     def grad_u(self):
         """Jacobian grid array with grad_u[i, m] = d_m u_i."""
-        return self._grad_grid(self.c_u)
+        return self.basis.grid_gradient(self.c_u)
 
     @cached_property
     def curl_H(self):
@@ -165,7 +156,7 @@ class _StateFields:
 
     @cached_property
     def grad_rho(self):
-        return self._grad_grid(self.st.rho)
+        return self.basis.grid_gradient(self.st.rho)
 
     @cached_property
     def theta(self):
@@ -227,7 +218,7 @@ class _StateFields:
 
     @cached_property
     def grad_theta_m(self):
-        return self._grad_grid(self._last_use("c_theta_m", "theta_m"))
+        return self.basis.grid_gradient(self._last_use("c_theta_m", "theta_m"))
 
     @cached_property
     def curl_H_m(self):

@@ -90,6 +90,24 @@ def _final_snapshots(outdir: Path, state: gal.SimState) -> None:
     sp.Field("scalar", "grid", basis.scalar_grid(state.b), basis.box_size).save(outdir / "theta_final")
 
 
+def _flag_failure(records: list, heat_drop: float) -> str:
+    """The first invariant a run's samples or steps broke, in words (empty
+    when every sample holds every flag and no step lost more total heat
+    than ``HEAT_MONOTONE_SLACK``)."""
+    if not records:
+        return "no diagnostics samples"
+    for r in records:
+        failed = [name for name in diag.FLAG_COLUMNS if not getattr(r, name)]
+        if failed:
+            return f"invariant flag {failed[0]} failed at t={r.t:.6g}"
+    if not heat_drop <= diag.HEAT_MONOTONE_SLACK:
+        return (
+            f"total heat fell by {heat_drop:.3e} in one step, more than "
+            f"HEAT_MONOTONE_SLACK={diag.HEAT_MONOTONE_SLACK:g}"
+        )
+    return ""
+
+
 def build_basis_for(cfg: RunConfig) -> sp.DivFreeSpectralBasis:
     return sp.build_basis(cfg.box_size, cfg.grid_points, max(cfg.velocity_modes, cfg.magnetic_modes))
 
@@ -150,17 +168,11 @@ def run(
         status, exit_code, error_msg = "numerical_abort", EXIT_NUMERICAL, str(exc)
     wall = time.perf_counter() - t_start
 
-    flags_ok = bool(
-        recorder.records
-        and all(
-            r.decay_ok and r.heat_monotone_ok and r.density_bounds_ok and r.visc_floor_ok
-            for r in recorder.records
-        )
-    )
     heat_drop = summary_extra.get("monitors", {}).get("heat_drop_worst", 0.0)
-    flags_ok = flags_ok and heat_drop <= diag.HEAT_MONOTONE_SLACK
+    flag_failure = _flag_failure(recorder.records, heat_drop)
+    flags_ok = not flag_failure
     if status == "completed" and not flags_ok:
-        status, exit_code = "invariant_failure", EXIT_INVARIANT
+        status, exit_code, error_msg = "invariant_failure", EXIT_INVARIANT, flag_failure
 
     summary = {
         "status": status,

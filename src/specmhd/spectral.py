@@ -14,7 +14,9 @@ half-spectrum layout and the phase convention.  Real trigonometric modes on
 Canonical means lexicographically positive, so the ``+k``/``-k`` pair is
 enumerated once.  Modes are ordered by ``|k|``, then lexicographically, then
 by polarization index, then phase (cosine before sine); this ordering is
-versioned because snapshots and coefficient vectors depend on it.
+versioned because snapshots and coefficient vectors depend on it.  The mode
+tables are whole-array expressions over all canonical wavevectors; the row
+norms (``_row_norms``) are chosen to keep the bits of ordering version 1.
 
 Every field is real, so a spectrum stores only the x-half of the amplitudes:
 ``c = rfftn(values) / G**3`` over the trailing (x, y, z) axes, with x halved,
@@ -114,15 +116,22 @@ def resolution_problems(
     return bad
 
 
-def _polarization_pair(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair spanning the plane orthogonal to n."""
-    khat = n / np.linalg.norm(n)
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(khat)))] = 1.0
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v, as a column.  Written as a batched
+    matmul because that rounds like ``np.linalg.norm`` of each row alone;
+    ``norm(axis=1)``, ``einsum`` and ``sum`` move some entries by 1 ulp."""
+    return np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+
+
+def _polarization_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal pairs (e1, e2), row j spanning the plane
+    orthogonal to the wavevector n[j]."""
+    khat = n / _row_norms(n)
+    axis = np.zeros_like(khat)
+    axis[np.arange(len(n)), np.argmin(np.abs(khat), axis=1)] = 1.0
     e1 = np.cross(axis, khat)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(khat, e1)
-    return e1, e2
+    e1 /= _row_norms(e1)
+    return e1, np.cross(khat, e1)
 
 
 class DivFreeSpectralBasis:
@@ -145,32 +154,19 @@ class DivFreeSpectralBasis:
         base = 2.0 * np.pi / self.box_size
 
         # vector table: per canonical wavevector, (pol 0, cos), (pol 0, sin),
-        # (pol 1, cos), (pol 1, sin)
+        # (pol 1, cos), (pol 1, sin); scalar table: the constant mode, then
+        # per canonical wavevector (cos, sin)
         canon = _canonical_wavevectors(self.cutoff)
-        vec_n, vec_e, vec_phase = [], [], []
-        for n in canon:
-            e1, e2 = _polarization_pair(n.astype(float))
-            for e in (e1, e2):
-                for phase in (_PHASE_COS, _PHASE_SIN):
-                    vec_n.append(n)
-                    vec_e.append(e)
-                    vec_phase.append(phase)
-        self.vec_n = np.array(vec_n, dtype=int)
-        self.vec_e = np.array(vec_e, dtype=float)
-        self.vec_phase = np.array(vec_phase, dtype=np.uint8)
+        pairs = np.stack(_polarization_pairs(canon.astype(float)), axis=1)
+        cos_sin = np.array([_PHASE_COS, _PHASE_SIN], dtype=np.uint8)
+        self.vec_n = np.repeat(canon, 4, axis=0)
+        self.vec_e = np.repeat(pairs, 2, axis=1).reshape(-1, 3)
+        self.vec_phase = np.tile(cos_sin, 2 * len(canon))
         self.vec_k = base * self.vec_n.astype(float)
         self.vec_k2 = np.sum(self.vec_k * self.vec_k, axis=1)
         self.vec_curl_e = np.cross(self.vec_k, self.vec_e)
-
-        # scalar table: constant mode first
-        scal_n = [np.zeros(3, dtype=int)]
-        scal_phase = [_PHASE_CONST]
-        for n in canon:
-            for phase in (_PHASE_COS, _PHASE_SIN):
-                scal_n.append(n)
-                scal_phase.append(phase)
-        self.scal_n = np.array(scal_n, dtype=int)
-        self.scal_phase = np.array(scal_phase, dtype=np.uint8)
+        self.scal_n = np.insert(np.repeat(canon, 2, axis=0), 0, 0, axis=0)
+        self.scal_phase = np.insert(np.tile(cos_sin, len(canon)), 0, _PHASE_CONST)
         self.scal_k = base * self.scal_n.astype(float)
 
         self.n_vector_modes = len(self.vec_n)
@@ -266,7 +262,7 @@ class DivFreeSpectralBasis:
     # Exact spectral derivatives of an amplitude-normalized spectrum; the
     # grid is read from the trailing axis.  Every derivative in the package
     # goes through these four.  ``grad`` and ``strain`` return one component
-    # per call.
+    # per call; ``grid_gradient`` realizes a whole gradient on the grid.
 
     def grad(self, c: np.ndarray, m: int) -> np.ndarray:
         """Spectrum of ``d_m c``, component by component for a vector ``c``."""
@@ -292,6 +288,16 @@ class DivFreeSpectralBasis:
         """Spectrum of the rate-of-strain component ``d_m c_i + d_i c_m``."""
         ks = self.wavenumbers(c.shape[-1])
         return 1j * (ks[m] * c[i] + ks[i] * c[m])
+
+    def grid_gradient(self, c: np.ndarray) -> np.ndarray:
+        """Grid values ``out[..., m, :, :, :] = d_m c`` of the gradient of a
+        spectrum, component by component for a vector ``c``; one direction
+        is transformed at a time."""
+        g = c.shape[-1]
+        out = np.empty(c.shape[:-3] + (3, g, g, g))
+        for m in range(3):
+            out[..., m, :, :, :] = self.spectral_to_grid(self.grad(c, m))
+        return out
 
     def _flat_indices(self, nvec: np.ndarray, grid: int) -> np.ndarray:
         g = grid

@@ -1,5 +1,6 @@
 """Shared test utilities: random admissible states, an independent
-dense-grid quadrature oracle for Galerkin projections, the entry-by-entry
+dense-grid quadrature oracle for Galerkin projections, the mode tables
+built one wavevector at a time, the entry-by-entry
 mass assembly that the per-wavevector-pair assembly must reproduce bitwise,
 the induction matrix of the solver's induction right-hand side, and a
 miswired Lorentz force for fault injection.
@@ -17,6 +18,7 @@ import dataclasses
 import numpy as np
 
 from specmhd import constitutive as cst
+from specmhd import spectral as sp
 from specmhd.galerkin import SimState
 
 
@@ -150,6 +152,36 @@ def oracle_vector_field_grad(basis, coeffs, mesh):
         if cj != 0.0:
             out += cj * oracle_vector_mode_grad(basis, j, mesh)
     return out
+
+
+def oracle_mode_tables(cutoff):
+    """The mode tables ``vec_n``, ``vec_e``, ``vec_phase``, ``scal_n`` and
+    ``scal_phase`` built one wavevector at a time, each polarization pair from
+    the norms of single vectors: the construction the whole-array tables in
+    :mod:`specmhd.spectral` must reproduce bit for bit."""
+    vec_n, vec_e, vec_phase = [], [], []
+    scal_n, scal_phase = [np.zeros(3, dtype=int)], [2]
+    for n in sp._canonical_wavevectors(cutoff):
+        khat = n / np.linalg.norm(n.astype(float))
+        axis = np.zeros(3)
+        axis[int(np.argmin(np.abs(khat)))] = 1.0
+        e1 = np.cross(axis, khat)
+        e1 /= np.linalg.norm(e1)
+        for e in (e1, np.cross(khat, e1)):
+            for phase in (0, 1):
+                vec_n.append(n)
+                vec_e.append(e)
+                vec_phase.append(phase)
+        for phase in (0, 1):
+            scal_n.append(n)
+            scal_phase.append(phase)
+    return {
+        "vec_n": np.array(vec_n, dtype=int),
+        "vec_e": np.array(vec_e, dtype=float),
+        "vec_phase": np.array(vec_phase, dtype=np.uint8),
+        "scal_n": np.array(scal_n, dtype=int),
+        "scal_phase": np.array(scal_phase, dtype=np.uint8),
+    }
 
 
 def oracle_dense_grid(basis):

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specmhd import cli, galerkin as gal, harness
+from specmhd import cli, diagnostics as diag, galerkin as gal, harness
 from specmhd import spectral as sp
-from specmhd.config import RunConfig, load_config
+from specmhd.config import RunConfig, load_config, load_config_text, serialize_config
+from specmhd.constitutive import ConstitutiveParams
 from specmhd.errors import ConfigError
 from specmhd.initial_conditions import FAMILIES, build_initial_state
 from specmhd.integrator import StepConfig
@@ -21,6 +22,62 @@ MINIMAL = """
 [step]
 dt = 1e-3
 t_end = 0.01
+"""
+
+# serialize_config's text for a config with every section set: copies of
+# config.cfg in run directories are read back in this format
+PINNED_TEXT = """\
+# specmhd configuration (schema 2)
+
+[constitutive]
+power_law_exponent = 2.5
+conductivity_exponent = 0.0
+stress_smoothing = 1e-08
+magnetic_diffusivity = 1.0
+viscosity_min = 1.0
+viscosity_max = 2.0
+conductivity_min = 1.0
+conductivity_max = 1.0
+specific_heat_min = 1.0
+specific_heat_max = 1.0
+density_min = 0.5
+density_max = 2.0
+temperature_floor = 0.1
+viscosity_form = constant
+conductivity_form = density_affine
+specific_heat_form = constant
+
+[domain]
+box_size = 3.0
+grid_points = 12
+
+[truncation]
+velocity_modes = 8
+temperature_modes = 9
+magnetic_modes = 6
+density_regularization = 0.125
+
+[step]
+dt = 0.01
+t_end = 0.5
+scheme = explicit-rk4
+solver_tolerance = 1e-12
+max_nonlinear_iterations = 20
+theta_clamp = clamp
+
+[initial]
+family = random_band
+seed = 2
+velocity_amplitude = 0.25
+
+[output]
+directory = out/pinned
+cadence = 3
+snapshots = true
+
+[sweep]
+kind = modes
+values = 4,6,8
 """
 
 
@@ -62,6 +119,27 @@ class TestConfigLoading:
         path.write_text("not an ini file at all [[[")
         with pytest.raises(ConfigError, match="parse error"):
             load_config(path)
+
+    def test_serialized_text_is_pinned(self):
+        cfg = RunConfig(
+            constitutive=ConstitutiveParams(power_law_exponent=2.5, viscosity_max=2.0, conductivity_form="density_affine"),
+            box_size=3.0,
+            grid_points=12,
+            velocity_modes=8,
+            temperature_modes=9,
+            magnetic_modes=6,
+            density_regularization=0.125,
+            step=StepConfig(dt=0.01, t_end=0.5, scheme="explicit-rk4", max_nonlinear_iterations=20),
+            initial_family="random_band",
+            initial_params={"velocity_amplitude": 0.25, "seed": 2},
+            output_directory="out/pinned",
+            cadence=3,
+            snapshots=True,
+            sweep_kind="modes",
+            sweep_values=(4, 6, 8),
+        )
+        assert serialize_config(cfg) == PINNED_TEXT
+        assert load_config_text(PINNED_TEXT) == cfg
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -193,6 +271,14 @@ class TestRunOutputs:
         assert rep.exit_code == harness.EXIT_PASS
         assert rep.summary["final"]["E_kin"] == 0.0
         assert rep.summary["final"]["E_mag"] == 0.0
+
+    def test_flag_failure_names_the_invariant(self):
+        held = diag.DiagnosticsRecord(**{name: True if name in diag.FLAG_COLUMNS else 0.0 for name in diag.CSV_COLUMNS})
+        broken = dataclasses.replace(held, t=0.25, visc_floor_ok=False)
+        assert harness._flag_failure([held], diag.HEAT_MONOTONE_SLACK) == ""
+        assert harness._flag_failure([held, broken], 0.0) == "invariant flag visc_floor_ok failed at t=0.25"
+        assert harness._flag_failure([held], 2e-10).startswith("total heat fell by 2.000e-10 in one step")
+        assert harness._flag_failure([], 0.0) == "no diagnostics samples"
 
     def test_run_directory_contents(self, tmp_path):
         cfg = load_config(CONFIGS / "magnetic_decay.cfg")
@@ -348,7 +434,7 @@ class TestSweeps:
             assert code == harness.EXIT_CONFIG
             assert named in capsys.readouterr().err
 
-    def test_sweep_exits_as_its_first_aborted_cell(self, tmp_path):
+    def test_sweep_exits_as_its_first_aborted_cell(self, tmp_path, capsys):
         # with seed 3 every cell trips the density monitor at the first step
         text = (CONFIGS / "sweep_modes.cfg").read_text().replace("\nseed = 7\n", "\nseed = 3\n")
         path = tmp_path / "seed3.cfg"
@@ -357,6 +443,9 @@ class TestSweeps:
         assert code == harness.EXIT_INVARIANT
         aborted = json.loads((tmp_path / "out" / "study.json").read_text())["aborted_cells"]
         assert [cell["exit_code"] for cell in aborted] == [harness.EXIT_INVARIANT] * 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"sweep value {cell['value']}: invariant_failure: {cell['error']}" for cell in aborted]
+        assert all("density bounds drifted" in cell["error"] for cell in aborted)
 
     def test_density_difference_is_grid_l2_norm(self):
         basis = sp.build_basis(2.0 * np.pi, 12, 20)
@@ -437,7 +526,7 @@ class TestCli:
         assert rep.exit_code == harness.EXIT_CONFIG
         assert "'seed' in [initial] must be an integer" in rep.summary["error"]
 
-    def test_numerical_abort_exit_code(self, tmp_path):
+    def test_numerical_abort_exit_code(self, tmp_path, capsys):
         blowup = tmp_path / "blowup.cfg"
         blowup.write_text(
             "[domain]\ngrid_points = 8\n\n"
@@ -450,9 +539,28 @@ class TestCli:
                 ["run", "--config", str(blowup), "--output-dir", str(tmp_path / "bl"), "--quiet"]
             )
         assert code == harness.EXIT_NUMERICAL
+        assert "numerical_abort: blow-up" in capsys.readouterr().err
         # partial outputs are retained
         assert (tmp_path / "bl" / "summary.json").exists()
         assert (tmp_path / "bl" / "diagnostics.csv").exists()
+
+    def test_invariant_failure_names_its_cause(self, tmp_path, capsys):
+        # with seed 3 random_band trips the density monitor at the first step
+        args = ["run", "--config", str(CONFIGS / "random_band.cfg"), "--seed", "3"]
+        assert cli.main(args + ["--output-dir", str(tmp_path), "--quiet"]) == harness.EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("invariant_failure: density bounds drifted by")
+        assert err.strip() == "invariant_failure: " + json.loads((tmp_path / "summary.json").read_text())["error"]
+
+    def test_failed_flag_is_named(self, tmp_path, monkeypatch, capsys):
+        # no step can gain a whole unit of heat, so every step fails the flag
+        monkeypatch.setattr(diag, "HEAT_MONOTONE_SLACK", -1.0)
+        args = ["run", "--config", str(CONFIGS / "magnetic_decay.cfg"), "--output-dir", str(tmp_path), "--quiet"]
+        assert cli.main(args) == harness.EXIT_INVARIANT
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status"] == "invariant_failure" and not summary["invariant_flags_ok"]
+        assert summary["error"].startswith("invariant flag heat_monotone_ok failed at t=")
+        assert summary["error"] in capsys.readouterr().err
 
     def test_check_subcommand(self):
         assert cli.main(["check", "--suite", "harness.config_round_trip", "--quiet"]) == 0

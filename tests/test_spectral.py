@@ -15,6 +15,7 @@ from helpers import (
     make_state,
     oracle_dense_grid,
     oracle_mesh,
+    oracle_mode_tables,
     oracle_scalar_mode,
     oracle_scalar_mode_grad,
     oracle_vector_field,
@@ -78,6 +79,16 @@ class TestBasisConstruction:
         b = sp.build_basis(L, 32, 24)
         np.testing.assert_array_equal(a.vec_n[:24], b.vec_n[:24])
         np.testing.assert_allclose(a.vec_e[:24], b.vec_e[:24])
+
+
+    @pytest.mark.parametrize("grid", [4, 6, 8, 16, 32])
+    def test_tables_match_per_wavevector_construction(self, grid):
+        # snapshots and coefficient vectors depend on these bits
+        b = sp.build_basis(L, grid, 1)
+        for name, want in oracle_mode_tables(b.cutoff).items():
+            got = getattr(b, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestFieldRoundTrip:
