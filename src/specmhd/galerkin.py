@@ -111,9 +111,9 @@ class _StateFields:
     right-hand sides, the mass matrices, the monitors and
     :func:`energy_report`, so whatever one of them realizes the others reuse.
     The time loop builds one per accepted state, shares it between the
-    post-step monitors, the diagnostics report and the next step's first
-    right-hand side, and drops it before the step's stage evaluations, which
-    build their own.
+    post-step monitors and the diagnostics report (and, for RK4, IMEX and
+    the first midpoint step, the start-state right-hand side), and drops it
+    before the step's stage evaluations, which build their own.
     """
 
     def __init__(self, ops: "GalerkinOperators", state: SimState):

@@ -4,20 +4,26 @@ system.
 Schemes:
 
 * ``implicit-midpoint`` (default): one midpoint stage solved by fixed-point
-  iteration to the configured tolerance, started from a forward-Euler
-  predictor.  Preserves the quadratic energy identity to second order and
-  keeps the density-weighted mass solves symmetric.
+  iteration to the configured tolerance.  The first step starts from a
+  forward-Euler predictor, the rates at the start state; every later step
+  starts from the previous steps' converged midpoint rates, extrapolated
+  linearly in time to the new midpoint (the last one alone on the second
+  step), so it evaluates no right-hand side at the start state.  Where the
+  iteration starts changes its count, not the tolerance it converges to.
+  Preserves the quadratic energy identity to second order and keeps the
+  density-weighted mass solves symmetric.
 * ``explicit-rk4``: classic four-stage Runge-Kutta on the full system.
 * ``imex-cn-ab2``: Crank-Nicolson on the diagonal stiff terms (magnetic
   curl-curl, density regularization) with second-order Adams-Bashforth on
   everything nonlinear; the first step falls back to a one-term history.
 
 Each accepted state is realized once (:meth:`GalerkinOperators.fields`); the
-post-step monitors, the diagnostics report and the next step's start-state
-rates all read that realization.  Mass matrices are assembled and factorized
-at every stage.  That assembly and solve is 69% of a random_band run's time
-at 800 modes and about 2% at 32 modes on a 32^3 grid (``galerkin.mass_share``
-of the ``mass_k800`` and ``transform_n32`` benchmark workloads, traced).
+post-step monitors, the diagnostics report and, for RK4, IMEX and the first
+midpoint step, the next step's start-state rates all read that realization.
+Mass matrices are assembled and factorized at every stage.  That assembly
+and solve is 69% of a random_band run's time at 800 modes and about 2% at 32
+modes on a 32^3 grid (``galerkin.mass_share`` of the ``mass_k800`` and
+``transform_n32`` benchmark workloads, traced).
 """
 
 from __future__ import annotations
@@ -76,6 +82,23 @@ class TrajectorySummary:
     monitors: dict = field(default_factory=dict)
 
 
+@dataclass
+class StepCounters:
+    """Solver work summed over the steps that update it.
+
+    ``rhs_evaluations`` counts :meth:`GalerkinOperators.rates` calls,
+    ``stage_iterations`` the midpoint fixed-point iterations, and
+    ``predictor_gap_max`` is the largest :func:`_delta` between a midpoint
+    step's first candidate and its converged state: an estimate of the local
+    error, O(dt^3) from the third step on, where the predictor extrapolates
+    two midpoint rates, and O(dt^2) on the first two steps.
+    """
+
+    rhs_evaluations: int = 0
+    stage_iterations: int = 0
+    predictor_gap_max: float = 0.0
+
+
 def _linear_combination(state: SimState, new_t: float, pieces) -> SimState:
     """state + sum(coef * rates) with a fresh SimState."""
     parts = [x.copy() for x in state.parts()]
@@ -96,29 +119,57 @@ def _delta(a: SimState, b: SimState) -> float:
 
 
 def _step_implicit_midpoint(
-    ops: GalerkinOperators, state: SimState, cfg: StepConfig, dt: float, start: Rates
-) -> SimState:
+    ops: GalerkinOperators,
+    state: SimState,
+    cfg: StepConfig,
+    dt: float,
+    start: Rates,
+    counters: StepCounters,
+) -> tuple[SimState, Rates]:
+    """The converged state and the midpoint rates it was built from."""
     t_new = state.t + dt
-    candidate = _linear_combination(state, t_new, [(dt, start)])
+    first = candidate = _linear_combination(state, t_new, [(dt, start)])
+    deltas: list[float] = []
     for _ in range(cfg.max_nonlinear_iterations):
         mid = _midpoint(state, candidate)
         rates = ops.rates(ops.fields(mid))
+        counters.rhs_evaluations += 1
+        counters.stage_iterations += 1
         updated = _linear_combination(state, t_new, [(dt, rates)])
-        delta = _delta(updated, candidate)
-        if delta <= cfg.solver_tolerance:
-            return updated
+        deltas.append(_delta(updated, candidate))
+        if deltas[-1] <= cfg.solver_tolerance:
+            counters.predictor_gap_max = max(counters.predictor_gap_max, _delta(updated, first))
+            return updated, rates
         candidate = updated
+    if len(deltas) > 1:
+        contraction = f"contraction estimate {deltas[-1] / deltas[-2]:.3e}"
+    else:
+        contraction = "contraction estimate unavailable after one iteration"
     raise NonlinearSolveError(
         f"midpoint iteration did not converge in {cfg.max_nonlinear_iterations} iterations "
-        f"at t={state.t:.6g}: last relative delta {delta:.3e} > solver_tolerance "
-        f"{cfg.solver_tolerance:.3e}"
+        f"at t={state.t:.6g}: last relative delta {deltas[-1]:.3e} > solver_tolerance "
+        f"{cfg.solver_tolerance:.3e}; {contraction}"
     )
 
 
-def _step_rk4(ops: GalerkinOperators, state: SimState, dt: float, k1: Rates) -> SimState:
+def _predict_midpoint_rates(midpoints: list[tuple[float, Rates]], t_mid: float) -> Rates:
+    """The last converged midpoint rates, extrapolated linearly to ``t_mid``
+    through the one before them when there is one."""
+    t_last, k_last = midpoints[-1]
+    if len(midpoints) == 1:
+        return k_last
+    t_prev, k_prev = midpoints[-2]
+    w = (t_mid - t_last) / (t_last - t_prev)
+    return Rates(*(x + w * (x - y) for x, y in zip(k_last.parts(), k_prev.parts())))
+
+
+def _step_rk4(
+    ops: GalerkinOperators, state: SimState, dt: float, k1: Rates, counters: StepCounters
+) -> SimState:
     t = state.t
 
     def stage(t_stage: float, coef: float, k: Rates) -> Rates:
+        counters.rhs_evaluations += 1
         return ops.rates(ops.fields(_linear_combination(state, t_stage, [(coef, k)])))
 
     k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
@@ -164,19 +215,27 @@ def step(
     cfg: StepConfig,
     start: Rates,
     history: Rates | None = None,
+    counters: StepCounters | None = None,
 ) -> tuple[SimState, Rates | None]:
     """Advance one time step; raises on blow-up or non-convergence.
 
-    ``start`` is ``ops.rates`` at ``state``: the midpoint predictor, RK4's
-    first stage, or the IMEX explicit part.  ``history`` is what the previous
-    call returned as its second value (the IMEX Adams-Bashforth term; None
-    for the other schemes and on the first step).
+    For RK4 and IMEX, ``start`` is ``ops.rates`` at ``state``: RK4's first
+    stage or the IMEX explicit part.  For the midpoint it is the predicted
+    midpoint rate, and the iteration starts from ``state + dt * start``;
+    :func:`integrate` passes ``ops.rates`` at ``state`` on the first step
+    only and the extrapolated midpoint rates after it.  ``history`` is what
+    the previous call returned as its second value: the IMEX Adams-Bashforth
+    term (None on the first step), None for RK4.  The midpoint ignores it and
+    returns its converged midpoint rates there.  ``counters``, when given,
+    accumulates the step's stage work; the start rates are the caller's.
     """
     dt = cfg.dt
+    if counters is None:
+        counters = StepCounters()
     if cfg.scheme == "implicit-midpoint":
-        new = _step_implicit_midpoint(ops, state, cfg, dt, start)
+        new, history = _step_implicit_midpoint(ops, state, cfg, dt, start, counters)
     elif cfg.scheme == "explicit-rk4":
-        new = _step_rk4(ops, state, dt, start)
+        new = _step_rk4(ops, state, dt, start, counters)
     elif cfg.scheme == "imex-cn-ab2":
         new, history = _step_imex_cn_ab2(ops, state, dt, start, history)
     else:
@@ -229,14 +288,26 @@ def integrate(
     worst_heat_drop = 0.0
     prev_heat = ops.total_heat(fields)
     n_steps = 0
+    counters = StepCounters()
     history: Rates | None = None
+    midpoints: list[tuple[float, Rates]] = []  # the last two (t_mid, converged rates)
     while state.t < t0 + cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
         dt = min(cfg.dt, t0 + cfg.t_end - state.t)
         sub_cfg = cfg if dt == cfg.dt else replace(cfg, dt=dt)
-        start_rates = ops.rates(fields)
+        t_mid = state.t + 0.5 * dt
+        if midpoints:
+            start_rates = _predict_midpoint_rates(midpoints, t_mid)
+        else:
+            start_rates = ops.rates(fields)
+            counters.rhs_evaluations += 1
         fields = None  # the stages realize their own states
-        state, history = step(ops, state, sub_cfg, start_rates, history)
+        try:
+            state, history = step(ops, state, sub_cfg, start_rates, history, counters)
+        except NonlinearSolveError as exc:
+            raise NonlinearSolveError(f"step {n_steps + 1}: {exc}") from exc
         n_steps += 1
+        if cfg.scheme == "implicit-midpoint":
+            midpoints = midpoints[-1:] + [(t_mid, history)]
 
         fields = ops.fields(state)
         rho_grid = fields.rho
@@ -285,5 +356,8 @@ def integrate(
             "rho_min_initial": rho_min0,
             "rho_max_initial": rho_max0,
             "heat_drop_worst": worst_heat_drop,
+            "rhs_evaluations": counters.rhs_evaluations,
+            "stage_iterations": counters.stage_iterations,
+            "predictor_gap_max": counters.predictor_gap_max,
         },
     )

@@ -2,8 +2,9 @@
 dense-grid quadrature oracle for Galerkin projections, the mode tables
 built one wavevector at a time, the entry-by-entry
 mass assembly that the per-wavevector-pair assembly must reproduce bitwise,
-the induction matrix of the solver's induction right-hand side, and a
-miswired Lorentz force for fault injection.
+the induction matrix of the solver's induction right-hand side, a
+miswired Lorentz force for fault injection, and a midpoint time loop that
+starts every step from its start-state rates.
 
 The quadrature oracle never touches the FFT machinery: modes and fields are
 evaluated from their closed trigonometric forms on a uniform dense grid and
@@ -18,8 +19,9 @@ import dataclasses
 import numpy as np
 
 from specmhd import constitutive as cst
+from specmhd import integrator as itg
 from specmhd import spectral as sp
-from specmhd.galerkin import SimState
+from specmhd.galerkin import GalerkinOperators, SimState
 
 
 def make_state(
@@ -276,3 +278,23 @@ def lorentz_flipped(f):
     entries = f.basis.gather_vector(f.basis.grid_to_spectral(lorentz), len(f.st.a))
     f.momentum_rhs = f.momentum_rhs - 2.0 * entries
     return f
+
+
+# ------------------------------------------------------ reference time loop
+
+
+def forward_euler_started_run(params, basis, state, cfg, eps_density=0.0):
+    """Step ``state`` to ``cfg.t_end`` as :func:`integrator.integrate` does,
+    shortened last step included, but start every step from ``ops.rates`` at
+    its start state: the forward-Euler predictor.  Returns the final state
+    and the work counters, start-state evaluations included."""
+    ops = GalerkinOperators(params, basis, eps_density)
+    counters = itg.StepCounters()
+    t_stop = state.t + cfg.t_end
+    history = None
+    while state.t < t_stop - 1e-12 * max(1.0, cfg.t_end):
+        sub_cfg = dataclasses.replace(cfg, dt=min(cfg.dt, t_stop - state.t))
+        start = ops.rates(ops.fields(state))
+        counters.rhs_evaluations += 1
+        state, history = itg.step(ops, state, sub_cfg, start, history, counters)
+    return state, counters

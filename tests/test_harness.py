@@ -309,7 +309,33 @@ class TestRunOutputs:
         assert rep.exit_code == harness.EXIT_NUMERICAL
         error = json.loads((rep.output_dir / "summary.json").read_text())["error"]
         assert "did not converge in 1 iterations" in error and "solver_tolerance" in error
+        assert error.startswith("step 1: ")
+        assert "contraction estimate unavailable" in error
         assert "mass solve" not in error
+
+    def test_midpoint_stall_names_contraction(self, tmp_path):
+        # pure resistive decay: the stage map is linear in c with spectral
+        # radius dt/2 nu |k|^2 on the lowest shell, so that is the ratio of
+        # successive deltas
+        cfg = load_config(CONFIGS / "magnetic_decay.cfg")
+        cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, max_nonlinear_iterations=2))
+        rep = harness.run(cfg, output_dir=str(tmp_path / "stall2"), quiet=True)
+        assert rep.exit_code == harness.EXIT_NUMERICAL
+        error = rep.summary["error"]
+        assert error.startswith("step 1: ") and "did not converge in 2 iterations" in error
+        estimate = float(re.search(r"contraction estimate ([0-9.e+-]+)", error).group(1))
+        k2 = 1.0  # lowest shell at box 2 pi
+        expected = 0.5 * cfg.step.dt * cfg.constitutive.magnetic_diffusivity * k2
+        assert estimate == pytest.approx(expected, rel=1e-3)
+
+    def test_summary_counts_solver_work(self, tmp_path):
+        cfg = load_config(CONFIGS / "magnetic_decay.cfg")
+        cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, t_end=0.005))
+        rep = harness.run(cfg, output_dir=str(tmp_path / "work"), quiet=True)
+        monitors = json.loads((rep.output_dir / "summary.json").read_text())["monitors"]
+        assert monitors["rhs_evaluations"] == 1 + monitors["stage_iterations"]
+        assert monitors["stage_iterations"] >= rep.summary["n_steps"] == 5
+        assert 0.0 < monitors["predictor_gap_max"] < 1e-6
 
     def test_determinism_byte_identical(self):
         cfg = load_config(CONFIGS / "magnetic_decay.cfg")

@@ -1,3 +1,7 @@
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,9 +11,14 @@ from specmhd import galerkin as gal
 from specmhd import harness
 from specmhd import integrator as itg
 from specmhd import spectral as sp
+from specmhd.config import load_config
 from specmhd.errors import BlowUpError, ConfigError, InvariantViolation
+from specmhd.initial_conditions import build_initial_state
+
+from helpers import forward_euler_started_run
 
 L = 2.0 * np.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +196,63 @@ class TestRealization:
         assert summary.n_steps == 3 and len(rec.records) == 4
         keys = [(name, id(f)) for name, f in seen]
         assert len(keys) == len(set(keys))
+
+
+class TestPredictor:
+    def test_extrapolation_exact_for_rates_linear_in_time(self):
+        slope = gal.Rates(*(np.linspace(-1.0, 2.0, 5) * (i + 1) for i in range(4)))
+
+        def at(t):
+            return gal.Rates(*(1.0 + i + t * x for i, x in enumerate(slope.parts())))
+
+        # uneven spacing: the last step is shortened to dt/2
+        history = [(0.5e-3, at(0.5e-3)), (1.5e-3, at(1.5e-3))]
+        predicted = itg._predict_midpoint_rates(history, 2.25e-3)
+        for x, y in zip(predicted.parts(), at(2.25e-3).parts()):
+            np.testing.assert_allclose(x, y, rtol=1e-13)
+        only = at(0.5e-3)
+        assert itg._predict_midpoint_rates([(0.5e-3, only)], 1.5e-3) is only
+
+    @pytest.mark.parametrize("scheme", itg.SCHEMES)
+    def test_rhs_evaluations_per_scheme(self, basis, params, monkeypatch, scheme):
+        times = []
+        rates = gal.GalerkinOperators.rates
+
+        def counting(ops, f):
+            times.append(f.st.t)
+            return rates(ops, f)
+
+        monkeypatch.setattr(gal.GalerkinOperators, "rates", counting)
+        st = plain_state(basis)
+        st.a[0] = 0.3
+        st.c[12] = 0.3
+        summary, _ = run(params, basis, st, dt=1e-3, t_end=0.004, scheme=scheme)
+        work = summary.monitors
+        assert summary.n_steps == 4
+        assert work["rhs_evaluations"] == len(times)
+        if scheme == "implicit-midpoint":
+            # the start state of the first step is the only one evaluated;
+            # every other evaluation is a stage at a midpoint time
+            assert work["rhs_evaluations"] == 1 + work["stage_iterations"]
+            assert times[0] == 0.0
+            assert all(abs(t / 1e-3 % 1.0 - 0.5) < 1e-9 for t in times[1:])
+            assert work["predictor_gap_max"] > 0.0
+        else:
+            per_step = {"explicit-rk4": 4, "imex-cn-ab2": 1}[scheme]
+            assert work["rhs_evaluations"] == per_step * summary.n_steps
+            assert work["stage_iterations"] == 0 and work["predictor_gap_max"] == 0.0
+
+    @pytest.mark.parametrize("name,steps", [("single_mode_mhd", 4.5), ("orszag_tang", 3.5)])
+    def test_shortened_final_step_matches_forward_euler_start(self, name, steps):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        step_cfg = replace(cfg.step, t_end=steps * cfg.step.dt)
+        basis = harness.build_basis_for(cfg)
+        state0 = build_initial_state(cfg, basis)
+        eps = cfg.density_regularization
+        summary = itg.integrate(cfg.constitutive, basis, state0, step_cfg, eps_density=eps)
+        ref, ref_work = forward_euler_started_run(cfg.constitutive, basis, state0, step_cfg, eps)
+        assert summary.n_steps == math.ceil(steps)
+        assert summary.final_state.t == ref.t
+        # a different start, the same fixed point to the solver tolerance
+        assert itg._delta(summary.final_state, ref) <= step_cfg.solver_tolerance
+        assert summary.monitors["rhs_evaluations"] < ref_work.rhs_evaluations
