@@ -14,15 +14,27 @@ class ResolutionError(ConfigError):
     """Requested truncation level does not fit under the dealiasing cutoff."""
 
 
-class MassSolveError(RuntimeError):
+class SolverAbort(RuntimeError):
+    """A run stopped before its final time.
+
+    Raised out of :func:`specmhd.integrator.integrate`, ``trajectory`` is the
+    run's :class:`~specmhd.integrator.TrajectorySummary` up to the abort: the
+    steps completed (one whose state a monitor rejected included), the last
+    of their states, and the solver work up to the failing stage.
+    """
+
+    trajectory = None
+
+
+class MassSolveError(SolverAbort):
     """A mass matrix was not finite or not positive definite."""
 
 
-class NonlinearSolveError(RuntimeError):
+class NonlinearSolveError(SolverAbort):
     """The implicit-midpoint fixed-point iteration did not converge."""
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(SolverAbort):
     """Non-finite values or runaway norms were detected during integration."""
 
     def __init__(self, message: str, t: float | None = None):
@@ -30,7 +42,7 @@ class BlowUpError(RuntimeError):
         self.t = t
 
 
-class InvariantViolation(RuntimeError):
+class InvariantViolation(SolverAbort):
     """A runtime monitor (density bounds, clamp policy) tripped."""
 
     def __init__(self, message: str, t: float | None = None):

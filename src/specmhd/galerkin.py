@@ -286,10 +286,7 @@ class GalerkinOperators:
     states.  Every per-state method takes the state's :class:`_StateFields`
     from :meth:`fields`.  A mass matrix is the spectral Gram matrix of its
     weight, the density or ``rho c(theta)``, assembled by the basis per
-    wavevector pair and Cholesky-factorized on every call.  At 800 modes that
-    is 69% of a random_band run's time (``galerkin.mass_share`` 0.69 in a
-    traced run of the ``mass_k800`` benchmark workload, up from 0.61 once
-    the transforms became real FFTs).
+    wavevector pair and Cholesky-factorized on every call.
     """
 
     def __init__(self, params: cst.ConstitutiveParams, basis: DivFreeSpectralBasis, eps_density: float = 0.0):
@@ -339,6 +336,28 @@ class GalerkinOperators:
         da = self.solve_mass(self.velocity_mass(f), f.momentum_rhs)
         db = self.solve_mass(self.thermal_mass(f), self.thermal_rhs(f))
         return Rates(f.density_rate, da, db, f.induction_rhs)
+
+    def stiff_diagonal(self, st: SimState, h: float = 1.0, f: _StateFields | None = None) -> tuple:
+        """``h L`` as (rho, a, b, c) parts, where ``-L`` is the diagonal linear
+        part of the rates at a state with ``st``'s truncation levels.
+
+        The density regularization eps |k|^2 and the magnetic diffusion
+        nu |k|^2 are exact.  Heat conduction kbar |k|^2 / rcbar is frozen at the
+        realization ``f``: kbar is the oversampled-grid mean of
+        ``kappa(rho) max(theta, floor)^alpha`` and rcbar that of
+        ``rho c(theta)``; it is 0 without a realization.  The velocity part is 0.
+        ``h`` multiplies first, so ``h * eps * |k|^2`` rounds as the IMEX step
+        has always rounded it.
+        """
+        rho = h * self.eps_density * self._k2_n
+        c = h * self.magnetic_stiffness_diag[: len(st.c)]
+        b = 0.0
+        if f is not None:
+            p = self.params
+            kbar = np.mean(cst.conductivity(p, f.rho_m) * f.theta_floor_m**p.conductivity_exponent)
+            rcbar = np.mean(f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0)))
+            b = h * (kbar / rcbar) * self.basis.scal_k2[: len(st.b)]
+        return rho, 0.0, b, c
 
     def total_heat(self, f: _StateFields) -> float:
         """Quadrature of rho Q(theta), consistent with the thermal assembly."""

@@ -137,7 +137,7 @@ def run(
     status = "completed"
     exit_code = EXIT_PASS
     error_msg = ""
-    summary_extra: dict = {}
+    traj = None  # the steps completed and the solver work, also of an aborted run
     t_start = time.perf_counter()
     try:
         _require_valid(cfg)
@@ -153,21 +153,25 @@ def run(
             eps_density=cfg.density_regularization,
             cadence=cfg.cadence,
         )
-        summary_extra = {
-            "n_steps": traj.n_steps,
-            "clamp_total": traj.clamp_total,
-            "monitors": traj.monitors,
-        }
         if cfg.snapshots:
             _final_snapshots(outdir, traj.final_state)
     except ConfigError as exc:
         status, exit_code, error_msg = "config_error", EXIT_CONFIG, str(exc)
     except InvariantViolation as exc:
         status, exit_code, error_msg = "invariant_failure", EXIT_INVARIANT, str(exc)
+        traj = exc.trajectory
     except (BlowUpError, MassSolveError, NonlinearSolveError) as exc:
         status, exit_code, error_msg = "numerical_abort", EXIT_NUMERICAL, str(exc)
+        traj = exc.trajectory
     wall = time.perf_counter() - t_start
 
+    summary_extra: dict = {}
+    if traj is not None:
+        summary_extra = {
+            "n_steps": traj.n_steps,
+            "clamp_total": traj.clamp_total,
+            "monitors": traj.monitors,
+        }
     heat_drop = summary_extra.get("monitors", {}).get("heat_drop_worst", 0.0)
     flag_failure = _flag_failure(recorder.records, heat_drop)
     flags_ok = not flag_failure
@@ -202,7 +206,10 @@ def run(
     _write_csv(outdir, recorder)
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
     if not quiet:
-        print(f"[{status}] {cfg.initial_family}: {len(recorder.records)} samples, {wall:.2f}s")
+        work = ""
+        if traj is not None and traj.n_steps:
+            work = f", {traj.monitors['rhs_evaluations'] / traj.n_steps:.2f} RHS/step"
+        print(f"[{status}] {cfg.initial_family}: {len(recorder.records)} samples, {wall:.2f}s{work}")
     return RunReport(status, exit_code, outdir, summary, recorder)
 
 

@@ -3,15 +3,19 @@ system.
 
 Schemes:
 
-* ``implicit-midpoint`` (default): one midpoint stage solved by fixed-point
-  iteration to the configured tolerance.  The first step starts from a
-  forward-Euler predictor, the rates at the start state; every later step
-  starts from the previous steps' converged midpoint rates, extrapolated
-  linearly in time to the new midpoint (the last one alone on the second
-  step), so it evaluates no right-hand side at the start state.  Where the
-  iteration starts changes its count, not the tolerance it converges to.
-  Preserves the quadratic energy identity to second order and keeps the
-  density-weighted mass solves symmetric.
+* ``implicit-midpoint`` (default): one midpoint stage solved by iteration
+  to the configured tolerance.  The first step starts from a forward-Euler
+  predictor, the rates at the start state; every later step starts from the
+  last two known rates (on step 2, those at the start state of step 1 and
+  at its midpoint), extrapolated linearly in time to the new midpoint, so it
+  evaluates no right-hand side at the start state.  Between iterations the
+  candidate moves by the residual damped with ``(I + dt/2 L)^-1``, L the
+  diffusion diagonal frozen at the step's first stage (magnetic, density
+  regularization, heat conduction), so stiff modes do not set the
+  iteration count.  Where the iteration starts and how it moves change its
+  count, not the tolerance it converges to.  Preserves the quadratic energy
+  identity to second order and keeps the density-weighted mass solves
+  symmetric.
 * ``explicit-rk4``: classic four-stage Runge-Kutta on the full system.
 * ``imex-cn-ab2``: Crank-Nicolson on the diagonal stiff terms (magnetic
   curl-curl, density regularization) with second-order Adams-Bashforth on
@@ -20,10 +24,7 @@ Schemes:
 Each accepted state is realized once (:meth:`GalerkinOperators.fields`); the
 post-step monitors, the diagnostics report and, for RK4, IMEX and the first
 midpoint step, the next step's start-state rates all read that realization.
-Mass matrices are assembled and factorized at every stage.  That assembly
-and solve is 69% of a random_band run's time at 800 modes and about 2% at 32
-modes on a 32^3 grid (``galerkin.mass_share`` of the ``mass_k800`` and
-``transform_n32`` benchmark workloads, traced).
+Mass matrices are assembled and factorized at every stage.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from specmhd import galerkin as gal
 from specmhd.constitutive import ConstitutiveParams, validate_params
-from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, NonlinearSolveError
+from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, NonlinearSolveError, SolverAbort
 from specmhd.galerkin import GalerkinOperators, Rates, SimState
 from specmhd.spectral import DivFreeSpectralBasis
 
@@ -87,11 +88,12 @@ class StepCounters:
     """Solver work summed over the steps that update it.
 
     ``rhs_evaluations`` counts :meth:`GalerkinOperators.rates` calls,
-    ``stage_iterations`` the midpoint fixed-point iterations, and
-    ``predictor_gap_max`` is the largest :func:`_delta` between a midpoint
-    step's first candidate and its converged state: an estimate of the local
-    error, O(dt^3) from the third step on, where the predictor extrapolates
-    two midpoint rates, and O(dt^2) on the first two steps.
+    ``stage_iterations`` the midpoint fixed-point iterations, both including
+    a call that raised, and ``predictor_gap_max`` is the largest
+    :func:`_delta` between a midpoint step's first candidate and its
+    converged state.  :func:`integrate` keeps it from the second step on,
+    where the predictor extrapolates two rates linearly, so it estimates the
+    O(dt^3) local error; the first step's forward-Euler start is O(dt^2).
     """
 
     rhs_evaluations: int = 0
@@ -118,6 +120,12 @@ def _delta(a: SimState, b: SimState) -> float:
     return float(num / den)
 
 
+def _stage_damping(ops: GalerkinOperators, state: SimState, dt: float, fields) -> list:
+    """The diagonal of ``(I + dt/2 L)^-1`` per state part, with L frozen at
+    the stage realization ``fields``."""
+    return [1.0 / (1.0 + x) for x in ops.stiff_diagonal(state, 0.5 * dt, fields)]
+
+
 def _step_implicit_midpoint(
     ops: GalerkinOperators,
     state: SimState,
@@ -126,21 +134,38 @@ def _step_implicit_midpoint(
     start: Rates,
     counters: StepCounters,
 ) -> tuple[SimState, Rates]:
-    """The converged state and the midpoint rates it was built from."""
+    """The converged state and the midpoint rates it was built from.
+
+    Each iteration maps the candidate x to ``G(x) = state + dt k(mid(x))`` and
+    stops once ``G(x)`` is within ``solver_tolerance`` of x.  Otherwise the
+    next candidate is ``x + (I + dt/2 L)^-1 (G(x) - x)``, with L the stiff
+    diagonal (:meth:`GalerkinOperators.stiff_diagonal`) frozen at the first
+    stage's realization: a Newton step whose Jacobian keeps only the
+    diffusion, so the iteration contracts at the nonlinear rate instead of
+    dt/2 times the largest diffusion eigenvalue.
+    """
     t_new = state.t + dt
     first = candidate = _linear_combination(state, t_new, [(dt, start)])
     deltas: list[float] = []
+    damping = None
     for _ in range(cfg.max_nonlinear_iterations):
-        mid = _midpoint(state, candidate)
-        rates = ops.rates(ops.fields(mid))
         counters.rhs_evaluations += 1
         counters.stage_iterations += 1
+        fields = ops.fields(_midpoint(state, candidate))
+        rates = ops.rates(fields)
         updated = _linear_combination(state, t_new, [(dt, rates)])
         deltas.append(_delta(updated, candidate))
         if deltas[-1] <= cfg.solver_tolerance:
             counters.predictor_gap_max = max(counters.predictor_gap_max, _delta(updated, first))
             return updated, rates
-        candidate = updated
+        if damping is None:
+            damping = _stage_damping(ops, state, dt, fields)
+        candidate = SimState(
+            t_new,
+            *[x + d * (y - x) for x, y, d in zip(candidate.parts(), updated.parts(), damping)],
+            state.basis,
+        )
+        fields = updated = None  # nothing of this stage outlives it
     if len(deltas) > 1:
         contraction = f"contraction estimate {deltas[-1] / deltas[-2]:.3e}"
     else:
@@ -152,13 +177,9 @@ def _step_implicit_midpoint(
     )
 
 
-def _predict_midpoint_rates(midpoints: list[tuple[float, Rates]], t_mid: float) -> Rates:
-    """The last converged midpoint rates, extrapolated linearly to ``t_mid``
-    through the one before them when there is one."""
-    t_last, k_last = midpoints[-1]
-    if len(midpoints) == 1:
-        return k_last
-    t_prev, k_prev = midpoints[-2]
+def _predict_midpoint_rates(known: list[tuple[float, Rates]], t_mid: float) -> Rates:
+    """The two (time, rates) pairs in ``known``, extrapolated linearly to ``t_mid``."""
+    (t_prev, k_prev), (t_last, k_last) = known
     w = (t_mid - t_last) / (t_last - t_prev)
     return Rates(*(x + w * (x - y) for x, y in zip(k_last.parts(), k_prev.parts())))
 
@@ -184,12 +205,8 @@ def _step_rk4(
 
 def _explicit_parts(ops: GalerkinOperators, state: SimState, full: Rates) -> Rates:
     """Full rates minus the diagonal stiff terms handled implicitly."""
-    k2c = ops.magnetic_stiffness_diag[: len(state.c)]
-    dc_ex = full.dc + k2c * state.c
-    drho_ex = full.drho.copy()
-    if ops.eps_density:
-        drho_ex = drho_ex + ops.eps_density * ops._k2_n * state.rho
-    return Rates(drho_ex, full.da, full.db, dc_ex)
+    l_rho, _, _, l_c = ops.stiff_diagonal(state)
+    return Rates(full.drho + l_rho * state.rho, full.da, full.db, full.dc + l_c * state.c)
 
 
 def _step_imex_cn_ab2(
@@ -200,10 +217,8 @@ def _step_imex_cn_ab2(
         ex = cur
     else:
         ex = Rates(*(1.5 * x - 0.5 * y for x, y in zip(cur.parts(), prev.parts())))
-    k2c = ops.magnetic_stiffness_diag[: len(state.c)]
-    lam_c = 0.5 * dt * k2c
+    lam_r, _, _, lam_c = ops.stiff_diagonal(state, 0.5 * dt)
     c_new = ((1.0 - lam_c) * state.c + dt * ex.dc) / (1.0 + lam_c)
-    lam_r = 0.5 * dt * ops.eps_density * ops._k2_n
     rho_new = ((1.0 - lam_r) * state.rho + dt * ex.drho) / (1.0 + lam_r)
     new = SimState(state.t + dt, rho_new, state.a + dt * ex.da, state.b + dt * ex.db, c_new, state.basis)
     return new, cur
@@ -221,9 +236,10 @@ def step(
 
     For RK4 and IMEX, ``start`` is ``ops.rates`` at ``state``: RK4's first
     stage or the IMEX explicit part.  For the midpoint it is the predicted
-    midpoint rate, and the iteration starts from ``state + dt * start``;
+    midpoint rate, and the iteration starts from ``state + dt * start`` and
+    moves by the damped residual (:func:`_step_implicit_midpoint`);
     :func:`integrate` passes ``ops.rates`` at ``state`` on the first step
-    only and the extrapolated midpoint rates after it.  ``history`` is what
+    only and the extrapolated rates after it.  ``history`` is what
     the previous call returned as its second value: the IMEX Adams-Bashforth
     term (None on the first step), None for RK4.  The midpoint ignores it and
     returns its converged midpoint rates there.  ``counters``, when given,
@@ -259,7 +275,8 @@ def integrate(
     Observers are callables ``obs(state, report)`` invoked at t = 0, every
     ``cadence`` accepted steps, and at the final time, with strictly
     increasing times.  They must be reentrant or externally serialized when
-    trajectories run concurrently.
+    trajectories run concurrently.  An abort raises a :class:`SolverAbort`
+    whose ``trajectory`` is the summary up to it.
     """
     bad = validate_params(params) + cfg.validate()
     if bad:
@@ -290,74 +307,88 @@ def integrate(
     n_steps = 0
     counters = StepCounters()
     history: Rates | None = None
-    midpoints: list[tuple[float, Rates]] = []  # the last two (t_mid, converged rates)
-    while state.t < t0 + cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
-        dt = min(cfg.dt, t0 + cfg.t_end - state.t)
-        sub_cfg = cfg if dt == cfg.dt else replace(cfg, dt=dt)
-        t_mid = state.t + 0.5 * dt
-        if midpoints:
-            start_rates = _predict_midpoint_rates(midpoints, t_mid)
-        else:
-            start_rates = ops.rates(fields)
-            counters.rhs_evaluations += 1
-        fields = None  # the stages realize their own states
-        try:
-            state, history = step(ops, state, sub_cfg, start_rates, history, counters)
-        except NonlinearSolveError as exc:
-            raise NonlinearSolveError(f"step {n_steps + 1}: {exc}") from exc
-        n_steps += 1
-        if cfg.scheme == "implicit-midpoint":
-            midpoints = midpoints[-1:] + [(t_mid, history)]
+    known: list[tuple[float, Rates]] = []  # (t, rates) pairs the next midpoint stage extrapolates
 
-        fields = ops.fields(state)
-        rho_grid = fields.rho
-        norm = max(
-            np.max(np.abs(state.a), initial=0.0),
-            np.max(np.abs(state.b), initial=0.0),
-            np.max(np.abs(state.c), initial=0.0),
-            float(np.max(np.abs(rho_grid))),
+    def summary() -> TrajectorySummary:
+        return TrajectorySummary(
+            final_state=state,
+            n_steps=n_steps,
+            clamp_total=clamp_total,
+            monitors={
+                "rho_drift_rate_max": worst_drift,
+                "rho_min_initial": rho_min0,
+                "rho_max_initial": rho_max0,
+                "heat_drop_worst": worst_heat_drop,
+                "rhs_evaluations": counters.rhs_evaluations,
+                "stage_iterations": counters.stage_iterations,
+                "predictor_gap_max": counters.predictor_gap_max,
+            },
         )
-        if norm > NORM_BLOWUP_LIMIT:
-            raise BlowUpError(f"blow-up detected at t={state.t:.6g}: norm {norm:.3e}", t=state.t)
-        elapsed = max(state.t - t0, cfg.dt)
-        drift = max(rho_min0 - float(rho_grid.min()), float(rho_grid.max()) - rho_max0)
-        worst_drift = max(worst_drift, drift / elapsed)
-        if drift > DENSITY_DRIFT_RATE * elapsed + 1e-13:
-            raise InvariantViolation(
-                f"density bounds drifted by {drift:.3e} over {elapsed:.3e} time units "
-                f"at t={state.t:.6g}",
-                t=state.t,
-            )
-        # solenoidality is guaranteed by the representation; asserted anyway
-        div_res = max(ops.solenoidal_residual(fields))
-        if div_res > 1e-10 * (1.0 + norm):
-            raise InvariantViolation(
-                f"solenoidality drift {div_res:.3e} at t={state.t:.6g}", t=state.t
-            )
-        heat = ops.total_heat(fields)
-        worst_heat_drop = max(worst_heat_drop, prev_heat - heat)
-        prev_heat = heat
-        clamp_count = fields.clamp_count
-        clamp_total += clamp_count
-        if cfg.theta_clamp == "error" and clamp_count > 0:
-            raise InvariantViolation(
-                f"temperature clamped at {clamp_count} points at t={state.t:.6g}",
-                t=state.t,
-            )
-        if n_steps % cadence == 0 or state.t >= t0 + cfg.t_end - 1e-12:
-            emit(fields)
 
-    return TrajectorySummary(
-        final_state=state,
-        n_steps=n_steps,
-        clamp_total=clamp_total,
-        monitors={
-            "rho_drift_rate_max": worst_drift,
-            "rho_min_initial": rho_min0,
-            "rho_max_initial": rho_max0,
-            "heat_drop_worst": worst_heat_drop,
-            "rhs_evaluations": counters.rhs_evaluations,
-            "stage_iterations": counters.stage_iterations,
-            "predictor_gap_max": counters.predictor_gap_max,
-        },
-    )
+    try:
+        while state.t < t0 + cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+            t_start = state.t
+            dt = min(cfg.dt, t0 + cfg.t_end - t_start)
+            sub_cfg = cfg if dt == cfg.dt else replace(cfg, dt=dt)
+            t_mid = t_start + 0.5 * dt
+            if len(known) == 2:
+                start_rates = _predict_midpoint_rates(known, t_mid)
+                del known[0]  # the older pair has served its one prediction
+            else:
+                counters.rhs_evaluations += 1
+                start_rates = ops.rates(fields)
+            fields = None  # the stages realize their own states
+            try:
+                state, history = step(ops, state, sub_cfg, start_rates, history, counters)
+            except NonlinearSolveError as exc:
+                raise NonlinearSolveError(f"step {n_steps + 1}: {exc}") from exc
+            n_steps += 1
+            if cfg.scheme == "implicit-midpoint":
+                if not known:
+                    # step 2 extrapolates through step 1's start-state rates;
+                    # step 1's forward-Euler start is no prediction to gauge
+                    known.append((t_start, start_rates))
+                    counters.predictor_gap_max = 0.0
+                known.append((t_mid, history))
+
+            fields = ops.fields(state)
+            rho_grid = fields.rho
+            norm = max(
+                np.max(np.abs(state.a), initial=0.0),
+                np.max(np.abs(state.b), initial=0.0),
+                np.max(np.abs(state.c), initial=0.0),
+                float(np.max(np.abs(rho_grid))),
+            )
+            if norm > NORM_BLOWUP_LIMIT:
+                raise BlowUpError(f"blow-up detected at t={state.t:.6g}: norm {norm:.3e}", t=state.t)
+            elapsed = max(state.t - t0, cfg.dt)
+            drift = max(rho_min0 - float(rho_grid.min()), float(rho_grid.max()) - rho_max0)
+            worst_drift = max(worst_drift, drift / elapsed)
+            if drift > DENSITY_DRIFT_RATE * elapsed + 1e-13:
+                raise InvariantViolation(
+                    f"density bounds drifted by {drift:.3e} over {elapsed:.3e} time units "
+                    f"at t={state.t:.6g}",
+                    t=state.t,
+                )
+            # solenoidality is guaranteed by the representation; asserted anyway
+            div_res = max(ops.solenoidal_residual(fields))
+            if div_res > 1e-10 * (1.0 + norm):
+                raise InvariantViolation(
+                    f"solenoidality drift {div_res:.3e} at t={state.t:.6g}", t=state.t
+                )
+            heat = ops.total_heat(fields)
+            worst_heat_drop = max(worst_heat_drop, prev_heat - heat)
+            prev_heat = heat
+            clamp_count = fields.clamp_count
+            clamp_total += clamp_count
+            if cfg.theta_clamp == "error" and clamp_count > 0:
+                raise InvariantViolation(
+                    f"temperature clamped at {clamp_count} points at t={state.t:.6g}",
+                    t=state.t,
+                )
+            if n_steps % cadence == 0 or state.t >= t0 + cfg.t_end - 1e-12:
+                emit(fields)
+    except SolverAbort as exc:
+        exc.trajectory = summary()
+        raise
+    return summary()

@@ -168,6 +168,7 @@ class DivFreeSpectralBasis:
         self.scal_n = np.insert(np.repeat(canon, 2, axis=0), 0, 0, axis=0)
         self.scal_phase = np.insert(np.tile(cos_sin, len(canon)), 0, _PHASE_CONST)
         self.scal_k = base * self.scal_n.astype(float)
+        self.scal_k2 = np.sum(self.scal_k * self.scal_k, axis=1)
 
         self.n_vector_modes = len(self.vec_n)
         self.n_scalar_modes = len(self.scal_n)

@@ -3,8 +3,9 @@ dense-grid quadrature oracle for Galerkin projections, the mode tables
 built one wavevector at a time, the entry-by-entry
 mass assembly that the per-wavevector-pair assembly must reproduce bitwise,
 the induction matrix of the solver's induction right-hand side, a
-miswired Lorentz force for fault injection, and a midpoint time loop that
-starts every step from its start-state rates.
+miswired Lorentz force for fault injection, a midpoint time loop that
+starts every step from its start-state rates, the plain (undamped)
+midpoint stage iteration, and the stiff 800-mode random_band input.
 
 The quadrature oracle never touches the FFT machinery: modes and fields are
 evaluated from their closed trigonometric forms on a uniform dense grid and
@@ -15,12 +16,14 @@ polynomials whose bandwidth stays below the grid size.
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
 from specmhd import constitutive as cst
 from specmhd import integrator as itg
 from specmhd import spectral as sp
+from specmhd.config import auto_density_regularization, load_config
 from specmhd.galerkin import GalerkinOperators, SimState
 
 
@@ -298,3 +301,39 @@ def forward_euler_started_run(params, basis, state, cfg, eps_density=0.0):
         counters.rhs_evaluations += 1
         state, history = itg.step(ops, state, sub_cfg, start, history, counters)
     return state, counters
+
+
+def plain_midpoint_step(ops, state, cfg, start):
+    """One midpoint step by plain fixed-point iteration from
+    ``state + dt * start``: each candidate is the last map value, with no
+    damping.  Returns the accepted state ``state + dt k(mid)``."""
+    t_new = state.t + cfg.dt
+    candidate = itg._linear_combination(state, t_new, [(cfg.dt, start)])
+    for _ in range(cfg.max_nonlinear_iterations):
+        rates = ops.rates(ops.fields(itg._midpoint(state, candidate)))
+        updated = itg._linear_combination(state, t_new, [(cfg.dt, rates)])
+        if itg._delta(updated, candidate) <= cfg.solver_tolerance:
+            return updated
+        candidate = updated
+    raise AssertionError("plain midpoint iteration did not converge")
+
+
+# ------------------------------------------------------ the stiff input
+
+
+def stiff_random_band(dt, steps=2, seed=5):
+    """random_band at N=16 with 800 velocity and magnetic modes, 401
+    temperature modes and the grid-scaled density regularization, run for
+    ``steps`` steps of ``dt``: the stiff midpoint input."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "random_band.cfg")
+    cfg = dataclasses.replace(
+        cfg,
+        grid_points=16,
+        velocity_modes=800,
+        magnetic_modes=800,
+        temperature_modes=401,
+        cadence=10,
+        density_regularization=auto_density_regularization(cfg.box_size, 16),
+        initial_params={**cfg.initial_params, "seed": seed},
+    )
+    return dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, dt=dt, t_end=steps * dt))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specmhd import cli, diagnostics as diag, galerkin as gal, harness
+from specmhd import integrator as itg
 from specmhd import spectral as sp
 from specmhd.config import RunConfig, load_config, load_config_text, serialize_config
 from specmhd.constitutive import ConstitutiveParams
@@ -14,7 +15,7 @@ from specmhd.errors import ConfigError
 from specmhd.initial_conditions import FAMILIES, build_initial_state
 from specmhd.integrator import StepConfig
 
-from helpers import lorentz_flipped
+from helpers import lorentz_flipped, stiff_random_band
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -313,20 +314,38 @@ class TestRunOutputs:
         assert "contraction estimate unavailable" in error
         assert "mass solve" not in error
 
-    def test_midpoint_stall_names_contraction(self, tmp_path):
-        # pure resistive decay: the stage map is linear in c with spectral
-        # radius dt/2 nu |k|^2 on the lowest shell, so that is the ratio of
-        # successive deltas
-        cfg = load_config(CONFIGS / "magnetic_decay.cfg")
+    def test_midpoint_stall_names_contraction(self, tmp_path, monkeypatch):
+        # at 800 modes and dt = 0.05 the damped stage still needs more than
+        # two iterations; the estimate is the ratio of the last two deltas
+        deltas = []
+        delta = itg._delta
+
+        def recording(a, b):
+            deltas.append(delta(a, b))
+            return deltas[-1]
+
+        monkeypatch.setattr(itg, "_delta", recording)
+        cfg = stiff_random_band(dt=0.05)
         cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, max_nonlinear_iterations=2))
         rep = harness.run(cfg, output_dir=str(tmp_path / "stall2"), quiet=True)
         assert rep.exit_code == harness.EXIT_NUMERICAL
         error = rep.summary["error"]
         assert error.startswith("step 1: ") and "did not converge in 2 iterations" in error
         estimate = float(re.search(r"contraction estimate ([0-9.e+-]+)", error).group(1))
-        k2 = 1.0  # lowest shell at box 2 pi
-        expected = 0.5 * cfg.step.dt * cfg.constitutive.magnetic_diffusivity * k2
-        assert estimate == pytest.approx(expected, rel=1e-3)
+        assert len(deltas) == 2
+        assert estimate == pytest.approx(deltas[1] / deltas[0], rel=1e-3)
+
+    def test_aborted_run_keeps_its_solver_work(self, tmp_path):
+        # one iteration cannot converge: step 1 aborts after its start-state
+        # evaluation and one stage
+        cfg = load_config(CONFIGS / "magnetic_decay.cfg")
+        cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, max_nonlinear_iterations=1))
+        rep = harness.run(cfg, output_dir=str(tmp_path / "stall"), quiet=True)
+        assert rep.exit_code == harness.EXIT_NUMERICAL
+        summary = json.loads((rep.output_dir / "summary.json").read_text())
+        assert summary["n_steps"] == 0
+        assert summary["monitors"]["rhs_evaluations"] == 2
+        assert summary["monitors"]["stage_iterations"] == 1
 
     def test_summary_counts_solver_work(self, tmp_path):
         cfg = load_config(CONFIGS / "magnetic_decay.cfg")
@@ -587,6 +606,19 @@ class TestCli:
         assert summary["status"] == "invariant_failure" and not summary["invariant_flags_ok"]
         assert summary["error"].startswith("invariant flag heat_monotone_ok failed at t=")
         assert summary["error"] in capsys.readouterr().err
+
+    def test_status_line_reports_rhs_per_step(self, tmp_path, capsys):
+        cfg = load_config(CONFIGS / "magnetic_decay.cfg")
+        cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, t_end=0.005))
+        path = tmp_path / "short.cfg"
+        path.write_text(serialize_config(cfg))
+        assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        monitors = json.loads((tmp_path / "out" / "summary.json").read_text())["monitors"]
+        work = monitors["rhs_evaluations"] / 5
+        assert re.fullmatch(rf"\[completed\] single_mode: 6 samples, [0-9.]+s, {work:.2f} RHS/step", line)
+        assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "q"), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_check_subcommand(self):
         assert cli.main(["check", "--suite", "harness.config_round_trip", "--quiet"]) == 0

@@ -12,10 +12,10 @@ from specmhd import harness
 from specmhd import integrator as itg
 from specmhd import spectral as sp
 from specmhd.config import load_config
-from specmhd.errors import BlowUpError, ConfigError, InvariantViolation
+from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, NonlinearSolveError
 from specmhd.initial_conditions import build_initial_state
 
-from helpers import forward_euler_started_run
+from helpers import forward_euler_started_run, plain_midpoint_step, stiff_random_band
 
 L = 2.0 * np.pi
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -152,6 +152,19 @@ class TestGuards:
         with pytest.raises(InvariantViolation, match="clamped"):
             itg.integrate(params, basis, st, cfg)
 
+    def test_abort_carries_the_trajectory(self, basis):
+        params = cst.ConstitutiveParams(temperature_floor=2.0)
+        st = plain_state(basis, theta0=1.0)
+        st.c[0] = 0.1
+        cfg = itg.StepConfig(dt=1e-3, t_end=0.01, theta_clamp="error")
+        with pytest.raises(InvariantViolation) as caught:
+            itg.integrate(params, basis, st, cfg)
+        traj = caught.value.trajectory
+        # the monitor rejects the state of step 1, which the summary holds
+        assert traj.n_steps == 1 and traj.final_state.t == pytest.approx(1e-3)
+        assert traj.clamp_total > 0
+        assert traj.monitors["rhs_evaluations"] == 1 + traj.monitors["stage_iterations"] >= 2
+
     def test_clamp_policy_count(self, basis):
         params = cst.ConstitutiveParams(temperature_floor=2.0)
         st = plain_state(basis, theta0=1.0)
@@ -210,8 +223,6 @@ class TestPredictor:
         predicted = itg._predict_midpoint_rates(history, 2.25e-3)
         for x, y in zip(predicted.parts(), at(2.25e-3).parts()):
             np.testing.assert_allclose(x, y, rtol=1e-13)
-        only = at(0.5e-3)
-        assert itg._predict_midpoint_rates([(0.5e-3, only)], 1.5e-3) is only
 
     @pytest.mark.parametrize("scheme", itg.SCHEMES)
     def test_rhs_evaluations_per_scheme(self, basis, params, monkeypatch, scheme):
@@ -256,3 +267,98 @@ class TestPredictor:
         # a different start, the same fixed point to the solver tolerance
         assert itg._delta(summary.final_state, ref) <= step_cfg.solver_tolerance
         assert summary.monitors["rhs_evaluations"] < ref_work.rhs_evaluations
+
+
+def _initial(cfg):
+    basis = harness.build_basis_for(cfg)
+    return basis, build_initial_state(cfg, basis)
+
+
+def _integrate(cfg):
+    basis, state0 = _initial(cfg)
+    return itg.integrate(cfg.constitutive, basis, state0, cfg.step, eps_density=cfg.density_regularization)
+
+
+class TestStiffStage:
+    """The midpoint stage damped by the stiff diagonal (I + dt/2 L)^-1."""
+
+    def test_dt_005_at_800_modes(self):
+        summary = _integrate(stiff_random_band(dt=0.05))
+        # the plain iteration took 40 evaluations here
+        assert summary.n_steps == 2 and summary.monitors["rhs_evaluations"] <= 13
+
+    @pytest.mark.parametrize("dt", [0.1, 0.2])
+    def test_large_steps_converge_or_name_the_stall(self, dt):
+        # the plain iteration diverged at dt = 0.1 and met a non-SPD mass
+        # matrix at dt = 0.2; a MassSolveError would fail this test
+        try:
+            summary = _integrate(stiff_random_band(dt=dt))
+        except NonlinearSolveError:
+            return
+        assert summary.n_steps == 2
+
+    @pytest.mark.parametrize("name", ["orszag_tang", "stiff"])
+    def test_matches_plain_iteration(self, name):
+        if name == "stiff":
+            cfg = stiff_random_band(dt=0.01)
+        else:
+            cfg = load_config(CONFIGS / f"{name}.cfg")
+        basis, state = _initial(cfg)
+        ops = gal.GalerkinOperators(cfg.constitutive, basis, cfg.density_regularization)
+        start = ops.rates(ops.fields(state))
+        counters = itg.StepCounters()
+        damped, _ = itg.step(ops, state, cfg.step, start, counters=counters)
+        plain = plain_midpoint_step(ops, state, cfg.step, start)
+        assert counters.stage_iterations > 1  # the damping took part
+        assert itg._delta(damped, plain) <= cfg.step.solver_tolerance
+
+    @pytest.mark.parametrize(
+        "name", ["orszag_tang", "layered_density", "single_mode_mhd", "variable", "stiff"]
+    )
+    def test_damping_factors(self, name):
+        if name == "stiff":
+            cfg = stiff_random_band(dt=0.2)
+        elif name == "variable":
+            # density-dependent conductivity, temperature power and specific heat
+            cfg = load_config(CONFIGS / "random_band.cfg")
+            cfg = replace(cfg, constitutive=replace(
+                cfg.constitutive, conductivity_form="density_affine", conductivity_min=0.5,
+                conductivity_max=2.0, conductivity_exponent=1.5, specific_heat_form="saturating",
+                specific_heat_min=0.5, specific_heat_max=3.0))
+        else:
+            cfg = load_config(CONFIGS / f"{name}.cfg")
+        basis, state = _initial(cfg)
+        ops = gal.GalerkinOperators(cfg.constitutive, basis, cfg.density_regularization)
+        fields = ops.fields(state)
+        ops.rates(fields)
+        dt = cfg.step.dt
+        lin = ops.stiff_diagonal(state, 0.5 * dt, fields)
+        damping = itg._stage_damping(ops, state, dt, fields)
+        for x, part in zip(state.parts(), damping):
+            assert np.shape(part) in ((), x.shape)
+        for l_part, d in zip(lin, damping):
+            l_part, d = np.broadcast_arrays(l_part, d)
+            assert np.all(l_part >= 0.0)
+            assert np.all((d > 0.0) & (d <= 1.0))
+            assert np.array_equal(d == 1.0, l_part == 0.0)
+        rho, a, b, c = damping
+        assert a == 1.0 and b[0] == 1.0 and rho[0, 0, 0] == 1.0
+        assert np.all(b[1:] < 1.0) and np.all(c < 1.0)
+        assert np.all(rho[basis.dealias_mask(basis.grid_points) & (ops._k2_n > 0)] < 1.0) == bool(
+            cfg.density_regularization
+        )
+
+    def test_imex_reads_the_stiff_diagonal(self, monkeypatch):
+        cfg = load_config(CONFIGS / "random_band.cfg")
+        basis, state = _initial(cfg)
+        calls = []
+        stiff = gal.GalerkinOperators.stiff_diagonal
+
+        def recording(ops, st, h=1.0, f=None):
+            calls.append((h, f))
+            return stiff(ops, st, h, f)
+
+        monkeypatch.setattr(gal.GalerkinOperators, "stiff_diagonal", recording)
+        step_cfg = replace(cfg.step, scheme="imex-cn-ab2", t_end=2 * cfg.step.dt)
+        itg.integrate(cfg.constitutive, basis, state, step_cfg, eps_density=cfg.density_regularization)
+        assert calls == [(1.0, None), (0.5 * cfg.step.dt, None)] * 2

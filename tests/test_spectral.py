@@ -322,7 +322,7 @@ def test_gathers_vs_dense_quadrature(basis, gather):
 
 def test_mode_family_only_in_spectral():
     """One home for the mode family: no other module reads the mode tables
-    (``vec_k2`` aside), looks up raw amplitudes in the half layout, or
+    (``vec_k2`` and ``scal_k2`` aside), looks up raw amplitudes in the half layout, or
     enumerates the wavevectors."""
     src = Path(sp.__file__).parent
     pattern = re.compile(
