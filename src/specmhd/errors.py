@@ -27,7 +27,14 @@ class SolverAbort(RuntimeError):
 
 
 class MassSolveError(SolverAbort):
-    """A mass matrix was not finite or not positive definite."""
+    """A mass system could not be solved.
+
+    The dense path raises it for a Gram matrix that is not finite or not
+    positive definite.  The matrix-free path raises it for a weight that is
+    not positive and finite at some grid point, naming the point and the
+    value, and for CG that reaches its iteration cap, naming the iteration
+    count and the final relative residual.
+    """
 
 
 class NonlinearSolveError(SolverAbort):

@@ -26,10 +26,16 @@ Conventions fixed here and relied on by the integrator and diagnostics:
 
       dc_j/dt = -nu |k_j|^2 c_j + (u x H, curl pi_j)
 
-Each mass matrix is the spectral Gram matrix of its weight
-(:meth:`DivFreeSpectralBasis.vector_gram` of rho,
-:meth:`DivFreeSpectralBasis.scalar_gram` of ``rho c(theta)``); only
-:mod:`specmhd.spectral` knows the mode tables behind them.
+Each mass matrix ``(w phi_i, phi_j)`` is the grid quadrature of its weight,
+rho on the base grid or ``rho c(theta)`` on the oversampled grid.  Its
+eigenvalues lie between the grid extrema of the weight, so it is SPD exactly
+when the weight is positive at every grid point.  Small systems are the
+spectral Gram matrix of the weight
+(:meth:`DivFreeSpectralBasis.vector_gram`,
+:meth:`DivFreeSpectralBasis.scalar_gram`), Cholesky-factorized; large ones
+are never formed and are solved by conjugate gradients on the action of the
+weight (:class:`MassOperator`).  :func:`matrix_free` is the rule between
+the two.  Only :mod:`specmhd.spectral` knows the mode tables behind them.
 
 Quadratic and cubic products of basis-band fields are integrated exactly on
 the base grid (the mode cutoff sits strictly inside the two-thirds rule);
@@ -279,20 +285,156 @@ def _substitute(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
     return x
 
 
+# Modes per grid point, per sqrt(components), above which CG beats the dense
+# path.  The dense path grows as K^2 (assembly) and K^3 (factorization); a CG
+# iteration transforms the weight's grid once per component each way, and
+# the iteration count follows the weight's ratio, not K.  Interleaved
+# per-solve timings on a 2-core x86 box (numpy 2.4, OpenBLAS, weight ratio
+# 1.47) cross at K ~ 450 (N=16) and ~ 1030 (N=32) for the velocity mass (3
+# components, base grid) and at K ~ 390 (m=24) and ~ 950 (m=48) for the
+# thermal mass (1 component, oversampled grid): 16.2, 18.6, 16.3 and 19.8
+# times sqrt(components) G, 17.6 in the geometric mean.
+_CROSSOVER = 18
+
+# Relative residual at which CG stops.
+CG_TOLERANCE = 1e-14
+
+
+def matrix_free(count: int, grid: int, components: int) -> bool:
+    """Whether a mass system of ``count`` modes whose weight lives on a
+    ``grid``^3 quadrature grid, with ``components`` field components, is
+    solved by CG without forming it (else by the dense Gram matrix): whether
+    ``count > 18 sqrt(components) grid``, about 31 N for the velocity mass
+    and 18 m for the thermal mass on the oversampled grid m."""
+    return count**2 > _CROSSOVER**2 * components * grid**2
+
+
+def _cg_iteration_cap(ratio: float) -> int:
+    """Twice the iterations after which CG in exact arithmetic reaches
+    ``CG_TOLERANCE`` on an SPD system of condition number at most ``ratio``,
+    from ||r_k|| / ||b|| <= 2 sqrt(ratio) q^k with
+    q = (sqrt(ratio) - 1) / (sqrt(ratio) + 1); the bound is nearly tight at
+    small ratios, and rounding can delay CG past it."""
+    s = np.sqrt(ratio)
+    q = (s - 1.0) / (s + 1.0)
+    bound = int(np.ceil(np.log(2.0 * s / CG_TOLERANCE) / -np.log(q))) if q > 0 else 1
+    return 2 * max(bound, 1)
+
+
+class MassOperator:
+    """The mass matrix ``(w phi_i, phi_j)``, i, j < ``count``, as its action
+    ``x -> gather(grid_to_spectral(w * spectral_to_grid(synth(x))))`` on the
+    grid of the weight values ``w``, the same quadrature the Gram matrix
+    integrates.  The matrix is never formed: ``mass @ x`` applies it and
+    :meth:`solve` inverts it by CG.  ``counters``, when given, receives the
+    iterations of every solve (:class:`specmhd.integrator.StepCounters`).
+    """
+
+    def __init__(self, weight, count, synth, gather, name, counters=None):
+        self.weight = weight
+        self.count = count
+        self.synth = synth
+        self.gather = gather
+        self.name = name
+        self.counters = counters
+
+    @classmethod
+    def velocity(cls, f: "_StateFields") -> "MassOperator":
+        """(rho psi_i, psi_j) on the base grid."""
+        b = f.basis
+        return cls(f.rho, len(f.st.a), b.synth_vector, b.gather_vector, "density", f.ops.counters)
+
+    @classmethod
+    def thermal(cls, f: "_StateFields") -> "MassOperator":
+        """(rho c(theta) omega_i, omega_j) on the oversampled grid."""
+        b = f.basis
+        w = _heat_capacity(f)
+        return cls(w, len(f.st.b), b.synth_scalar, b.gather_scalar, "rho c(theta)", f.ops.counters)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        g = self.weight.shape[-1]
+        u = DivFreeSpectralBasis.spectral_to_grid(self.synth(x, g))
+        return self.gather(DivFreeSpectralBasis.grid_to_spectral(self.weight * u), self.count)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``M^-1 rhs`` by CG preconditioned with ``1 / mean(w)``, to the
+        relative residual ``CG_TOLERANCE``; the cap is
+        :func:`_cg_iteration_cap` of ``max w / min w``, the bound on the
+        condition number."""
+        w = self.weight
+        bad = np.flatnonzero(~((w > 0) & (w < np.inf)))
+        if bad.size:
+            point = tuple(int(i) for i in np.unravel_index(bad[0], w.shape))
+            raise MassSolveError(
+                f"mass weight {self.name} is {w.flat[bad[0]]:.6g} at grid point {point} of the "
+                f"{w.shape[-1]}^3 quadrature grid; the mass matrix is positive definite only "
+                f"where the weight is positive and finite"
+            )
+        x = np.zeros_like(rhs, dtype=float)
+        b_norm = np.linalg.norm(rhs)
+        if b_norm == 0:
+            self._count(0)
+            return x
+        cap = _cg_iteration_cap(w.max() / w.min())
+        inv_mean = 1.0 / np.mean(w)
+        r = np.array(rhs, dtype=float)
+        p = inv_mean * r
+        rz = r @ p
+        for it in range(1, cap + 1):
+            q = self @ p
+            alpha = rz / (p @ q)
+            x += alpha * p
+            r -= alpha * q
+            residual = np.linalg.norm(r) / b_norm
+            if residual <= CG_TOLERANCE:
+                self._count(it)
+                return x
+            if not np.isfinite(residual):
+                break
+            z = inv_mean * r
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+        self._count(it)
+        raise MassSolveError(
+            f"CG on the {self.name}-weighted mass ({self.count} modes) stopped after {it} "
+            f"iterations at relative residual {residual:.3e} > {CG_TOLERANCE:.0e}"
+        )
+
+    def _count(self, iterations: int) -> None:
+        if self.counters is not None:
+            self.counters.count_mass_solve(iterations)
+
+
+def _heat_capacity(f: "_StateFields") -> np.ndarray:
+    """``rho c(theta)`` on the oversampled grid, temperature floored at 0."""
+    p = f.ops.params
+    return f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0))
+
+
 class GalerkinOperators:
     """Precomputed mode machinery plus right-hand-side and matrix assembly.
 
-    Pure given (params, state): safe to share across threads for independent
-    states.  Every per-state method takes the state's :class:`_StateFields`
-    from :meth:`fields`.  A mass matrix is the spectral Gram matrix of its
-    weight, the density or ``rho c(theta)``, assembled by the basis per
-    wavevector pair and Cholesky-factorized on every call.
+    Pure given (params, state), apart from ``counters``: safe to share across
+    threads for independent states when ``counters`` is None.  Every per-state method takes the state's :class:`_StateFields`
+    from :meth:`fields`.  A mass system, weighted by the density or by
+    ``rho c(theta)``, is rebuilt on every call: below the :func:`matrix_free`
+    crossover as the spectral Gram matrix, assembled by the basis per
+    wavevector pair and Cholesky-factorized, above it as a
+    :class:`MassOperator` solved by CG.  ``counters``, when given, is the
+    :class:`specmhd.integrator.StepCounters` that receives the CG iterations.
     """
 
-    def __init__(self, params: cst.ConstitutiveParams, basis: DivFreeSpectralBasis, eps_density: float = 0.0):
+    def __init__(
+        self,
+        params: cst.ConstitutiveParams,
+        basis: DivFreeSpectralBasis,
+        eps_density: float = 0.0,
+        counters=None,
+    ):
         self.params = params
         self.basis = basis
         self.eps_density = float(eps_density)
+        self.counters = counters
         kx, ky, kz = basis.wavenumbers(basis.grid_points)
         self._k2_n = kx * kx + ky * ky + kz * kz
         self._mask_n = basis.dealias_mask(basis.grid_points)
@@ -355,7 +497,7 @@ class GalerkinOperators:
         if f is not None:
             p = self.params
             kbar = np.mean(cst.conductivity(p, f.rho_m) * f.theta_floor_m**p.conductivity_exponent)
-            rcbar = np.mean(f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0)))
+            rcbar = np.mean(_heat_capacity(f))
             b = h * (kbar / rcbar) * self.basis.scal_k2[: len(st.b)]
         return rho, 0.0, b, c
 
@@ -370,24 +512,34 @@ class GalerkinOperators:
 
     # -------------------------------------------------------- mass matrices
 
-    def velocity_mass(self, f: _StateFields) -> np.ndarray:
-        """(rho psi_i, psi_j): the spectral Gram matrix of the density."""
+    def velocity_mass(self, f: _StateFields) -> np.ndarray | MassOperator:
+        """(rho psi_i, psi_j): the spectral Gram matrix of the density, or
+        its :class:`MassOperator` above the :func:`matrix_free` crossover."""
+        if matrix_free(len(f.st.a), f.n, 3):
+            return MassOperator.velocity(f)
         return self.basis.vector_gram(f.st.rho, len(f.st.a))
 
-    def thermal_mass(self, f: _StateFields) -> np.ndarray:
+    def thermal_mass(self, f: _StateFields) -> np.ndarray | MassOperator:
         """(rho c(theta) omega_i, omega_j): the spectral Gram matrix of
-        ``rho c(theta)`` on the oversampled grid."""
+        ``rho c(theta)`` on the oversampled grid, or its
+        :class:`MassOperator` above the :func:`matrix_free` crossover."""
         p = self.params
         b = self.basis
+        if matrix_free(len(f.st.b), f.m, 1):
+            return MassOperator.thermal(f)
         if p.specific_heat_form == "constant":
             cbar = 0.5 * (p.specific_heat_min + p.specific_heat_max)
             c_w = cbar * b.resample_spectrum(f.st.rho, f.m)
         else:
-            c_w = b.grid_to_spectral(f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0)))
+            c_w = b.grid_to_spectral(_heat_capacity(f))
         return b.scalar_gram(c_w, len(f.st.b))
 
     @staticmethod
-    def solve_mass(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def solve_mass(mat: np.ndarray | MassOperator, rhs: np.ndarray) -> np.ndarray:
+        """``mat^-1 rhs``: CG for a :class:`MassOperator`, blocked Cholesky
+        substitution for a Gram matrix."""
+        if isinstance(mat, MassOperator):
+            return mat.solve(rhs)
         try:
             lo = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError as exc:

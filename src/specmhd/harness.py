@@ -450,11 +450,23 @@ def _check_fields(seed: int, amp: float, eps_density: float = 0.0):
 
 
 def _check_mass_matrices(fields=None) -> tuple[bool, str]:
+    """The Gram matrices at a state below the matrix-free crossover: SPD, the
+    velocity mass with eigenvalues inside the density range, and equal to
+    the matrix-free operators applied to each unit vector."""
     f = fields if fields is not None else _check_fields(seed=3, amp=0.5)
-    evals = np.linalg.eigvalsh(f.ops.velocity_mass(f))
+    vel, heat = f.ops.velocity_mass(f), f.ops.thermal_mass(f)
+    evals = np.linalg.eigvalsh(vel)
     ok = evals.min() >= f.rho.min() - 1e-8 and evals.max() <= f.rho.max() + 1e-8
-    ok = ok and np.all(np.linalg.eigvalsh(f.ops.thermal_mass(f)) > 0)
-    return bool(ok), "SPD with eigenvalues inside the density range"
+    ok = ok and np.all(np.linalg.eigvalsh(heat) > 0)
+    gap = 0.0
+    for op, gram in ((gal.MassOperator.velocity(f), vel), (gal.MassOperator.thermal(f), heat)):
+        columns = np.stack([op @ e for e in np.eye(op.count)], axis=1)
+        gap = max(gap, float(np.max(np.abs(columns - gram)) / np.max(np.abs(gram))))
+    ok = ok and gap <= 1e-13
+    return bool(ok), (
+        f"SPD with eigenvalues inside the density range; matrix-free columns within "
+        f"{gap:.1e} of the Gram matrices"
+    )
 
 
 def _check_energy_identity(fields=None) -> tuple[bool, str]:

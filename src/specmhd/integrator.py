@@ -24,7 +24,7 @@ Schemes:
 Each accepted state is realized once (:meth:`GalerkinOperators.fields`); the
 post-step monitors, the diagnostics report and, for RK4, IMEX and the first
 midpoint step, the next step's start-state rates all read that realization.
-Mass matrices are assembled and factorized at every stage.
+Mass systems are rebuilt and solved at every stage.
 """
 
 from __future__ import annotations
@@ -94,11 +94,21 @@ class StepCounters:
     converged state.  :func:`integrate` keeps it from the second step on,
     where the predictor extrapolates two rates linearly, so it estimates the
     O(dt^3) local error; the first step's forward-Euler start is O(dt^2).
+    ``cg_iterations`` sums the CG iterations of the matrix-free mass solves
+    (:class:`specmhd.galerkin.MassOperator`), a failed solve included, and
+    ``cg_iterations_max`` is the most that one solve took; both stay 0 when
+    every mass system is below the crossover and solved densely.
     """
 
     rhs_evaluations: int = 0
     stage_iterations: int = 0
     predictor_gap_max: float = 0.0
+    cg_iterations: int = 0
+    cg_iterations_max: int = 0
+
+    def count_mass_solve(self, iterations: int) -> None:
+        self.cg_iterations += iterations
+        self.cg_iterations_max = max(self.cg_iterations_max, iterations)
 
 
 def _linear_combination(state: SimState, new_t: float, pieces) -> SimState:
@@ -287,7 +297,8 @@ def integrate(
     if cadence < 1:
         raise ConfigError(f"cadence must be at least 1 (got {cadence})")
 
-    ops = GalerkinOperators(params, basis, eps_density)
+    counters = StepCounters()
+    ops = GalerkinOperators(params, basis, eps_density, counters)
     state = state0.copy()
     fields = ops.fields(state)
     rho_min0, rho_max0 = float(fields.rho.min()), float(fields.rho.max())
@@ -305,7 +316,6 @@ def integrate(
     worst_heat_drop = 0.0
     prev_heat = ops.total_heat(fields)
     n_steps = 0
-    counters = StepCounters()
     history: Rates | None = None
     known: list[tuple[float, Rates]] = []  # (t, rates) pairs the next midpoint stage extrapolates
 
@@ -322,6 +332,8 @@ def integrate(
                 "rhs_evaluations": counters.rhs_evaluations,
                 "stage_iterations": counters.stage_iterations,
                 "predictor_gap_max": counters.predictor_gap_max,
+                "cg_iterations": counters.cg_iterations,
+                "cg_iterations_max": counters.cg_iterations_max,
             },
         )
 

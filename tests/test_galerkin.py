@@ -1,11 +1,17 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from specmhd import constitutive as cst
 from specmhd import galerkin as gal
 from specmhd import harness
+from specmhd import integrator as itg
 from specmhd import spectral as sp
+from specmhd.config import load_config, sweep_cells
 from specmhd.errors import MassSolveError
+from specmhd.initial_conditions import build_initial_state
 
 from helpers import (
     induction_matrix,
@@ -342,6 +348,110 @@ class TestMassSolve:
         lo = np.linalg.cholesky(mat)
         want = np.linalg.solve(lo.T, np.linalg.solve(lo, rhs))
         assert_bitwise(gal.GalerkinOperators.solve_mass(mat, rhs), want)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def heat_params(form):
+    return cst.ConstitutiveParams(specific_heat_form=form, specific_heat_min=1.0, specific_heat_max=3.0)
+
+
+def assert_dense_solve(x, gram, rhs):
+    """``x`` solves the Gram system to 1e-12 relative."""
+    want = np.linalg.solve(gram, rhs)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# every vector and scalar mode under the cutoff at N=16: 1028 and 515
+@pytest.fixture(scope="module")
+def basis16():
+    return sp.build_basis(L, 16, 1028)
+
+
+class TestMatrixFreeMass:
+    """CG on the matrix-free mass operators against the dense Gram solve."""
+
+    # partial groups: 4 vector modes share a wavevector, 2 scalar modes after the constant
+    @pytest.mark.parametrize("form", cst.SPECIFIC_HEAT_FORMS)
+    @pytest.mark.parametrize("k", [1, 3, 23])
+    def test_partial_groups_match_dense(self, basis, form, k):
+        ops = gal.GalerkinOperators(heat_params(form), basis)
+        f = ops.fields(make_state(basis, np.random.default_rng(k), k_u=k, k_b=k, rho_amp=0.4))
+        rhs = np.random.default_rng(100 + k).normal(size=(2, k))
+        assert_dense_solve(ops.solve_mass(gal.MassOperator.velocity(f), rhs[0]), oracle_velocity_mass(f), rhs[0])
+        assert_dense_solve(ops.solve_mass(gal.MassOperator.thermal(f), rhs[1]), oracle_thermal_mass(f), rhs[1])
+
+    # the rule's crossover at N=16: K > 498 vector modes on the base grid,
+    # K > 432 scalar modes on the oversampled grid; then every mode
+    @pytest.mark.parametrize("form", cst.SPECIFIC_HEAT_FORMS)
+    @pytest.mark.parametrize("k_u,k_b", [(498, 432), (499, 433), (1028, 515)])
+    def test_rates_on_each_side_of_the_rule(self, basis16, form, k_u, k_b):
+        ops = gal.GalerkinOperators(heat_params(form), basis16)
+        f = ops.fields(make_state(basis16, np.random.default_rng(k_u), k_u=k_u, k_b=k_b, rho_amp=0.4))
+        above = k_u > 498
+        assert isinstance(ops.velocity_mass(f), gal.MassOperator) == above
+        assert isinstance(ops.thermal_mass(f), gal.MassOperator) == above
+        rates = ops.rates(f)
+        assert_dense_solve(rates.da, oracle_velocity_mass(f), f.momentum_rhs)
+        assert_dense_solve(rates.db, oracle_thermal_mass(f), ops.thermal_rhs(f))
+
+    def test_rule_is_dense_below_the_benchmark_sizes(self):
+        """Every shipped config and sweep cell, and the N=32, K=32 shape,
+        stay on the dense path; the 800-mode velocity system at N=16 does not."""
+        shapes = [(32, 32, 33)]
+        for path in CONFIGS.glob("*.cfg"):
+            cfg = load_config(path)
+            for run in [cfg, *sweep_cells(cfg)]:
+                shapes.append((run.grid_points, max(run.velocity_modes, run.magnetic_modes), run.temperature_modes))
+        assert len(shapes) > 7
+        for n, k_u, k_b in shapes:
+            m = sp.DivFreeSpectralBasis(L, n, 1).oversample_grid()
+            assert not gal.matrix_free(k_u, n, 3) and not gal.matrix_free(k_b, m, 1), (n, k_u, k_b)
+        assert gal.matrix_free(800, 16, 3) and not gal.matrix_free(401, 24, 1)
+
+    @pytest.mark.parametrize("which", ["velocity", "thermal"])
+    @pytest.mark.parametrize("value", ["negative", "nan"])
+    def test_bad_weight_names_point_and_value(self, basis, ops, which, value):
+        st = uniform_rho_state(basis, rho0=0.99)
+        if value == "nan":
+            st.rho[0, 0, 0] = np.nan
+            want = r"nan at grid point \(0, 0, 0\)"
+        else:
+            # rho = 0.99 + cos(x) is negative at the grid points x = pi alone
+            basis.set_amplitude(st.rho, (1, 0, 0), 0.5)
+            g = basis.grid_points if which == "velocity" else basis.oversample_grid()
+            want = rf"-0\.01 at grid point \({g // 2}, 0, 0\) of the {g}\^3 quadrature grid"
+        op = getattr(gal.MassOperator, which)(ops.fields(st))
+        with pytest.raises(MassSolveError, match=want):
+            ops.solve_mass(op, np.ones(op.count))
+
+    def test_iteration_cap_names_count_and_residual(self, basis, ops, monkeypatch):
+        monkeypatch.setattr(gal, "_cg_iteration_cap", lambda ratio: 2)
+        f = ops.fields(make_state(basis, np.random.default_rng(4), rho_amp=0.4))
+        rhs = np.random.default_rng(5).normal(size=basis.k_modes)
+        with pytest.raises(MassSolveError, match=r"after 2 iterations at relative residual \d\.\d{3}e-\d+ > 1e-14"):
+            ops.solve_mass(gal.MassOperator.velocity(f), rhs)
+
+    def test_iteration_cap_follows_the_weight_ratio(self):
+        # uniform weight: one iteration is exact
+        assert gal._cg_iteration_cap(1.0) == 2
+        caps = [gal._cg_iteration_cap(r) for r in (1.5, 4.0, 16.0)]
+        # CG takes 13-14 iterations on the 800-mode input, weight ratio 1.47
+        assert caps == sorted(caps) and caps[0] >= 2 * 14
+
+    def test_full_modes_at_n32_through_cg(self):
+        """One rates call with all 8336 vector and 4169 scalar modes at N=32,
+        where a dense velocity mass would take 556 MB."""
+        cfg = load_config(CONFIGS / "random_band.cfg")
+        cfg = replace(cfg, grid_points=32, velocity_modes=8336, magnetic_modes=8336, temperature_modes=4169)
+        basis32 = sp.build_basis(cfg.box_size, 32, 8336)
+        state = build_initial_state(cfg, basis32)
+        counters = itg.StepCounters()
+        ops = gal.GalerkinOperators(cfg.constitutive, basis32, cfg.density_regularization, counters)
+        rates = ops.rates(ops.fields(state))
+        assert all(np.all(np.isfinite(x)) for x in rates.parts())
+        assert counters.cg_iterations > counters.cg_iterations_max > 0
 
 
 def assert_bitwise(got, want):
