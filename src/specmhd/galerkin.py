@@ -110,6 +110,29 @@ class Rates:
         return self.drho, self.da, self.db, self.dc
 
 
+@dataclass
+class StepCounters:
+    """Solver work summed over the calls that update it.
+
+    ``rhs_evaluations`` counts :meth:`GalerkinOperators.rates` calls and
+    ``stage_iterations`` the midpoint fixed-point iterations, both including
+    a call that raised.  ``predictor_gap_max`` is the largest relative
+    difference between a midpoint step's first candidate and its converged
+    state, taken only where the start was extrapolated from the last two
+    known rates, so it estimates the O(dt^3) local error.
+    ``cg_iterations`` sums the CG iterations of the matrix-free mass solves
+    (:class:`MassOperator`), a failed solve included, and
+    ``cg_iterations_max`` is the most that one solve took; both stay 0 when
+    every mass system is below the crossover and solved densely.
+    """
+
+    rhs_evaluations: int = 0
+    stage_iterations: int = 0
+    predictor_gap_max: float = 0.0
+    cg_iterations: int = 0
+    cg_iterations_max: int = 0
+
+
 class _StateFields:
     """Grid realization of one state, computed lazily and cached.
 
@@ -322,34 +345,34 @@ def _cg_iteration_cap(ratio: float) -> int:
 
 
 class MassOperator:
-    """The mass matrix ``(w phi_i, phi_j)``, i, j < ``count``, as its action
+    """The mass matrix ``(w phi_i, phi_j)``, i, j < ``count``, of the
+    realization ``f`` as its action
     ``x -> gather(grid_to_spectral(w * spectral_to_grid(synth(x))))`` on the
     grid of the weight values ``w``, the same quadrature the Gram matrix
     integrates.  The matrix is never formed: ``mass @ x`` applies it and
-    :meth:`solve` inverts it by CG.  ``counters``, when given, receives the
-    iterations of every solve (:class:`specmhd.integrator.StepCounters`).
+    :meth:`solve` inverts it by CG, recording its iterations on
+    ``f.ops.counters``.
     """
 
-    def __init__(self, weight, count, synth, gather, name, counters=None):
+    def __init__(self, f: "_StateFields", weight, count, synth, gather, name):
+        self.counters = f.ops.counters
         self.weight = weight
         self.count = count
         self.synth = synth
         self.gather = gather
         self.name = name
-        self.counters = counters
 
     @classmethod
     def velocity(cls, f: "_StateFields") -> "MassOperator":
         """(rho psi_i, psi_j) on the base grid."""
         b = f.basis
-        return cls(f.rho, len(f.st.a), b.synth_vector, b.gather_vector, "density", f.ops.counters)
+        return cls(f, f.rho, len(f.st.a), b.synth_vector, b.gather_vector, "density")
 
     @classmethod
     def thermal(cls, f: "_StateFields") -> "MassOperator":
         """(rho c(theta) omega_i, omega_j) on the oversampled grid."""
         b = f.basis
-        w = _heat_capacity(f)
-        return cls(w, len(f.st.b), b.synth_scalar, b.gather_scalar, "rho c(theta)", f.ops.counters)
+        return cls(f, _heat_capacity(f), len(f.st.b), b.synth_scalar, b.gather_scalar, "rho c(theta)")
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         g = self.weight.shape[-1]
@@ -373,7 +396,6 @@ class MassOperator:
         x = np.zeros_like(rhs, dtype=float)
         b_norm = np.linalg.norm(rhs)
         if b_norm == 0:
-            self._count(0)
             return x
         cap = _cg_iteration_cap(w.max() / w.min())
         inv_mean = 1.0 / np.mean(w)
@@ -386,23 +408,19 @@ class MassOperator:
             x += alpha * p
             r -= alpha * q
             residual = np.linalg.norm(r) / b_norm
-            if residual <= CG_TOLERANCE:
-                self._count(it)
-                return x
-            if not np.isfinite(residual):
+            if residual <= CG_TOLERANCE or not np.isfinite(residual):
                 break
             z = inv_mean * r
             rz, rz_old = r @ z, rz
             p = z + (rz / rz_old) * p
-        self._count(it)
+        self.counters.cg_iterations += it
+        self.counters.cg_iterations_max = max(self.counters.cg_iterations_max, it)
+        if residual <= CG_TOLERANCE:
+            return x
         raise MassSolveError(
             f"CG on the {self.name}-weighted mass ({self.count} modes) stopped after {it} "
             f"iterations at relative residual {residual:.3e} > {CG_TOLERANCE:.0e}"
         )
-
-    def _count(self, iterations: int) -> None:
-        if self.counters is not None:
-            self.counters.count_mass_solve(iterations)
 
 
 def _heat_capacity(f: "_StateFields") -> np.ndarray:
@@ -414,27 +432,23 @@ def _heat_capacity(f: "_StateFields") -> np.ndarray:
 class GalerkinOperators:
     """Precomputed mode machinery plus right-hand-side and matrix assembly.
 
-    Pure given (params, state), apart from ``counters``: safe to share across
-    threads for independent states when ``counters`` is None.  Every per-state method takes the state's :class:`_StateFields`
-    from :meth:`fields`.  A mass system, weighted by the density or by
-    ``rho c(theta)``, is rebuilt on every call: below the :func:`matrix_free`
-    crossover as the spectral Gram matrix, assembled by the basis per
-    wavevector pair and Cholesky-factorized, above it as a
-    :class:`MassOperator` solved by CG.  ``counters``, when given, is the
-    :class:`specmhd.integrator.StepCounters` that receives the CG iterations.
+    Every per-state method takes the state's :class:`_StateFields` from
+    :meth:`fields` and is pure given (params, state).  The one exception is
+    the solver work: each instance owns one :class:`StepCounters`,
+    ``counters``, to which :meth:`rates` adds its calls and every CG mass
+    solve its iterations; a time scheme adds its stage counts to the same
+    object, so states advanced on one instance share one tally.  A mass
+    system, weighted by the density or by ``rho c(theta)``, is rebuilt on
+    every call: below the :func:`matrix_free` crossover as the spectral Gram
+    matrix, assembled by the basis per wavevector pair and
+    Cholesky-factorized, above it as a :class:`MassOperator` solved by CG.
     """
 
-    def __init__(
-        self,
-        params: cst.ConstitutiveParams,
-        basis: DivFreeSpectralBasis,
-        eps_density: float = 0.0,
-        counters=None,
-    ):
+    def __init__(self, params: cst.ConstitutiveParams, basis: DivFreeSpectralBasis, eps_density: float = 0.0):
         self.params = params
         self.basis = basis
         self.eps_density = float(eps_density)
-        self.counters = counters
+        self.counters = StepCounters()
         kx, ky, kz = basis.wavenumbers(basis.grid_points)
         self._k2_n = kx * kx + ky * ky + kz * kz
         self._mask_n = basis.dealias_mask(basis.grid_points)
@@ -475,6 +489,7 @@ class GalerkinOperators:
         return entries + self.basis.gather_vector_curl(self.basis.grid_to_spectral(w), len(c))
 
     def rates(self, f: _StateFields) -> Rates:
+        self.counters.rhs_evaluations += 1
         da = self.solve_mass(self.velocity_mass(f), f.momentum_rhs)
         db = self.solve_mass(self.thermal_mass(f), self.thermal_rhs(f))
         return Rates(f.density_rate, da, db, f.induction_rhs)

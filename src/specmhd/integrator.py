@@ -8,7 +8,8 @@ Schemes:
   predictor, the rates at the start state; every later step starts from the
   last two known rates (on step 2, those at the start state of step 1 and
   at its midpoint), extrapolated linearly in time to the new midpoint, so it
-  evaluates no right-hand side at the start state.  Between iterations the
+  evaluates no right-hand side at the start state.  The step returns those
+  two (time, rates) pairs as its history.  Between iterations the
   candidate moves by the residual damped with ``(I + dt/2 L)^-1``, L the
   diffusion diagonal frozen at the step's first stage (magnetic, density
   regularization, heat conduction), so stiff modes do not set the
@@ -21,6 +22,11 @@ Schemes:
   curl-curl, density regularization) with second-order Adams-Bashforth on
   everything nonlinear; the first step falls back to a one-term history.
 
+Whatever a scheme carries from one step to the next is its own ``history``:
+:func:`step` returns it and takes it back on the next call, and
+:func:`integrate` only keeps it.  The solver work is counted where it is
+done, on the operators' :class:`specmhd.galerkin.StepCounters`.
+
 Each accepted state is realized once (:meth:`GalerkinOperators.fields`); the
 post-step monitors, the diagnostics report and, for RK4, IMEX and the first
 midpoint step, the next step's start-state rates all read that realization.
@@ -29,7 +35,7 @@ Mass systems are rebuilt and solved at every stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -83,34 +89,6 @@ class TrajectorySummary:
     monitors: dict = field(default_factory=dict)
 
 
-@dataclass
-class StepCounters:
-    """Solver work summed over the steps that update it.
-
-    ``rhs_evaluations`` counts :meth:`GalerkinOperators.rates` calls,
-    ``stage_iterations`` the midpoint fixed-point iterations, both including
-    a call that raised, and ``predictor_gap_max`` is the largest
-    :func:`_delta` between a midpoint step's first candidate and its
-    converged state.  :func:`integrate` keeps it from the second step on,
-    where the predictor extrapolates two rates linearly, so it estimates the
-    O(dt^3) local error; the first step's forward-Euler start is O(dt^2).
-    ``cg_iterations`` sums the CG iterations of the matrix-free mass solves
-    (:class:`specmhd.galerkin.MassOperator`), a failed solve included, and
-    ``cg_iterations_max`` is the most that one solve took; both stay 0 when
-    every mass system is below the crossover and solved densely.
-    """
-
-    rhs_evaluations: int = 0
-    stage_iterations: int = 0
-    predictor_gap_max: float = 0.0
-    cg_iterations: int = 0
-    cg_iterations_max: int = 0
-
-    def count_mass_solve(self, iterations: int) -> None:
-        self.cg_iterations += iterations
-        self.cg_iterations_max = max(self.cg_iterations_max, iterations)
-
-
 def _linear_combination(state: SimState, new_t: float, pieces) -> SimState:
     """state + sum(coef * rates) with a fresh SimState."""
     parts = [x.copy() for x in state.parts()]
@@ -137,14 +115,14 @@ def _stage_damping(ops: GalerkinOperators, state: SimState, dt: float, fields) -
 
 
 def _step_implicit_midpoint(
-    ops: GalerkinOperators,
-    state: SimState,
-    cfg: StepConfig,
-    dt: float,
-    start: Rates,
-    counters: StepCounters,
-) -> tuple[SimState, Rates]:
-    """The converged state and the midpoint rates it was built from.
+    ops: GalerkinOperators, state: SimState, cfg: StepConfig, dt: float, start: Rates, history: list | None
+) -> tuple[SimState, list]:
+    """The converged state and the last two (time, rates) pairs: the newer
+    of those ``start`` was extrapolated from (on the first step, when
+    ``history`` is None, ``start`` itself at ``state.t``) and the midpoint
+    rates the state was built from.  The older pair of ``history`` is
+    dropped from it before the stages run, as it has served its one
+    prediction.
 
     Each iteration maps the candidate x to ``G(x) = state + dt k(mid(x))`` and
     stops once ``G(x)`` is within ``solver_tolerance`` of x.  Otherwise the
@@ -154,20 +132,27 @@ def _step_implicit_midpoint(
     diffusion, so the iteration contracts at the nonlinear rate instead of
     dt/2 times the largest diffusion eigenvalue.
     """
+    counters = ops.counters
+    extrapolated = history is not None
+    if extrapolated:
+        del history[0]
+    else:
+        history = [(state.t, start)]
     t_new = state.t + dt
     first = candidate = _linear_combination(state, t_new, [(dt, start)])
     deltas: list[float] = []
     damping = None
     for _ in range(cfg.max_nonlinear_iterations):
-        counters.rhs_evaluations += 1
         counters.stage_iterations += 1
         fields = ops.fields(_midpoint(state, candidate))
         rates = ops.rates(fields)
         updated = _linear_combination(state, t_new, [(dt, rates)])
         deltas.append(_delta(updated, candidate))
         if deltas[-1] <= cfg.solver_tolerance:
-            counters.predictor_gap_max = max(counters.predictor_gap_max, _delta(updated, first))
-            return updated, rates
+            if extrapolated:
+                counters.predictor_gap_max = max(counters.predictor_gap_max, _delta(updated, first))
+            history.append((state.t + 0.5 * dt, rates))
+            return updated, history
         if damping is None:
             damping = _stage_damping(ops, state, dt, fields)
         candidate = SimState(
@@ -187,20 +172,17 @@ def _step_implicit_midpoint(
     )
 
 
-def _predict_midpoint_rates(known: list[tuple[float, Rates]], t_mid: float) -> Rates:
-    """The two (time, rates) pairs in ``known``, extrapolated linearly to ``t_mid``."""
-    (t_prev, k_prev), (t_last, k_last) = known
+def _predict_midpoint_rates(history: list[tuple[float, Rates]], t_mid: float) -> Rates:
+    """The two (time, rates) pairs in ``history``, extrapolated linearly to ``t_mid``."""
+    (t_prev, k_prev), (t_last, k_last) = history
     w = (t_mid - t_last) / (t_last - t_prev)
     return Rates(*(x + w * (x - y) for x, y in zip(k_last.parts(), k_prev.parts())))
 
 
-def _step_rk4(
-    ops: GalerkinOperators, state: SimState, dt: float, k1: Rates, counters: StepCounters
-) -> SimState:
+def _step_rk4(ops: GalerkinOperators, state: SimState, dt: float, k1: Rates) -> SimState:
     t = state.t
 
     def stage(t_stage: float, coef: float, k: Rates) -> Rates:
-        counters.rhs_evaluations += 1
         return ops.rates(ops.fields(_linear_combination(state, t_stage, [(coef, k)])))
 
     k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
@@ -235,33 +217,27 @@ def _step_imex_cn_ab2(
 
 
 def step(
-    ops: GalerkinOperators,
-    state: SimState,
-    cfg: StepConfig,
-    start: Rates,
-    history: Rates | None = None,
-    counters: StepCounters | None = None,
-) -> tuple[SimState, Rates | None]:
+    ops: GalerkinOperators, state: SimState, cfg: StepConfig, start: Rates, history=None
+) -> tuple[SimState, object]:
     """Advance one time step; raises on blow-up or non-convergence.
 
-    For RK4 and IMEX, ``start`` is ``ops.rates`` at ``state``: RK4's first
-    stage or the IMEX explicit part.  For the midpoint it is the predicted
-    midpoint rate, and the iteration starts from ``state + dt * start`` and
-    moves by the damped residual (:func:`_step_implicit_midpoint`);
-    :func:`integrate` passes ``ops.rates`` at ``state`` on the first step
-    only and the extrapolated rates after it.  ``history`` is what
-    the previous call returned as its second value: the IMEX Adams-Bashforth
-    term (None on the first step), None for RK4.  The midpoint ignores it and
-    returns its converged midpoint rates there.  ``counters``, when given,
-    accumulates the step's stage work; the start rates are the caller's.
+    ``history`` is the scheme's own memory: what the previous call returned
+    as its second value, None on the first step.  IMEX keeps its
+    Adams-Bashforth term there, RK4 nothing, and the midpoint its last two
+    (time, rates) pairs.  For RK4 and IMEX, ``start`` is ``ops.rates`` at
+    ``state``: RK4's first stage or the IMEX explicit part.  For the
+    midpoint it is the predicted midpoint rate, and the iteration starts
+    from ``state + dt * start`` and moves by the damped residual
+    (:func:`_step_implicit_midpoint`): ``ops.rates`` at ``state`` when
+    ``history`` is None, else ``history`` extrapolated to the midpoint
+    (:func:`_predict_midpoint_rates`).  The work of the step is added to
+    ``ops.counters``.
     """
     dt = cfg.dt
-    if counters is None:
-        counters = StepCounters()
     if cfg.scheme == "implicit-midpoint":
-        new, history = _step_implicit_midpoint(ops, state, cfg, dt, start, counters)
+        new, history = _step_implicit_midpoint(ops, state, cfg, dt, start, history)
     elif cfg.scheme == "explicit-rk4":
-        new = _step_rk4(ops, state, dt, start, counters)
+        new = _step_rk4(ops, state, dt, start)
     elif cfg.scheme == "imex-cn-ab2":
         new, history = _step_imex_cn_ab2(ops, state, dt, start, history)
     else:
@@ -297,12 +273,15 @@ def integrate(
     if cadence < 1:
         raise ConfigError(f"cadence must be at least 1 (got {cadence})")
 
-    counters = StepCounters()
-    ops = GalerkinOperators(params, basis, eps_density, counters)
+    ops = GalerkinOperators(params, basis, eps_density)
     state = state0.copy()
     fields = ops.fields(state)
     rho_min0, rho_max0 = float(fields.rho.min()), float(fields.rho.max())
-    t0 = state.t
+    t_stop = state.t + cfg.t_end
+
+    def done() -> bool:
+        """Whether ``state`` is at the final time, to rounding."""
+        return state.t >= t_stop - 1e-12 * max(1.0, cfg.t_end)
 
     def emit(f) -> None:
         report = gal.energy_report(f)
@@ -316,8 +295,7 @@ def integrate(
     worst_heat_drop = 0.0
     prev_heat = ops.total_heat(fields)
     n_steps = 0
-    history: Rates | None = None
-    known: list[tuple[float, Rates]] = []  # (t, rates) pairs the next midpoint stage extrapolates
+    history = None
 
     def summary() -> TrajectorySummary:
         return TrajectorySummary(
@@ -329,39 +307,24 @@ def integrate(
                 "rho_min_initial": rho_min0,
                 "rho_max_initial": rho_max0,
                 "heat_drop_worst": worst_heat_drop,
-                "rhs_evaluations": counters.rhs_evaluations,
-                "stage_iterations": counters.stage_iterations,
-                "predictor_gap_max": counters.predictor_gap_max,
-                "cg_iterations": counters.cg_iterations,
-                "cg_iterations_max": counters.cg_iterations_max,
+                **asdict(ops.counters),
             },
         )
 
     try:
-        while state.t < t0 + cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
-            t_start = state.t
-            dt = min(cfg.dt, t0 + cfg.t_end - t_start)
+        while not done():
+            dt = min(cfg.dt, t_stop - state.t)
             sub_cfg = cfg if dt == cfg.dt else replace(cfg, dt=dt)
-            t_mid = t_start + 0.5 * dt
-            if len(known) == 2:
-                start_rates = _predict_midpoint_rates(known, t_mid)
-                del known[0]  # the older pair has served its one prediction
+            if cfg.scheme == "implicit-midpoint" and history is not None:
+                start_rates = _predict_midpoint_rates(history, state.t + 0.5 * dt)
             else:
-                counters.rhs_evaluations += 1
                 start_rates = ops.rates(fields)
             fields = None  # the stages realize their own states
             try:
-                state, history = step(ops, state, sub_cfg, start_rates, history, counters)
+                state, history = step(ops, state, sub_cfg, start_rates, history)
             except NonlinearSolveError as exc:
                 raise NonlinearSolveError(f"step {n_steps + 1}: {exc}") from exc
             n_steps += 1
-            if cfg.scheme == "implicit-midpoint":
-                if not known:
-                    # step 2 extrapolates through step 1's start-state rates;
-                    # step 1's forward-Euler start is no prediction to gauge
-                    known.append((t_start, start_rates))
-                    counters.predictor_gap_max = 0.0
-                known.append((t_mid, history))
 
             fields = ops.fields(state)
             rho_grid = fields.rho
@@ -373,7 +336,7 @@ def integrate(
             )
             if norm > NORM_BLOWUP_LIMIT:
                 raise BlowUpError(f"blow-up detected at t={state.t:.6g}: norm {norm:.3e}", t=state.t)
-            elapsed = max(state.t - t0, cfg.dt)
+            elapsed = max(state.t - state0.t, cfg.dt)
             drift = max(rho_min0 - float(rho_grid.min()), float(rho_grid.max()) - rho_max0)
             worst_drift = max(worst_drift, drift / elapsed)
             if drift > DENSITY_DRIFT_RATE * elapsed + 1e-13:
@@ -398,7 +361,7 @@ def integrate(
                     f"temperature clamped at {clamp_count} points at t={state.t:.6g}",
                     t=state.t,
                 )
-            if n_steps % cadence == 0 or state.t >= t0 + cfg.t_end - 1e-12:
+            if n_steps % cadence == 0 or done():
                 emit(fields)
     except SolverAbort as exc:
         exc.trajectory = summary()

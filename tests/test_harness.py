@@ -19,6 +19,14 @@ from helpers import lorentz_flipped, stiff_random_band
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+# summary.json "monitors": the solver work plus integrate's density and heat monitors
+MONITORS = {f.name for f in dataclasses.fields(gal.StepCounters)} | {
+    "rho_drift_rate_max",
+    "rho_min_initial",
+    "rho_max_initial",
+    "heat_drop_worst",
+}
+
 MINIMAL = """
 [step]
 dt = 1e-3
@@ -344,6 +352,7 @@ class TestRunOutputs:
         assert rep.exit_code == harness.EXIT_NUMERICAL
         summary = json.loads((rep.output_dir / "summary.json").read_text())
         assert summary["n_steps"] == 0
+        assert set(summary["monitors"]) == MONITORS
         assert summary["monitors"]["rhs_evaluations"] == 2
         assert summary["monitors"]["stage_iterations"] == 1
 
@@ -352,6 +361,7 @@ class TestRunOutputs:
         cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, t_end=0.005))
         rep = harness.run(cfg, output_dir=str(tmp_path / "work"), quiet=True)
         monitors = json.loads((rep.output_dir / "summary.json").read_text())["monitors"]
+        assert set(monitors) == MONITORS
         assert monitors["rhs_evaluations"] == 1 + monitors["stage_iterations"]
         assert monitors["stage_iterations"] >= rep.summary["n_steps"] == 5
         assert 0.0 < monitors["predictor_gap_max"] < 1e-6
@@ -369,6 +379,25 @@ class TestRunOutputs:
         assert evals <= monitors["cg_iterations"] <= evals * most
         header = (rep.output_dir / "diagnostics.csv").read_text().splitlines()[0]
         assert "cg" not in header
+
+    @pytest.mark.parametrize("scheme", ["implicit-midpoint", "imex-cn-ab2"])
+    def test_final_sample_at_a_rounded_end_time(self, tmp_path, scheme):
+        # 304 steps of 0.7 end at t = 212.799999999999, inside the loop's
+        # stop tolerance 1e-12 t_end but short of 212.8 - 1e-12; step 304 is
+        # not a multiple of the cadence, so only the stop test emits it
+        cfg = RunConfig(
+            grid_points=8,
+            velocity_modes=12,
+            temperature_modes=13,
+            magnetic_modes=12,
+            step=StepConfig(dt=0.7, t_end=212.8, scheme=scheme),
+            cadence=3,
+        )
+        rep = harness.run(cfg, output_dir=str(tmp_path / "rest"), quiet=True)
+        assert rep.exit_code == harness.EXIT_PASS
+        assert rep.summary["n_steps"] == 304
+        assert rep.summary["samples"] == 1 + 304 // 3 + 1
+        assert rep.summary["final"]["t"] == pytest.approx(212.8, abs=1e-9)
 
     def test_determinism_byte_identical(self):
         cfg = load_config(CONFIGS / "magnetic_decay.cfg")

@@ -1,3 +1,4 @@
+import ast
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,8 @@ from specmhd.initial_conditions import build_initial_state
 from helpers import forward_euler_started_run, plain_midpoint_step, stiff_random_band
 
 L = 2.0 * np.pi
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -306,10 +308,9 @@ class TestStiffStage:
         basis, state = _initial(cfg)
         ops = gal.GalerkinOperators(cfg.constitutive, basis, cfg.density_regularization)
         start = ops.rates(ops.fields(state))
-        counters = itg.StepCounters()
-        damped, _ = itg.step(ops, state, cfg.step, start, counters=counters)
+        damped, _ = itg.step(ops, state, cfg.step, start)
+        assert ops.counters.stage_iterations > 1  # the damping took part
         plain = plain_midpoint_step(ops, state, cfg.step, start)
-        assert counters.stage_iterations > 1  # the damping took part
         assert itg._delta(damped, plain) <= cfg.step.solver_tolerance
 
     @pytest.mark.parametrize(
@@ -362,3 +363,45 @@ class TestStiffStage:
         step_cfg = replace(cfg.step, scheme="imex-cn-ab2", t_end=2 * cfg.step.dt)
         itg.integrate(cfg.constitutive, basis, state, step_cfg, eps_density=cfg.density_regularization)
         assert calls == [(1.0, None), (0.5 * cfg.step.dt, None)] * 2
+
+
+class TestSolverWorkCounting:
+    """The solver work is counted where it is done: a right-hand side in
+    ``GalerkinOperators.rates`` and nowhere else, on the counters the
+    operators own."""
+
+    SOURCES = sorted((ROOT / "src" / "specmhd").glob("*.py")) + [ROOT / "tests" / "helpers.py"]
+
+    @staticmethod
+    def _increments(path):
+        """Qualified names of the functions in ``path`` whose own body adds
+        to an ``rhs_evaluations`` attribute."""
+        found = []
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, scope + [child.name])
+                    continue
+                target = getattr(child, "target", None)
+                if isinstance(child, ast.AugAssign) and getattr(target, "attr", "") == "rhs_evaluations":
+                    found.append(".".join(scope))
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text()), [])
+        return found
+
+    def test_rhs_evaluations_counted_only_in_rates(self):
+        counted = [(path.name, name) for path in self.SOURCES for name in self._increments(path)]
+        assert counted == [("galerkin.py", "GalerkinOperators.rates")]
+
+    def test_no_function_takes_counters(self):
+        taking = []
+        for path in sorted((ROOT / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    a = node.args
+                    names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                    if "counters" in names:
+                        taking.append((path.name, getattr(node, "name", "lambda")))
+        assert taking == []
