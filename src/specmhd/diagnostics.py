@@ -99,7 +99,6 @@ class TrajectoryRecorder:
         self.basis = basis
         self.store_history = store_history
         self.records: list[DiagnosticsRecord] = []
-        self.raw_reports: list[dict] = []
         self.history: list[dict] = []
         self._dissipation_integral = 0.0
         self._decay_integral = 0.0
@@ -158,7 +157,6 @@ class TrajectoryRecorder:
         }
         rec = DiagnosticsRecord(**{name: report[name] for name in CSV_COLUMNS if name not in derived}, **derived)
         self.records.append(rec)
-        self.raw_reports.append(dict(report))
         if self.store_history:
             self.history.append({"t": t, "a": state.a.copy(), "rho_spec": state.rho.copy()})
 
@@ -191,26 +189,6 @@ def residual_order(coarse: float, fine: float) -> float:
     if fine == 0.0:
         return np.inf
     return coarse / fine
-
-
-def kinetic_identity_check(recorder: TrajectoryRecorder) -> dict:
-    """Residual of the transported kinetic-energy identity over the window.
-
-    Uses the stored right-hand-side contractions: the time integral of
-    ``(d/dt(rho u), u) - (rho u ox u, grad u)`` must equal the kinetic-energy
-    difference, with the density-regularization correction when active.
-    """
-    reps = recorder.raw_reports
-    if len(reps) < 2:
-        raise ValueError("need at least 2 diagnostics samples")
-    times = np.array([r["t"] for r in reps])
-    integrand = np.array(
-        [r["ddt_rho_kin"] + r["adot_term"] - r["conv_term"] - 0.5 * r["eps_lap_term"] for r in reps]
-    )
-    total = float(np.trapezoid(integrand, times))
-    delta_k = reps[-1]["E_kin"] - reps[0]["E_kin"]
-    scale = abs(delta_k) + float(np.max(np.abs(integrand))) * (times[-1] - times[0]) + 1e-30
-    return {"residual": total - delta_k, "scale": scale}
 
 
 def apriori_monitor(params: ConstitutiveParams, recorder: TrajectoryRecorder) -> dict:

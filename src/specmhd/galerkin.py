@@ -38,10 +38,12 @@ weight (:class:`MassOperator`).  :func:`matrix_free` is the rule between
 the two.  Only :mod:`specmhd.spectral` knows the mode tables behind them.
 
 Quadratic and cubic products of basis-band fields are integrated exactly on
-the base grid (the mode cutoff sits strictly inside the two-thirds rule);
-non-polynomial factors (power-law stress, temperature powers, specific heat)
-are evaluated on a 3/2-oversampled grid, leaving a controlled quadrature
-error there and nowhere else.
+the base grid (the mode cutoff sits strictly inside the two-thirds rule):
+the Lorentz force, the induction transport and the Joule heating
+``nu |curl H|^2`` are gathered there, from one ``curl H``.  Non-polynomial
+factors (power-law stress, temperature powers, specific heat) are evaluated
+on a 3/2-oversampled grid, leaving a controlled quadrature error there and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -81,20 +83,6 @@ class SimState:
 
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(x)) for x in self.parts())
-
-    def validate(self, params: cst.ConstitutiveParams) -> list[str]:
-        """Return a list of violated state invariants (empty when valid):
-        non-finite entries, or a grid density outside the bounds."""
-        if not self.is_finite():
-            return ["non-finite state entries"]
-        rho_grid = self.basis.spectral_to_grid(self.rho)
-        lo, hi = rho_grid.min(), rho_grid.max()
-        if lo < params.density_min - 1e-12 or hi > params.density_max + 1e-12:
-            return [
-                f"density outside [{params.density_min}, {params.density_max}] "
-                f"(range [{lo:.6g}, {hi:.6g}])"
-            ]
-        return []
 
 
 @dataclass
@@ -139,6 +127,10 @@ class _StateFields:
     It is the single argument of every per-state computation: the
     right-hand sides, the mass matrices, the monitors and
     :func:`energy_report`, so whatever one of them realizes the others reuse.
+    Each field is realized on the one grid its quadrature needs: products of
+    basis-band fields on the base grid (``curl_H`` serves both the Lorentz
+    force and the Joule heating), the non-polynomial laws and what they
+    multiply on the oversampled grid.
     The time loop builds one per accepted state, shares it between the
     post-step monitors and the diagnostics report (and, for RK4, IMEX and
     the first midpoint step, the start-state right-hand side), and drops it
@@ -242,16 +234,17 @@ class _StateFields:
         return self.basis.spectral_to_grid(self.basis.resample_spectrum(self.st.rho, self.m))
 
     @cached_property
+    def rho_t_m(self):
+        """The density rate on the oversampled grid."""
+        return self.basis.spectral_to_grid(self.basis.resample_spectrum(self.density_rate, self.m))
+
+    @cached_property
     def theta_m(self):
         return self.basis.spectral_to_grid(self._last_use("c_theta_m", "grad_theta_m"))
 
     @cached_property
     def grad_theta_m(self):
         return self.basis.grid_gradient(self._last_use("c_theta_m", "theta_m"))
-
-    @cached_property
-    def curl_H_m(self):
-        return self.basis.spectral_to_grid(self.basis.curl(self.basis.synth_vector(self.st.c, self.m)))
 
     @cached_property
     def clamp_count(self) -> int:
@@ -265,6 +258,11 @@ class _StateFields:
     def heat_m(self):
         """Thermal energy Q(max(theta, 0)) on the oversampled grid."""
         return cst.thermal_energy(self.ops.params, np.maximum(self.theta_m, 0.0))
+
+    @cached_property
+    def heat_capacity_m(self):
+        """``rho c(theta)`` on the oversampled grid, temperature floored at 0."""
+        return self.rho_m * cst.specific_heat(self.ops.params, np.maximum(self.theta_m, 0.0))
 
     @cached_property
     def stress_m(self):
@@ -372,7 +370,7 @@ class MassOperator:
     def thermal(cls, f: "_StateFields") -> "MassOperator":
         """(rho c(theta) omega_i, omega_j) on the oversampled grid."""
         b = f.basis
-        return cls(f, _heat_capacity(f), len(f.st.b), b.synth_scalar, b.gather_scalar, "rho c(theta)")
+        return cls(f, f.heat_capacity_m, len(f.st.b), b.synth_scalar, b.gather_scalar, "rho c(theta)")
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         g = self.weight.shape[-1]
@@ -423,12 +421,6 @@ class MassOperator:
         )
 
 
-def _heat_capacity(f: "_StateFields") -> np.ndarray:
-    """``rho c(theta)`` on the oversampled grid, temperature floored at 0."""
-    p = f.ops.params
-    return f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0))
-
-
 class GalerkinOperators:
     """Precomputed mode machinery plus right-hand-side and matrix assembly.
 
@@ -474,13 +466,11 @@ class GalerkinOperators:
         k_b = len(f.st.b)
         flux = cst.heat_flux(p, f.rho_m, f.theta_floor_m, f.grad_theta_m)
         transport = f.rho_m[None] * f.heat_m[None] * f.u_m - flux
-        source = (
-            p.magnetic_diffusivity * np.sum(f.curl_H_m**2, axis=0) + f.viscous_power_m
-        )
-        rho_t_m = self.basis.spectral_to_grid(self.basis.resample_spectrum(f.density_rate, f.m))
-        source = source - rho_t_m * f.heat_m
+        source = f.viscous_power_m - f.rho_t_m * f.heat_m
+        joule = p.magnetic_diffusivity * np.sum(f.curl_H**2, axis=0)
         entries = self.basis.gather_scalar_grad(self.basis.grid_to_spectral(transport), k_b)
-        return entries + self.basis.gather_scalar(self.basis.grid_to_spectral(source), k_b)
+        entries += self.basis.gather_scalar(self.basis.grid_to_spectral(source), k_b)
+        return entries + self.basis.gather_scalar(self.basis.grid_to_spectral(joule), k_b)
 
     def induction_rhs(self, f: _StateFields) -> np.ndarray:
         c = f.st.c
@@ -512,7 +502,7 @@ class GalerkinOperators:
         if f is not None:
             p = self.params
             kbar = np.mean(cst.conductivity(p, f.rho_m) * f.theta_floor_m**p.conductivity_exponent)
-            rcbar = np.mean(_heat_capacity(f))
+            rcbar = np.mean(f.heat_capacity_m)
             b = h * (kbar / rcbar) * self.basis.scal_k2[: len(st.b)]
         return rho, 0.0, b, c
 
@@ -546,7 +536,7 @@ class GalerkinOperators:
             cbar = 0.5 * (p.specific_heat_min + p.specific_heat_max)
             c_w = cbar * b.resample_spectrum(f.st.rho, f.m)
         else:
-            c_w = b.grid_to_spectral(_heat_capacity(f))
+            c_w = b.grid_to_spectral(f.heat_capacity_m)
         return b.scalar_gram(c_w, len(f.st.b))
 
     @staticmethod
@@ -574,14 +564,15 @@ THETA_NEG_POWER = 0.5
 
 
 def energy_report(f: _StateFields) -> dict:
-    """Instantaneous energies, dissipations, monitors, and identity terms.
+    """Instantaneous energies, dissipations, monitors, and the energy
+    identity at one state.
 
     All quadratures here are consistent with the right-hand-side assembly, so
     the reported identity defect measures only rounding at a single state and
     only time discretization along a trajectory.
     """
     ops, state = f.ops, f.st
-    params, eps_density = ops.params, ops.eps_density
+    params = ops.params
     b = state.basis
     n3 = b.grid_points**3
     w_n = b.volume / n3
@@ -641,14 +632,6 @@ def energy_report(f: _StateFields) -> dict:
         "identity_rhs": identity_rhs,
         "identity_defect": abs(identity_lhs - identity_rhs),
         "identity_scale": identity_scale,
-        "ddt_rho_kin": ddt_rho_kin,
-        "adot_term": adot_term,
-        "conv_term": w_n * float(np.sum(f.rho * np.einsum("ixyz,ixyz->xyz", f.conv, f.u))),
-        "eps_lap_term": (
-            -eps_density * w_n * float(np.sum(b.spectral_to_grid(ops._k2_n * state.rho) * u2))
-            if eps_density
-            else 0.0
-        ),
         "strain_lr_r": w_m * float(np.sum(frob2_m ** (params.power_law_exponent / 2.0))),
         "sup_theta_negpow": float(theta_min ** (-THETA_NEG_POWER)) if theta_min > 0 else np.inf,
         "rho_theta_l1": w_n * float(np.sum(np.abs(f.rho * f.theta))),

@@ -481,11 +481,11 @@ def _check_heat_balance(fields=None) -> tuple[bool, str]:
     ops, basis, p = f.ops, f.basis, f.ops.params
     nmat = ops.thermal_mass(f)
     db = ops.solve_mass(nmat, ops.thermal_rhs(f))
-    w_m = basis.volume / f.m**3
-    rho_t_m = basis.spectral_to_grid(basis.resample_spectrum(f.density_rate, f.m))
-    lhs = np.sqrt(basis.volume) * (nmat @ db)[0] + w_m * np.sum(rho_t_m * f.heat_m)
-    src = p.magnetic_diffusivity * np.sum(f.curl_H_m**2, axis=0) + f.viscous_power_m
-    rhs = w_m * np.sum(src)
+    w_n, w_m = basis.volume / f.n**3, basis.volume / f.m**3
+    lhs = np.sqrt(basis.volume) * (nmat @ db)[0] + w_m * np.sum(f.rho_t_m * f.heat_m)
+    # Joule heating on the base grid, viscous power on the oversampled grid,
+    # as the thermal right-hand side gathers them
+    rhs = w_n * p.magnetic_diffusivity * np.sum(f.curl_H**2) + w_m * np.sum(f.viscous_power_m)
     err = abs(lhs - rhs)
     ok = err <= max(1e-10 * abs(rhs), 1e-12)
     return bool(ok), f"total heat rate equals the integrated sources to {err:.2e}"

@@ -35,7 +35,7 @@ Mass systems are rebuilt and solved at every stage.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -217,9 +217,10 @@ def _step_imex_cn_ab2(
 
 
 def step(
-    ops: GalerkinOperators, state: SimState, cfg: StepConfig, start: Rates, history=None
+    ops: GalerkinOperators, state: SimState, cfg: StepConfig, dt: float, start: Rates, history=None
 ) -> tuple[SimState, object]:
-    """Advance one time step; raises on blow-up or non-convergence.
+    """Advance one time step of length ``dt`` with the scheme of ``cfg``;
+    raises on blow-up or non-convergence.
 
     ``history`` is the scheme's own memory: what the previous call returned
     as its second value, None on the first step.  IMEX keeps its
@@ -233,7 +234,6 @@ def step(
     (:func:`_predict_midpoint_rates`).  The work of the step is added to
     ``ops.counters``.
     """
-    dt = cfg.dt
     if cfg.scheme == "implicit-midpoint":
         new, history = _step_implicit_midpoint(ops, state, cfg, dt, start, history)
     elif cfg.scheme == "explicit-rk4":
@@ -267,16 +267,19 @@ def integrate(
     bad = validate_params(params) + cfg.validate()
     if bad:
         raise ConfigError("\n".join(bad))
-    problems = state0.validate(params)
-    if problems:
-        raise ConfigError("initial state invalid: " + "; ".join(problems))
-    if cadence < 1:
-        raise ConfigError(f"cadence must be at least 1 (got {cadence})")
-
+    if not state0.is_finite():
+        raise ConfigError("initial state invalid: non-finite state entries")
     ops = GalerkinOperators(params, basis, eps_density)
     state = state0.copy()
     fields = ops.fields(state)
     rho_min0, rho_max0 = float(fields.rho.min()), float(fields.rho.max())
+    if rho_min0 < params.density_min - 1e-12 or rho_max0 > params.density_max + 1e-12:
+        raise ConfigError(
+            f"initial state invalid: density outside [{params.density_min}, {params.density_max}] "
+            f"(range [{rho_min0:.6g}, {rho_max0:.6g}])"
+        )
+    if cadence < 1:
+        raise ConfigError(f"cadence must be at least 1 (got {cadence})")
     t_stop = state.t + cfg.t_end
 
     def done() -> bool:
@@ -314,14 +317,13 @@ def integrate(
     try:
         while not done():
             dt = min(cfg.dt, t_stop - state.t)
-            sub_cfg = cfg if dt == cfg.dt else replace(cfg, dt=dt)
             if cfg.scheme == "implicit-midpoint" and history is not None:
                 start_rates = _predict_midpoint_rates(history, state.t + 0.5 * dt)
             else:
                 start_rates = ops.rates(fields)
             fields = None  # the stages realize their own states
             try:
-                state, history = step(ops, state, sub_cfg, start_rates, history)
+                state, history = step(ops, state, cfg, dt, start_rates, history)
             except NonlinearSolveError as exc:
                 raise NonlinearSolveError(f"step {n_steps + 1}: {exc}") from exc
             n_steps += 1

@@ -295,8 +295,8 @@ def forward_euler_started_run(params, basis, state, cfg, eps_density=0.0):
     ops = GalerkinOperators(params, basis, eps_density)
     t_stop = state.t + cfg.t_end
     while state.t < t_stop - 1e-12 * max(1.0, cfg.t_end):
-        sub_cfg = dataclasses.replace(cfg, dt=min(cfg.dt, t_stop - state.t))
-        state, _ = itg.step(ops, state, sub_cfg, ops.rates(ops.fields(state)))
+        dt = min(cfg.dt, t_stop - state.t)
+        state, _ = itg.step(ops, state, cfg, dt, ops.rates(ops.fields(state)))
     return state, ops.counters
 
 

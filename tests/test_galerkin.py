@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -153,8 +154,7 @@ class TestThermalRhs:
         f = ops.fields(st)
         # add back the density coupling -(rho_t Q(theta), omega_0) of the same
         # realization, as the galerkin.heat_balance check does
-        rho_t_m = basis.spectral_to_grid(basis.resample_spectrum(f.density_rate, f.m))
-        coupling = basis.volume / f.m**3 * np.sum(rho_t_m * f.heat_m) / np.sqrt(basis.volume)
+        coupling = basis.volume / f.m**3 * np.sum(f.rho_t_m * f.heat_m) / np.sqrt(basis.volume)
         rhs = ops.thermal_rhs(f)
         # constant-mode entry is (S:D(u) + nu |curl H|^2, 1) / sqrt(V) >= 0
         assert rhs[0] + coupling >= -1e-12
@@ -291,9 +291,10 @@ class TestMassMatrices:
             monkeypatch.setattr(basis, name, counted(name))
         f = ops.fields(st)
         ops.rates(f)
-        # velocity and magnetic field on the base grid; velocity, temperature
-        # and magnetic field on the oversampled grid
-        assert sorted(calls) == ["synth_scalar"] + ["synth_vector"] * 4
+        # velocity and magnetic field on the base grid, where curl H serves
+        # the Lorentz force and the Joule heating; velocity and temperature
+        # on the oversampled grid
+        assert sorted(calls) == ["synth_scalar"] + ["synth_vector"] * 3
         # the shared oversampled spectra do not outlive their two grids
         assert not {"c_u_m", "c_theta_m"} & f.__dict__.keys()
 
@@ -450,6 +451,56 @@ class TestMatrixFreeMass:
         rates = ops.rates(ops.fields(state))
         assert all(np.all(np.isfinite(x)) for x in rates.parts())
         assert ops.counters.cg_iterations > ops.counters.cg_iterations_max > 0
+
+
+class TestRealizationWork:
+    """Scalar 3-D transforms per call on the ``transform_n32`` benchmark
+    state (random_band, N=32, K=32, eps 1e-3), by direction and grid size,
+    each leading component counted, as the benchmark's tracer counts them.
+    A field realized twice, or on a grid its quadrature does not need,
+    shows here."""
+
+    @pytest.fixture()
+    def n32(self):
+        cfg = load_config(CONFIGS / "random_band.cfg")
+        cfg = replace(cfg, grid_points=32, velocity_modes=32, magnetic_modes=32, temperature_modes=33)
+        basis32 = harness.build_basis_for(cfg)
+        ops = gal.GalerkinOperators(cfg.constitutive, basis32, cfg.density_regularization)
+        assert ops.eps_density == 1e-3
+        return ops, build_initial_state(cfg, basis32)
+
+    @pytest.fixture()
+    def transforms(self, monkeypatch):
+        counts = Counter()
+        for name in ("grid_to_spectral", "spectral_to_grid"):
+            raw = getattr(sp.DivFreeSpectralBasis, name)
+
+            def counted(arr, raw=raw, name=name):
+                counts[name, arr.shape[-1]] += int(np.prod(arr.shape[:-3]))
+                return raw(arr)
+
+            monkeypatch.setattr(sp.DivFreeSpectralBasis, name, staticmethod(counted))
+        return counts
+
+    def test_rates(self, n32, transforms):
+        ops, state = n32
+        ops.rates(ops.fields(state))
+        assert transforms == {
+            ("grid_to_spectral", 32): 10,
+            ("spectral_to_grid", 32): 22,
+            ("grid_to_spectral", 48): 10,
+            ("spectral_to_grid", 48): 15,
+        }
+
+    def test_energy_report_on_a_fresh_realization(self, n32, transforms):
+        ops, state = n32
+        gal.energy_report(ops.fields(state))
+        assert transforms == {
+            ("grid_to_spectral", 32): 9,
+            ("spectral_to_grid", 32): 24,
+            ("grid_to_spectral", 48): 7,
+            ("spectral_to_grid", 48): 8,
+        }
 
 
 def assert_bitwise(got, want):

@@ -60,7 +60,7 @@ class TestStepBasics:
     def test_zero_state_is_fixed_point(self, basis, params):
         st = plain_state(basis)
         ops = gal.GalerkinOperators(params, basis)
-        new, _ = itg.step(ops, st, itg.StepConfig(dt=0.05), ops.rates(ops.fields(st)))
+        new, _ = itg.step(ops, st, itg.StepConfig(), 0.05, ops.rates(ops.fields(st)))
         assert np.all(new.a == 0.0) and np.all(new.c == 0.0)
         np.testing.assert_allclose(new.b, st.b, rtol=1e-14)
         np.testing.assert_allclose(new.rho, st.rho, atol=1e-16)
@@ -308,7 +308,7 @@ class TestStiffStage:
         basis, state = _initial(cfg)
         ops = gal.GalerkinOperators(cfg.constitutive, basis, cfg.density_regularization)
         start = ops.rates(ops.fields(state))
-        damped, _ = itg.step(ops, state, cfg.step, start)
+        damped, _ = itg.step(ops, state, cfg.step, cfg.step.dt, start)
         assert ops.counters.stage_iterations > 1  # the damping took part
         plain = plain_midpoint_step(ops, state, cfg.step, start)
         assert itg._delta(damped, plain) <= cfg.step.solver_tolerance
