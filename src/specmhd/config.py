@@ -14,8 +14,8 @@ Sections and keys mirror the solver blocks:
     velocity_modes, temperature_modes, magnetic_modes,
     density_regularization (a number, or ``auto`` for 0.25 (L/N)^2)
 ``[step]``
-    dt, t_end, scheme, solver_tolerance, max_nonlinear_iterations,
-    theta_clamp
+    dt, t_end, scheme (one value, ``implicit-midpoint``), solver_tolerance,
+    max_nonlinear_iterations, theta_clamp
 ``[initial]``
     family plus that family's keys in ``initial_conditions.FAMILIES``
 ``[output]``

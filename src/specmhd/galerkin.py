@@ -132,9 +132,9 @@ class _StateFields:
     force and the Joule heating), the non-polynomial laws and what they
     multiply on the oversampled grid.
     The time loop builds one per accepted state, shares it between the
-    post-step monitors and the diagnostics report (and, for RK4, IMEX and
-    the first midpoint step, the start-state right-hand side), and drops it
-    before the step's stage evaluations, which build their own.
+    post-step monitors and the diagnostics report (and, before the first
+    step, the start-state right-hand side), and drops it before the step's
+    stage evaluations, which build their own.
     """
 
     def __init__(self, ops: "GalerkinOperators", state: SimState):
@@ -428,8 +428,8 @@ class GalerkinOperators:
     :meth:`fields` and is pure given (params, state).  The one exception is
     the solver work: each instance owns one :class:`StepCounters`,
     ``counters``, to which :meth:`rates` adds its calls and every CG mass
-    solve its iterations; a time scheme adds its stage counts to the same
-    object, so states advanced on one instance share one tally.  A mass
+    solve its iterations; the midpoint step adds its stage counts to the
+    same object, so states advanced on one instance share one tally.  A mass
     system, weighted by the density or by ``rho c(theta)``, is rebuilt on
     every call: below the :func:`matrix_free` crossover as the spectral Gram
     matrix, assembled by the basis per wavevector pair and
@@ -484,26 +484,24 @@ class GalerkinOperators:
         db = self.solve_mass(self.thermal_mass(f), self.thermal_rhs(f))
         return Rates(f.density_rate, da, db, f.induction_rhs)
 
-    def stiff_diagonal(self, st: SimState, h: float = 1.0, f: _StateFields | None = None) -> tuple:
+    def stiff_diagonal(self, f: _StateFields, h: float) -> tuple:
         """``h L`` as (rho, a, b, c) parts, where ``-L`` is the diagonal linear
-        part of the rates at a state with ``st``'s truncation levels.
+        part of the rates at the state of the realization ``f``, with its
+        truncation levels.
 
         The density regularization eps |k|^2 and the magnetic diffusion
-        nu |k|^2 are exact.  Heat conduction kbar |k|^2 / rcbar is frozen at the
-        realization ``f``: kbar is the oversampled-grid mean of
+        nu |k|^2 are exact.  Heat conduction kbar |k|^2 / rcbar is frozen at
+        ``f``: kbar is the oversampled-grid mean of
         ``kappa(rho) max(theta, floor)^alpha`` and rcbar that of
-        ``rho c(theta)``; it is 0 without a realization.  The velocity part is 0.
-        ``h`` multiplies first, so ``h * eps * |k|^2`` rounds as the IMEX step
-        has always rounded it.
+        ``rho c(theta)``.  The velocity part is 0.  ``h`` multiplies first,
+        as in ``h * eps * |k|^2``; that order fixes how the damping rounds.
         """
+        p = self.params
         rho = h * self.eps_density * self._k2_n
-        c = h * self.magnetic_stiffness_diag[: len(st.c)]
-        b = 0.0
-        if f is not None:
-            p = self.params
-            kbar = np.mean(cst.conductivity(p, f.rho_m) * f.theta_floor_m**p.conductivity_exponent)
-            rcbar = np.mean(f.heat_capacity_m)
-            b = h * (kbar / rcbar) * self.basis.scal_k2[: len(st.b)]
+        c = h * self.magnetic_stiffness_diag[: len(f.st.c)]
+        kbar = np.mean(cst.conductivity(p, f.rho_m) * f.theta_floor_m**p.conductivity_exponent)
+        rcbar = np.mean(f.heat_capacity_m)
+        b = h * (kbar / rcbar) * self.basis.scal_k2[: len(f.st.b)]
         return rho, 0.0, b, c
 
     def total_heat(self, f: _StateFields) -> float:

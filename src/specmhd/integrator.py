@@ -1,36 +1,28 @@
 """Time advancement of the coupled density/velocity/temperature/magnetic
-system.
+system by the implicit midpoint rule.
 
-Schemes:
+Each step solves one midpoint stage by iteration to the configured
+tolerance.  The first step starts from a forward-Euler predictor, the rates
+at the start state; every later step starts from the last two known rates
+(on step 2, those at the start state of step 1 and at its midpoint),
+extrapolated linearly in time to the new midpoint, so it evaluates no
+right-hand side at the start state.  Between iterations the candidate moves
+by the residual damped with ``(I + dt/2 L)^-1``, L the diffusion diagonal
+frozen at the step's first stage (magnetic, density regularization, heat
+conduction), so stiff modes do not set the iteration count.  Where the
+iteration starts and how it moves change its count, not the tolerance it
+converges to.  The rule preserves the quadratic energy identity to second
+order and keeps the density-weighted mass solves symmetric.
 
-* ``implicit-midpoint`` (default): one midpoint stage solved by iteration
-  to the configured tolerance.  The first step starts from a forward-Euler
-  predictor, the rates at the start state; every later step starts from the
-  last two known rates (on step 2, those at the start state of step 1 and
-  at its midpoint), extrapolated linearly in time to the new midpoint, so it
-  evaluates no right-hand side at the start state.  The step returns those
-  two (time, rates) pairs as its history.  Between iterations the
-  candidate moves by the residual damped with ``(I + dt/2 L)^-1``, L the
-  diffusion diagonal frozen at the step's first stage (magnetic, density
-  regularization, heat conduction), so stiff modes do not set the
-  iteration count.  Where the iteration starts and how it moves change its
-  count, not the tolerance it converges to.  Preserves the quadratic energy
-  identity to second order and keeps the density-weighted mass solves
-  symmetric.
-* ``explicit-rk4``: classic four-stage Runge-Kutta on the full system.
-* ``imex-cn-ab2``: Crank-Nicolson on the diagonal stiff terms (magnetic
-  curl-curl, density regularization) with second-order Adams-Bashforth on
-  everything nonlinear; the first step falls back to a one-term history.
-
-Whatever a scheme carries from one step to the next is its own ``history``:
-:func:`step` returns it and takes it back on the next call, and
-:func:`integrate` only keeps it.  The solver work is counted where it is
-done, on the operators' :class:`specmhd.galerkin.StepCounters`.
+The one thing carried from one step to the next is the ``history``, the
+last two (time, rates) pairs: :func:`step` returns it and takes it back on
+the next call, and :func:`integrate` only keeps it.  The solver work is
+counted where it is done, on the operators' :class:`specmhd.galerkin.StepCounters`.
 
 Each accepted state is realized once (:meth:`GalerkinOperators.fields`); the
-post-step monitors, the diagnostics report and, for RK4, IMEX and the first
-midpoint step, the next step's start-state rates all read that realization.
-Mass systems are rebuilt and solved at every stage.
+post-step monitors, the diagnostics report and, before the first step, the
+start-state rates all read that realization.  Mass systems are rebuilt and
+solved at every stage.
 """
 
 from __future__ import annotations
@@ -45,15 +37,14 @@ from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, Nonline
 from specmhd.galerkin import GalerkinOperators, Rates, SimState
 from specmhd.spectral import DivFreeSpectralBasis
 
-SCHEMES = ("implicit-midpoint", "explicit-rk4", "imex-cn-ab2")
-
 NORM_BLOWUP_LIMIT = 1e12
 DENSITY_DRIFT_RATE = 1e-10
 
 
 @dataclass
 class StepConfig:
-    """Time-step parameters; the tolerance governs the midpoint iteration."""
+    """Time-step parameters; the tolerance governs the midpoint iteration.
+    ``scheme`` admits the one value ``implicit-midpoint``."""
 
     dt: float = 1e-3
     t_end: float = 0.1
@@ -68,8 +59,8 @@ class StepConfig:
             bad.append(f"dt must be positive (got {self.dt})")
         if not self.t_end >= 0:
             bad.append(f"t_end must be nonnegative (got {self.t_end})")
-        if self.scheme not in SCHEMES:
-            bad.append(f"unknown scheme {self.scheme!r}; options {SCHEMES}")
+        if self.scheme != "implicit-midpoint":
+            bad.append(f"unknown scheme {self.scheme!r}; the only scheme is 'implicit-midpoint'")
         if not 0.0 < self.solver_tolerance <= 1e-6:
             bad.append(
                 f"solver_tolerance must lie in (0, 1e-6] (got {self.solver_tolerance})"
@@ -89,12 +80,9 @@ class TrajectorySummary:
     monitors: dict = field(default_factory=dict)
 
 
-def _linear_combination(state: SimState, new_t: float, pieces) -> SimState:
-    """state + sum(coef * rates) with a fresh SimState."""
-    parts = [x.copy() for x in state.parts()]
-    for coef, r in pieces:
-        parts = [x + coef * dx for x, dx in zip(parts, r.parts())]
-    return SimState(new_t, *parts, state.basis)
+def _advance(state: SimState, new_t: float, dt: float, rates: Rates) -> SimState:
+    """``state + dt * rates`` as a fresh SimState at ``new_t``."""
+    return SimState(new_t, *(x + dt * dx for x, dx in zip(state.parts(), rates.parts())), state.basis)
 
 
 def _midpoint(state: SimState, mid: SimState) -> SimState:
@@ -108,10 +96,10 @@ def _delta(a: SimState, b: SimState) -> float:
     return float(num / den)
 
 
-def _stage_damping(ops: GalerkinOperators, state: SimState, dt: float, fields) -> list:
+def _stage_damping(ops: GalerkinOperators, dt: float, fields) -> list:
     """The diagonal of ``(I + dt/2 L)^-1`` per state part, with L frozen at
     the stage realization ``fields``."""
-    return [1.0 / (1.0 + x) for x in ops.stiff_diagonal(state, 0.5 * dt, fields)]
+    return [1.0 / (1.0 + x) for x in ops.stiff_diagonal(fields, 0.5 * dt)]
 
 
 def _step_implicit_midpoint(
@@ -139,14 +127,14 @@ def _step_implicit_midpoint(
     else:
         history = [(state.t, start)]
     t_new = state.t + dt
-    first = candidate = _linear_combination(state, t_new, [(dt, start)])
+    first = candidate = _advance(state, t_new, dt, start)
     deltas: list[float] = []
     damping = None
     for _ in range(cfg.max_nonlinear_iterations):
         counters.stage_iterations += 1
         fields = ops.fields(_midpoint(state, candidate))
         rates = ops.rates(fields)
-        updated = _linear_combination(state, t_new, [(dt, rates)])
+        updated = _advance(state, t_new, dt, rates)
         deltas.append(_delta(updated, candidate))
         if deltas[-1] <= cfg.solver_tolerance:
             if extrapolated:
@@ -154,7 +142,7 @@ def _step_implicit_midpoint(
             history.append((state.t + 0.5 * dt, rates))
             return updated, history
         if damping is None:
-            damping = _stage_damping(ops, state, dt, fields)
+            damping = _stage_damping(ops, dt, fields)
         candidate = SimState(
             t_new,
             *[x + d * (y - x) for x, y, d in zip(candidate.parts(), updated.parts(), damping)],
@@ -179,69 +167,22 @@ def _predict_midpoint_rates(history: list[tuple[float, Rates]], t_mid: float) ->
     return Rates(*(x + w * (x - y) for x, y in zip(k_last.parts(), k_prev.parts())))
 
 
-def _step_rk4(ops: GalerkinOperators, state: SimState, dt: float, k1: Rates) -> SimState:
-    t = state.t
-
-    def stage(t_stage: float, coef: float, k: Rates) -> Rates:
-        return ops.rates(ops.fields(_linear_combination(state, t_stage, [(coef, k)])))
-
-    k2 = stage(t + 0.5 * dt, 0.5 * dt, k1)
-    k3 = stage(t + 0.5 * dt, 0.5 * dt, k2)
-    k4 = stage(t + dt, dt, k3)
-    return _linear_combination(
-        state,
-        t + dt,
-        [(dt / 6.0, k1), (dt / 3.0, k2), (dt / 3.0, k3), (dt / 6.0, k4)],
-    )
-
-
-def _explicit_parts(ops: GalerkinOperators, state: SimState, full: Rates) -> Rates:
-    """Full rates minus the diagonal stiff terms handled implicitly."""
-    l_rho, _, _, l_c = ops.stiff_diagonal(state)
-    return Rates(full.drho + l_rho * state.rho, full.da, full.db, full.dc + l_c * state.c)
-
-
-def _step_imex_cn_ab2(
-    ops: GalerkinOperators, state: SimState, dt: float, start: Rates, prev: Rates | None
-) -> tuple[SimState, Rates]:
-    cur = _explicit_parts(ops, state, start)
-    if prev is None:
-        ex = cur
-    else:
-        ex = Rates(*(1.5 * x - 0.5 * y for x, y in zip(cur.parts(), prev.parts())))
-    lam_r, _, _, lam_c = ops.stiff_diagonal(state, 0.5 * dt)
-    c_new = ((1.0 - lam_c) * state.c + dt * ex.dc) / (1.0 + lam_c)
-    rho_new = ((1.0 - lam_r) * state.rho + dt * ex.drho) / (1.0 + lam_r)
-    new = SimState(state.t + dt, rho_new, state.a + dt * ex.da, state.b + dt * ex.db, c_new, state.basis)
-    return new, cur
-
-
 def step(
-    ops: GalerkinOperators, state: SimState, cfg: StepConfig, dt: float, start: Rates, history=None
-) -> tuple[SimState, object]:
-    """Advance one time step of length ``dt`` with the scheme of ``cfg``;
-    raises on blow-up or non-convergence.
+    ops: GalerkinOperators, state: SimState, cfg: StepConfig, dt: float, start: Rates, history: list | None = None
+) -> tuple[SimState, list]:
+    """Advance one implicit-midpoint step of length ``dt``; raises on
+    blow-up or non-convergence.
 
-    ``history`` is the scheme's own memory: what the previous call returned
-    as its second value, None on the first step.  IMEX keeps its
-    Adams-Bashforth term there, RK4 nothing, and the midpoint its last two
-    (time, rates) pairs.  For RK4 and IMEX, ``start`` is ``ops.rates`` at
-    ``state``: RK4's first stage or the IMEX explicit part.  For the
-    midpoint it is the predicted midpoint rate, and the iteration starts
-    from ``state + dt * start`` and moves by the damped residual
-    (:func:`_step_implicit_midpoint`): ``ops.rates`` at ``state`` when
-    ``history`` is None, else ``history`` extrapolated to the midpoint
-    (:func:`_predict_midpoint_rates`).  The work of the step is added to
+    ``history`` is what the previous call returned as its second value, the
+    last two (time, rates) pairs, and None on the first step.  ``start`` is
+    the predicted midpoint rate: ``ops.rates`` at ``state`` when ``history``
+    is None, else ``history`` extrapolated to the midpoint
+    (:func:`_predict_midpoint_rates`).  The iteration starts from
+    ``state + dt * start`` and moves by the damped residual
+    (:func:`_step_implicit_midpoint`).  The work of the step is added to
     ``ops.counters``.
     """
-    if cfg.scheme == "implicit-midpoint":
-        new, history = _step_implicit_midpoint(ops, state, cfg, dt, start, history)
-    elif cfg.scheme == "explicit-rk4":
-        new = _step_rk4(ops, state, dt, start)
-    elif cfg.scheme == "imex-cn-ab2":
-        new, history = _step_imex_cn_ab2(ops, state, dt, start, history)
-    else:
-        raise ConfigError(f"unknown scheme {cfg.scheme!r}")
+    new, history = _step_implicit_midpoint(ops, state, cfg, dt, start, history)
     if not new.is_finite():
         raise BlowUpError(f"blow-up detected at t={new.t:.6g}", t=new.t)
     return new, history
@@ -317,7 +258,7 @@ def integrate(
     try:
         while not done():
             dt = min(cfg.dt, t_stop - state.t)
-            if cfg.scheme == "implicit-midpoint" and history is not None:
+            if history is not None:
                 start_rates = _predict_midpoint_rates(history, state.t + 0.5 * dt)
             else:
                 start_rates = ops.rates(fields)

@@ -305,10 +305,10 @@ def plain_midpoint_step(ops, state, cfg, start):
     ``state + dt * start``: each candidate is the last map value, with no
     damping.  Returns the accepted state ``state + dt k(mid)``."""
     t_new = state.t + cfg.dt
-    candidate = itg._linear_combination(state, t_new, [(cfg.dt, start)])
+    candidate = itg._advance(state, t_new, cfg.dt, start)
     for _ in range(cfg.max_nonlinear_iterations):
         rates = ops.rates(ops.fields(itg._midpoint(state, candidate)))
-        updated = itg._linear_combination(state, t_new, [(cfg.dt, rates)])
+        updated = itg._advance(state, t_new, cfg.dt, rates)
         if itg._delta(updated, candidate) <= cfg.solver_tolerance:
             return updated
         candidate = updated

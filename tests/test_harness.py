@@ -69,7 +69,7 @@ density_regularization = 0.125
 [step]
 dt = 0.01
 t_end = 0.5
-scheme = explicit-rk4
+scheme = implicit-midpoint
 solver_tolerance = 1e-12
 max_nonlinear_iterations = 20
 theta_clamp = clamp
@@ -138,7 +138,7 @@ class TestConfigLoading:
             temperature_modes=9,
             magnetic_modes=6,
             density_regularization=0.125,
-            step=StepConfig(dt=0.01, t_end=0.5, scheme="explicit-rk4", max_nonlinear_iterations=20),
+            step=StepConfig(dt=0.01, t_end=0.5, scheme="implicit-midpoint", max_nonlinear_iterations=20),
             initial_family="random_band",
             initial_params={"velocity_amplitude": 0.25, "seed": 2},
             output_directory="out/pinned",
@@ -382,8 +382,7 @@ class TestRunOutputs:
         header = (rep.output_dir / "diagnostics.csv").read_text().splitlines()[0]
         assert "cg" not in header
 
-    @pytest.mark.parametrize("scheme", ["implicit-midpoint", "imex-cn-ab2"])
-    def test_final_sample_at_a_rounded_end_time(self, tmp_path, scheme):
+    def test_final_sample_at_a_rounded_end_time(self, tmp_path):
         # 304 steps of 0.7 end at t = 212.799999999999, inside the loop's
         # stop tolerance 1e-12 t_end but short of 212.8 - 1e-12; step 304 is
         # not a multiple of the cadence, so only the stop test emits it
@@ -392,7 +391,7 @@ class TestRunOutputs:
             velocity_modes=12,
             temperature_modes=13,
             magnetic_modes=12,
-            step=StepConfig(dt=0.7, t_end=212.8, scheme=scheme),
+            step=StepConfig(dt=0.7, t_end=212.8),
             cadence=3,
         )
         rep = harness.run(cfg, output_dir=str(tmp_path / "rest"), quiet=True)
@@ -621,7 +620,7 @@ class TestCli:
         blowup.write_text(
             "[domain]\ngrid_points = 8\n\n"
             "[truncation]\nvelocity_modes = 12\ntemperature_modes = 13\nmagnetic_modes = 12\n\n"
-            "[step]\ndt = 50.0\nt_end = 500.0\nscheme = explicit-rk4\n\n"
+            "[step]\ndt = 50.0\nt_end = 500.0\nscheme = implicit-midpoint\n\n"
             "[initial]\nfamily = random_band\nseed = 3\nvelocity_amplitude = 0.5\n"
         )
         with np.errstate(all="ignore"):
@@ -633,6 +632,14 @@ class TestCli:
         # partial outputs are retained
         assert (tmp_path / "bl" / "summary.json").exists()
         assert (tmp_path / "bl" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("removed", ["explicit-rk4", "imex-cn-ab2"])
+    def test_removed_scheme_is_config_error(self, tmp_path, capsys, removed):
+        path = tmp_path / "removed.cfg"
+        path.write_text(MINIMAL + f"scheme = {removed}\n")
+        args = ["run", "--config", str(path), "--output-dir", str(tmp_path / "out"), "--quiet"]
+        assert cli.main(args) == harness.EXIT_CONFIG
+        assert f"unknown scheme {removed!r}" in capsys.readouterr().err
 
     def test_invariant_failure_names_its_cause(self, tmp_path, capsys):
         # with seed 3 random_band trips the density monitor at the first step

@@ -49,8 +49,8 @@ def plain_state(basis, theta0=1.0, rho0=1.0):
     )
 
 
-def run(params, basis, state, dt, t_end, scheme="implicit-midpoint", eps=0.0, cadence=1):
-    cfg = itg.StepConfig(dt=dt, t_end=t_end, scheme=scheme)
+def run(params, basis, state, dt, t_end, eps=0.0, cadence=1):
+    cfg = itg.StepConfig(dt=dt, t_end=t_end)
     rec = diag.TrajectoryRecorder(params, basis)
     summary = itg.integrate(params, basis, state, cfg, observers=[rec], eps_density=eps, cadence=cadence)
     return summary, rec
@@ -68,7 +68,9 @@ class TestStepBasics:
     def test_config_validation(self):
         assert itg.StepConfig(dt=-1.0).validate()
         assert itg.StepConfig(solver_tolerance=1e-3).validate()
-        assert itg.StepConfig(scheme="leapfrog").validate()
+        for removed in ("leapfrog", "explicit-rk4", "imex-cn-ab2"):
+            (bad,) = itg.StepConfig(scheme=removed).validate()
+            assert repr(removed) in bad
         assert not itg.StepConfig().validate()
 
     def test_invalid_initial_density_rejected(self, basis, params):
@@ -78,14 +80,8 @@ class TestStepBasics:
 
 
 class TestMagneticDecayOracle:
-    @pytest.mark.parametrize("scheme,tol", [("implicit-midpoint", 1e-6), ("imex-cn-ab2", 1e-6)])
-    def test_single_mode_decay(self, scheme, tol):
-        assert harness._DECAY_TOLERANCE[scheme] <= tol
-        ok, detail = harness.CHECKS["integrator.magnetic_decay"](scheme=scheme)
-        assert ok, detail
-
-    def test_rk4_decay(self):
-        ok, detail = harness.CHECKS["integrator.magnetic_decay"](scheme="explicit-rk4")
+    def test_single_mode_decay(self):
+        ok, detail = harness.CHECKS["integrator.magnetic_decay"]()
         assert ok, detail
 
 
@@ -141,9 +137,10 @@ class TestObserverContract:
 class TestGuards:
     def test_blowup_detected(self, basis, params):
         st = plain_state(basis)
-        st.a[:12] = 1.0
-        cfg = itg.StepConfig(dt=50.0, t_end=500.0, scheme="explicit-rk4")
-        with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="blow-up"):
+        # with a[:12] = 1 the midpoint meets a mass matrix that is not SPD first
+        st.a[:4] = 1.0
+        cfg = itg.StepConfig(dt=50.0, t_end=500.0)
+        with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="blow-up detected at t=50"):
             itg.integrate(params, basis, st, cfg)
 
     def test_clamp_policy_error(self, basis):
@@ -177,8 +174,7 @@ class TestGuards:
 
 
 class TestRealization:
-    @pytest.mark.parametrize("scheme", itg.SCHEMES)
-    def test_each_state_realized_once(self, basis, params, monkeypatch, scheme):
+    def test_each_state_realized_once(self, basis, params, monkeypatch):
         realized = []  # holding every state keeps its id from being reused
         fields = gal.GalerkinOperators.fields
 
@@ -190,13 +186,12 @@ class TestRealization:
         st = plain_state(basis)
         st.a[0] = 0.3
         st.c[12] = 0.3
-        summary, rec = run(params, basis, st, dt=1e-3, t_end=0.003, scheme=scheme, cadence=1)
+        summary, rec = run(params, basis, st, dt=1e-3, t_end=0.003, cadence=1)
         assert summary.n_steps == 3 and len(rec.records) == 4
         ids = [id(s) for s in realized]
         assert len(ids) == len(set(ids))
 
-    @pytest.mark.parametrize("scheme", itg.SCHEMES)
-    def test_each_rhs_computed_once_per_realization(self, basis, params, monkeypatch, scheme):
+    def test_each_rhs_computed_once_per_realization(self, basis, params, monkeypatch):
         seen = []  # holding every realization keeps its id from being reused
         for name in ("momentum_rhs", "induction_rhs"):
             def recording(ops, f, _orig=getattr(gal.GalerkinOperators, name), _name=name):
@@ -207,7 +202,7 @@ class TestRealization:
         st = plain_state(basis)
         st.a[0] = 0.3
         st.c[12] = 0.3
-        summary, rec = run(params, basis, st, dt=1e-3, t_end=0.003, scheme=scheme, cadence=1)
+        summary, rec = run(params, basis, st, dt=1e-3, t_end=0.003, cadence=1)
         assert summary.n_steps == 3 and len(rec.records) == 4
         keys = [(name, id(f)) for name, f in seen]
         assert len(keys) == len(set(keys))
@@ -226,8 +221,7 @@ class TestPredictor:
         for x, y in zip(predicted.parts(), at(2.25e-3).parts()):
             np.testing.assert_allclose(x, y, rtol=1e-13)
 
-    @pytest.mark.parametrize("scheme", itg.SCHEMES)
-    def test_rhs_evaluations_per_scheme(self, basis, params, monkeypatch, scheme):
+    def test_rhs_evaluations_per_step(self, basis, params, monkeypatch):
         times = []
         rates = gal.GalerkinOperators.rates
 
@@ -239,21 +233,16 @@ class TestPredictor:
         st = plain_state(basis)
         st.a[0] = 0.3
         st.c[12] = 0.3
-        summary, _ = run(params, basis, st, dt=1e-3, t_end=0.004, scheme=scheme)
+        summary, _ = run(params, basis, st, dt=1e-3, t_end=0.004)
         work = summary.monitors
         assert summary.n_steps == 4
         assert work["rhs_evaluations"] == len(times)
-        if scheme == "implicit-midpoint":
-            # the start state of the first step is the only one evaluated;
-            # every other evaluation is a stage at a midpoint time
-            assert work["rhs_evaluations"] == 1 + work["stage_iterations"]
-            assert times[0] == 0.0
-            assert all(abs(t / 1e-3 % 1.0 - 0.5) < 1e-9 for t in times[1:])
-            assert work["predictor_gap_max"] > 0.0
-        else:
-            per_step = {"explicit-rk4": 4, "imex-cn-ab2": 1}[scheme]
-            assert work["rhs_evaluations"] == per_step * summary.n_steps
-            assert work["stage_iterations"] == 0 and work["predictor_gap_max"] == 0.0
+        # the start state of the first step is the only one evaluated;
+        # every other evaluation is a stage at a midpoint time
+        assert work["rhs_evaluations"] == 1 + work["stage_iterations"]
+        assert times[0] == 0.0
+        assert all(abs(t / 1e-3 % 1.0 - 0.5) < 1e-9 for t in times[1:])
+        assert work["predictor_gap_max"] > 0.0
 
     @pytest.mark.parametrize("name,steps", [("single_mode_mhd", 4.5), ("orszag_tang", 3.5)])
     def test_shortened_final_step_matches_forward_euler_start(self, name, steps):
@@ -333,8 +322,8 @@ class TestStiffStage:
         fields = ops.fields(state)
         ops.rates(fields)
         dt = cfg.step.dt
-        lin = ops.stiff_diagonal(state, 0.5 * dt, fields)
-        damping = itg._stage_damping(ops, state, dt, fields)
+        lin = ops.stiff_diagonal(fields, 0.5 * dt)
+        damping = itg._stage_damping(ops, dt, fields)
         for x, part in zip(state.parts(), damping):
             assert np.shape(part) in ((), x.shape)
         for l_part, d in zip(lin, damping):
@@ -349,20 +338,39 @@ class TestStiffStage:
             cfg.density_regularization
         )
 
-    def test_imex_reads_the_stiff_diagonal(self, monkeypatch):
+    def test_stiff_diagonal_frozen_at_the_first_stage(self, monkeypatch):
         cfg = load_config(CONFIGS / "random_band.cfg")
         basis, state = _initial(cfg)
-        calls = []
+        dt = cfg.step.dt
+        calls, realized, steps = [], [], []
         stiff = gal.GalerkinOperators.stiff_diagonal
+        fields = gal.GalerkinOperators.fields
+        midpoint_step = itg._step_implicit_midpoint
 
-        def recording(ops, st, h=1.0, f=None):
+        def recording(ops, f, h):
             calls.append((h, f))
-            return stiff(ops, st, h, f)
+            return stiff(ops, f, h)
+
+        def realizing(ops, st):
+            realized.append(fields(ops, st))
+            return realized[-1]
+
+        def stepping(ops, st, step_cfg, step_dt, start, history):
+            first, before = len(realized), ops.counters.stage_iterations
+            out = midpoint_step(ops, st, step_cfg, step_dt, start, history)
+            steps.append((st.t, ops.counters.stage_iterations - before, realized[first]))
+            return out
 
         monkeypatch.setattr(gal.GalerkinOperators, "stiff_diagonal", recording)
-        step_cfg = replace(cfg.step, scheme="imex-cn-ab2", t_end=2 * cfg.step.dt)
+        monkeypatch.setattr(gal.GalerkinOperators, "fields", realizing)
+        monkeypatch.setattr(itg, "_step_implicit_midpoint", stepping)
+        step_cfg = replace(cfg.step, t_end=4 * dt)
         itg.integrate(cfg.constitutive, basis, state, step_cfg, eps_density=cfg.density_regularization)
-        assert calls == [(1.0, None), (0.5 * cfg.step.dt, None)] * 2
+        assert len(steps) == 4 and any(n > 1 for _, n, _ in steps)
+        # at most one call per step, only when it iterates, on its first stage
+        assert calls == [(0.5 * dt, first) for _, n, first in steps if n > 1]
+        for t, n, first in steps:
+            assert first.st.t == pytest.approx(t + 0.5 * dt, rel=0, abs=1e-15)
 
 
 class TestSolverWorkCounting:
