@@ -126,7 +126,8 @@ class _StateFields:
 
     It is the single argument of every per-state computation: the
     right-hand sides, the mass matrices, the monitors and
-    :func:`energy_report`, so whatever one of them realizes the others reuse.
+    :func:`energy_report`.  It caches fields, not right-hand sides: a field
+    that one of them realizes, the others reuse.
     Each field is realized on the one grid its quadrature needs: products of
     basis-band fields on the base grid (``curl_H`` serves both the Lorentz
     force and the Joule heating), the non-polynomial laws and what they
@@ -272,16 +273,6 @@ class _StateFields:
     def viscous_power_m(self):
         """Pointwise S : D on the oversampled grid."""
         return cst.contract(self.stress_m, self.strain_m)
-
-    # ---- Galerkin right-hand sides read by both rates and energy_report
-
-    @cached_property
-    def momentum_rhs(self):
-        return self.ops.momentum_rhs(self)
-
-    @cached_property
-    def induction_rhs(self):
-        return self.ops.induction_rhs(self)
 
 
 # Rows per block of the triangular substitutions in the mass solve.
@@ -480,9 +471,9 @@ class GalerkinOperators:
 
     def rates(self, f: _StateFields) -> Rates:
         self.counters.rhs_evaluations += 1
-        da = self.solve_mass(self.velocity_mass(f), f.momentum_rhs)
+        da = self.solve_mass(self.velocity_mass(f), self.momentum_rhs(f))
         db = self.solve_mass(self.thermal_mass(f), self.thermal_rhs(f))
-        return Rates(f.density_rate, da, db, f.induction_rhs)
+        return Rates(f.density_rate, da, db, self.induction_rhs(f))
 
     def stiff_diagonal(self, f: _StateFields, h: float) -> tuple:
         """``h L`` as (rho, a, b, c) parts, where ``-L`` is the diagonal linear
@@ -562,12 +553,13 @@ THETA_NEG_POWER = 0.5
 
 
 def energy_report(f: _StateFields) -> dict:
-    """Instantaneous energies, dissipations, monitors, and the energy
-    identity at one state.
+    """Instantaneous energies, dissipations and monitors at one state; it
+    assembles no right-hand side.
 
-    All quadratures here are consistent with the right-hand-side assembly, so
-    the reported identity defect measures only rounding at a single state and
-    only time discretization along a trajectory.
+    Its quadratures are those of the right-hand-side assembly, so its
+    energies and dissipations close the energy identity to rounding at one
+    state (the check ``galerkin.energy_identity``) and to the time
+    discretization along a trajectory (the recorder's ``energy_residual``).
     """
     ops, state = f.ops, f.st
     params = ops.params
@@ -582,14 +574,6 @@ def energy_report(f: _StateFields) -> dict:
     d_visc = w_m * float(np.sum(f.viscous_power_m))
     k2_c = b.vec_k2[: len(state.c)]
     d_mag = params.magnetic_diffusivity * float(np.sum(state.c**2 * k2_c))
-
-    rho_t = b.spectral_to_grid(f.density_rate)
-    ddt_rho_kin = w_n * float(np.sum(rho_t * u2))
-    adot_term = float(state.a @ f.momentum_rhs)
-    cdot_term = float(state.c @ f.induction_rhs)
-    identity_lhs = 0.5 * ddt_rho_kin + adot_term + cdot_term
-    identity_rhs = -d_visc - d_mag
-    identity_scale = abs(e_kin) + abs(e_mag) + abs(d_visc) + abs(d_mag) + 1e-30
 
     k2_a = b.vec_k2[: len(state.a)]
     grad_u_norm = float(np.sqrt(np.sum(state.a**2 * k2_a)))
@@ -626,10 +610,6 @@ def energy_report(f: _StateFields) -> dict:
         "korn_ratio": grad_u_norm / strain_norm if strain_norm > 0 else 0.0,
         "poincare_ratio": h_norm / grad_h_norm if grad_h_norm > 0 else 0.0,
         "grad_u_norm": grad_u_norm,
-        "identity_lhs": identity_lhs,
-        "identity_rhs": identity_rhs,
-        "identity_defect": abs(identity_lhs - identity_rhs),
-        "identity_scale": identity_scale,
         "strain_lr_r": w_m * float(np.sum(frob2_m ** (params.power_law_exponent / 2.0))),
         "sup_theta_negpow": float(theta_min ** (-THETA_NEG_POWER)) if theta_min > 0 else np.inf,
         "rho_theta_l1": w_n * float(np.sum(np.abs(f.rho * f.theta))),

@@ -11,7 +11,8 @@ They read configs that :func:`specmhd.config.validate_config` has accepted
 (known family, keys of the right type, mode indices inside the truncation,
 density wavenumber under the cutoff); the temperature floor is checked here
 on the grid, the density bounds and finiteness by
-:meth:`specmhd.galerkin.SimState.validate`.
+:func:`specmhd.integrator.integrate`, on the realization from which it also
+takes ``rho_min_initial`` and ``rho_max_initial``.
 
 Families
 --------
@@ -202,9 +203,9 @@ _BUILDERS = {
 
 def build_initial_state(cfg: RunConfig, basis: DivFreeSpectralBasis) -> SimState:
     """Construct and project the initial state of a validated config, and
-    check it against the temperature floor.  Its density range and
-    finiteness are checked by :meth:`SimState.validate` when it is
-    integrated."""
+    check it against the temperature floor.  Its finiteness and density
+    range are checked by :func:`specmhd.integrator.integrate`, on the
+    realization that also sets ``rho_min_initial`` and ``rho_max_initial``."""
     rho, a, b, c = _BUILDERS[cfg.initial_family](cfg, basis, family_params(cfg))
     theta_min = basis.scalar_grid(b).min()
     floor = cfg.constitutive.temperature_floor

@@ -102,23 +102,38 @@ def _stage_damping(ops: GalerkinOperators, dt: float, fields) -> list:
     return [1.0 / (1.0 + x) for x in ops.stiff_diagonal(fields, 0.5 * dt)]
 
 
-def _step_implicit_midpoint(
-    ops: GalerkinOperators, state: SimState, cfg: StepConfig, dt: float, start: Rates, history: list | None
-) -> tuple[SimState, list]:
-    """The converged state and the last two (time, rates) pairs: the newer
-    of those ``start`` was extrapolated from (on the first step, when
-    ``history`` is None, ``start`` itself at ``state.t``) and the midpoint
-    rates the state was built from.  The older pair of ``history`` is
-    dropped from it before the stages run, as it has served its one
-    prediction.
+def _predict_midpoint_rates(history: list[tuple[float, Rates]], t_mid: float) -> Rates:
+    """The two (time, rates) pairs in ``history``, extrapolated linearly to ``t_mid``."""
+    (t_prev, k_prev), (t_last, k_last) = history
+    w = (t_mid - t_last) / (t_last - t_prev)
+    return Rates(*(x + w * (x - y) for x, y in zip(k_last.parts(), k_prev.parts())))
 
-    Each iteration maps the candidate x to ``G(x) = state + dt k(mid(x))`` and
-    stops once ``G(x)`` is within ``solver_tolerance`` of x.  Otherwise the
-    next candidate is ``x + (I + dt/2 L)^-1 (G(x) - x)``, with L the stiff
+
+def step(
+    ops: GalerkinOperators, state: SimState, cfg: StepConfig, dt: float, start: Rates, history: list | None = None
+) -> tuple[SimState, list]:
+    """Advance one implicit-midpoint step of length ``dt``; raises on
+    blow-up or non-convergence.
+
+    ``history`` is what the previous call returned as its second value, the
+    last two (time, rates) pairs, and None on the first step.  ``start`` is
+    the predicted midpoint rate: ``ops.rates`` at ``state`` when ``history``
+    is None, else ``history`` extrapolated to the midpoint
+    (:func:`_predict_midpoint_rates`).  Returns the converged state and the
+    new history: the newer of the pairs ``start`` was extrapolated from (on
+    the first step, ``start`` itself at ``state.t``) and the midpoint rates
+    the state was built from.  The older pair of ``history`` is dropped from
+    it before the stages run, as it has served its one prediction.
+
+    The iteration starts from ``state + dt * start``.  Each iteration maps
+    the candidate x to ``G(x) = state + dt k(mid(x))`` and stops once
+    ``G(x)`` is within ``solver_tolerance`` of x.  Otherwise the next
+    candidate is ``x + (I + dt/2 L)^-1 (G(x) - x)``, with L the stiff
     diagonal (:meth:`GalerkinOperators.stiff_diagonal`) frozen at the first
     stage's realization: a Newton step whose Jacobian keeps only the
     diffusion, so the iteration contracts at the nonlinear rate instead of
-    dt/2 times the largest diffusion eigenvalue.
+    dt/2 times the largest diffusion eigenvalue.  The work of the step is
+    added to ``ops.counters``.
     """
     counters = ops.counters
     extrapolated = history is not None
@@ -140,6 +155,8 @@ def _step_implicit_midpoint(
             if extrapolated:
                 counters.predictor_gap_max = max(counters.predictor_gap_max, _delta(updated, first))
             history.append((state.t + 0.5 * dt, rates))
+            if not updated.is_finite():
+                raise BlowUpError(f"blow-up detected at t={updated.t:.6g}", t=updated.t)
             return updated, history
         if damping is None:
             damping = _stage_damping(ops, dt, fields)
@@ -158,34 +175,6 @@ def _step_implicit_midpoint(
         f"at t={state.t:.6g}: last relative delta {deltas[-1]:.3e} > solver_tolerance "
         f"{cfg.solver_tolerance:.3e}; {contraction}"
     )
-
-
-def _predict_midpoint_rates(history: list[tuple[float, Rates]], t_mid: float) -> Rates:
-    """The two (time, rates) pairs in ``history``, extrapolated linearly to ``t_mid``."""
-    (t_prev, k_prev), (t_last, k_last) = history
-    w = (t_mid - t_last) / (t_last - t_prev)
-    return Rates(*(x + w * (x - y) for x, y in zip(k_last.parts(), k_prev.parts())))
-
-
-def step(
-    ops: GalerkinOperators, state: SimState, cfg: StepConfig, dt: float, start: Rates, history: list | None = None
-) -> tuple[SimState, list]:
-    """Advance one implicit-midpoint step of length ``dt``; raises on
-    blow-up or non-convergence.
-
-    ``history`` is what the previous call returned as its second value, the
-    last two (time, rates) pairs, and None on the first step.  ``start`` is
-    the predicted midpoint rate: ``ops.rates`` at ``state`` when ``history``
-    is None, else ``history`` extrapolated to the midpoint
-    (:func:`_predict_midpoint_rates`).  The iteration starts from
-    ``state + dt * start`` and moves by the damped residual
-    (:func:`_step_implicit_midpoint`).  The work of the step is added to
-    ``ops.counters``.
-    """
-    new, history = _step_implicit_midpoint(ops, state, cfg, dt, start, history)
-    if not new.is_finite():
-        raise BlowUpError(f"blow-up detected at t={new.t:.6g}", t=new.t)
-    return new, history
 
 
 def integrate(

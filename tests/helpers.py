@@ -24,7 +24,7 @@ from specmhd import constitutive as cst
 from specmhd import integrator as itg
 from specmhd import spectral as sp
 from specmhd.config import auto_density_regularization, load_config
-from specmhd.galerkin import GalerkinOperators, SimState
+from specmhd.galerkin import GalerkinOperators, SimState, _StateFields
 
 
 def make_state(
@@ -273,14 +273,21 @@ def induction_matrix(ops, state):
     return -np.array(cols).T
 
 
+class LorentzFlippedOperators(GalerkinOperators):
+    """Operators whose momentum right-hand side takes the Lorentz force as
+    -(curl H) x H: the miswiring the energy identity must detect."""
+
+    def momentum_rhs(self, f):
+        lorentz = np.cross(f.curl_H, f.H, axisa=0, axisb=0, axisc=0)
+        entries = self.basis.gather_vector(self.basis.grid_to_spectral(lorentz), len(f.st.a))
+        return super().momentum_rhs(f) - 2.0 * entries
+
+
 def lorentz_flipped(f):
-    """The realization ``f`` with the Lorentz force entering its momentum
-    right-hand side as -(curl H) x H: the miswiring the energy identity
-    must detect."""
-    lorentz = np.cross(f.curl_H, f.H, axisa=0, axisb=0, axisc=0)
-    entries = f.basis.gather_vector(f.basis.grid_to_spectral(lorentz), len(f.st.a))
-    f.momentum_rhs = f.momentum_rhs - 2.0 * entries
-    return f
+    """A realization of the state of ``f`` on
+    :class:`LorentzFlippedOperators` with the parameters of ``f.ops``."""
+    ops = LorentzFlippedOperators(f.ops.params, f.basis, f.ops.eps_density)
+    return _StateFields(ops, f.st)
 
 
 # ------------------------------------------------------ reference time loop

@@ -125,7 +125,7 @@ class KineticTerms:
         w_n = b.volume / f.n**3
         u2 = np.sum(f.u**2, axis=0)
         ddt_rho_kin = w_n * float(np.sum(b.spectral_to_grid(f.density_rate) * u2))
-        adot_term = float(state.a @ f.momentum_rhs)
+        adot_term = float(state.a @ self.ops.momentum_rhs(f))
         conv_term = w_n * float(np.sum(f.rho * np.einsum("ixyz,ixyz->xyz", f.conv, f.u)))
         integrand = ddt_rho_kin + adot_term - conv_term
         if eps:

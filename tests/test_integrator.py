@@ -206,6 +206,10 @@ class TestRealization:
         assert summary.n_steps == 3 and len(rec.records) == 4
         keys = [(name, id(f)) for name, f in seen]
         assert len(keys) == len(set(keys))
+        # and each feeds a rates call: a sample assembles none
+        n = summary.monitors["rhs_evaluations"]
+        assert [name for name, _ in seen].count("momentum_rhs") == n
+        assert [name for name, _ in seen].count("induction_rhs") == n
 
 
 class TestPredictor:
@@ -345,7 +349,7 @@ class TestStiffStage:
         calls, realized, steps = [], [], []
         stiff = gal.GalerkinOperators.stiff_diagonal
         fields = gal.GalerkinOperators.fields
-        midpoint_step = itg._step_implicit_midpoint
+        midpoint_step = itg.step
 
         def recording(ops, f, h):
             calls.append((h, f))
@@ -363,7 +367,7 @@ class TestStiffStage:
 
         monkeypatch.setattr(gal.GalerkinOperators, "stiff_diagonal", recording)
         monkeypatch.setattr(gal.GalerkinOperators, "fields", realizing)
-        monkeypatch.setattr(itg, "_step_implicit_midpoint", stepping)
+        monkeypatch.setattr(itg, "step", stepping)
         step_cfg = replace(cfg.step, t_end=4 * dt)
         itg.integrate(cfg.constitutive, basis, state, step_cfg, eps_density=cfg.density_regularization)
         assert len(steps) == 4 and any(n > 1 for _, n, _ in steps)
