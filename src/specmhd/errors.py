@@ -44,14 +44,6 @@ class NonlinearSolveError(SolverAbort):
 class BlowUpError(SolverAbort):
     """Non-finite values or runaway norms were detected during integration."""
 
-    def __init__(self, message: str, t: float | None = None):
-        super().__init__(message)
-        self.t = t
-
 
 class InvariantViolation(SolverAbort):
     """A runtime monitor (density bounds, clamp policy) tripped."""
-
-    def __init__(self, message: str, t: float | None = None):
-        super().__init__(message)
-        self.t = t

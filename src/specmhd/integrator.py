@@ -156,7 +156,7 @@ def step(
                 counters.predictor_gap_max = max(counters.predictor_gap_max, _delta(updated, first))
             history.append((state.t + 0.5 * dt, rates))
             if not updated.is_finite():
-                raise BlowUpError(f"blow-up detected at t={updated.t:.6g}", t=updated.t)
+                raise BlowUpError(f"blow-up detected at t={updated.t:.6g}")
             return updated, history
         if damping is None:
             damping = _stage_damping(ops, dt, fields)
@@ -267,32 +267,26 @@ def integrate(
                 float(np.max(np.abs(rho_grid))),
             )
             if norm > NORM_BLOWUP_LIMIT:
-                raise BlowUpError(f"blow-up detected at t={state.t:.6g}: norm {norm:.3e}", t=state.t)
+                raise BlowUpError(f"blow-up detected at t={state.t:.6g}: norm {norm:.3e}")
             elapsed = max(state.t - state0.t, cfg.dt)
             drift = max(rho_min0 - float(rho_grid.min()), float(rho_grid.max()) - rho_max0)
             worst_drift = max(worst_drift, drift / elapsed)
             if drift > DENSITY_DRIFT_RATE * elapsed + 1e-13:
                 raise InvariantViolation(
                     f"density bounds drifted by {drift:.3e} over {elapsed:.3e} time units "
-                    f"at t={state.t:.6g}",
-                    t=state.t,
+                    f"at t={state.t:.6g}"
                 )
             # solenoidality is guaranteed by the representation; asserted anyway
             div_res = max(ops.solenoidal_residual(fields))
             if div_res > 1e-10 * (1.0 + norm):
-                raise InvariantViolation(
-                    f"solenoidality drift {div_res:.3e} at t={state.t:.6g}", t=state.t
-                )
+                raise InvariantViolation(f"solenoidality drift {div_res:.3e} at t={state.t:.6g}")
             heat = ops.total_heat(fields)
             worst_heat_drop = max(worst_heat_drop, prev_heat - heat)
             prev_heat = heat
             clamp_count = fields.clamp_count
             clamp_total += clamp_count
             if cfg.theta_clamp == "error" and clamp_count > 0:
-                raise InvariantViolation(
-                    f"temperature clamped at {clamp_count} points at t={state.t:.6g}",
-                    t=state.t,
-                )
+                raise InvariantViolation(f"temperature clamped at {clamp_count} points at t={state.t:.6g}")
             if n_steps % cadence == 0 or done():
                 emit(fields)
     except SolverAbort as exc:

@@ -552,6 +552,11 @@ def test_registered_check(name):
     assert ok, detail
 
 
+def test_every_registered_check_states_its_property():
+    undocumented = [name for name, fn in harness.CHECKS.items() if not (fn.__doc__ or "").strip()]
+    assert undocumented == []
+
+
 class TestCheckSuite:
     def test_selector_filters(self, capsys):
         ok, lines = harness.check(suite="constitutive", quiet=True)
