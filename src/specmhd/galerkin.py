@@ -34,8 +34,9 @@ spectral Gram matrix of the weight
 (:meth:`DivFreeSpectralBasis.vector_gram`,
 :meth:`DivFreeSpectralBasis.scalar_gram`), Cholesky-factorized; large ones
 are never formed and are solved by conjugate gradients on the action of the
-weight (:class:`MassOperator`).  :func:`matrix_free` is the rule between
-the two.  Only :mod:`specmhd.spectral` knows the mode tables behind them.
+weight (:class:`MassOperator`), started from the caller's guess, the rates
+of a nearby state.  :func:`matrix_free` is the rule between the two.  Only
+:mod:`specmhd.spectral` knows the mode tables behind them.
 
 Quadratic and cubic products of basis-band fields are integrated exactly on
 the base grid (the mode cutoff sits strictly inside the two-thirds rule):
@@ -109,7 +110,8 @@ class StepCounters:
     state, taken only where the start was extrapolated from the last two
     known rates, so it estimates the O(dt^3) local error.
     ``cg_iterations`` sums the CG iterations of the matrix-free mass solves
-    (:class:`MassOperator`), a failed solve included, and
+    (:class:`MassOperator`) of both masses, velocity and thermal, a failed
+    solve included and a guess that needs none counted as 0, and
     ``cg_iterations_max`` is the most that one solve took; both stay 0 when
     every mass system is below the crossover and solved densely.
     """
@@ -297,16 +299,23 @@ def _substitute(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
     return x
 
 
-# Modes per grid point, per sqrt(components), above which CG beats the dense
-# path.  The dense path grows as K^2 (assembly) and K^3 (factorization); a CG
+# Modes per sqrt(components) grid^1.25 above which CG beats the dense path.
+# The dense path grows as K^2 (assembly) and K^3 (factorization); a CG
 # iteration transforms the weight's grid once per component each way, and
-# the iteration count follows the weight's ratio, not K.  Interleaved
-# per-solve timings on a 2-core x86 box (numpy 2.4, OpenBLAS, weight ratio
-# 1.47) cross at K ~ 450 (N=16) and ~ 1030 (N=32) for the velocity mass (3
-# components, base grid) and at K ~ 390 (m=24) and ~ 950 (m=48) for the
-# thermal mass (1 component, oversampled grid): 16.2, 18.6, 16.3 and 19.8
-# times sqrt(components) G, 17.6 in the geometric mean.
-_CROSSOVER = 18
+# the iteration count follows the weight's ratio and how far the guess is
+# (MassOperator.solve), not K.  Interleaved per-solve timings of the
+# dense solve against CG from the caller's guess, inside the midpoint stages
+# of random_band runs (dt 0.01, seeds 0-3, 2 steps; a 2-core x86 box,
+# numpy 2.4, OpenBLAS) cross at
+#
+#     mass      grid       crossover K   K / (sqrt(components) G^1.25)
+#     velocity  N=16           ~370        6.7
+#     velocity  N=32           ~820        6.2
+#     thermal   m=24           ~310        5.8
+#     thermal   m=48           ~755        6.0
+#
+# 6.2 in the geometric mean; the crossover grows faster than linearly in G.
+_CROSSOVER = 6.2
 
 # Relative residual at which CG stops.
 CG_TOLERANCE = 1e-14
@@ -316,9 +325,10 @@ def matrix_free(count: int, grid: int, components: int) -> bool:
     """Whether a mass system of ``count`` modes whose weight lives on a
     ``grid``^3 quadrature grid, with ``components`` field components, is
     solved by CG without forming it (else by the dense Gram matrix): whether
-    ``count > 18 sqrt(components) grid``, about 31 N for the velocity mass
-    and 18 m for the thermal mass on the oversampled grid m."""
-    return count**2 > _CROSSOVER**2 * components * grid**2
+    ``count > 6.2 sqrt(components) grid^1.25``: CG from 344 velocity modes
+    at N=16 and 818 at N=32, and from 330 and 784 temperature modes on the
+    oversampled grids m=24 and m=48."""
+    return count > _CROSSOVER * np.sqrt(components) * grid**1.25
 
 
 def _cg_iteration_cap(ratio: float) -> int:
@@ -368,11 +378,16 @@ class MassOperator:
         u = DivFreeSpectralBasis.spectral_to_grid(self.synth(x, g))
         return self.gather(DivFreeSpectralBasis.grid_to_spectral(self.weight * u), self.count)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
         """``M^-1 rhs`` by CG preconditioned with ``1 / mean(w)``, to the
-        relative residual ``CG_TOLERANCE``; the cap is
+        relative residual ``CG_TOLERANCE`` of ``||rhs||``; the cap is
         :func:`_cg_iteration_cap` of ``max w / min w``, the bound on the
-        condition number."""
+        condition number.
+
+        CG starts from ``guess`` when its residual ``||rhs - M guess||`` is
+        below ``||rhs||``, else from zero, so the cap holds either way; a
+        guess that already meets the tolerance is returned after 0
+        iterations."""
         w = self.weight
         bad = np.flatnonzero(~((w > 0) & (w < np.inf)))
         if bad.size:
@@ -386,9 +401,16 @@ class MassOperator:
         b_norm = np.linalg.norm(rhs)
         if b_norm == 0:
             return x
+        r = np.array(rhs, dtype=float)
+        if guess is not None:
+            r_guess = r - self @ guess
+            guess_norm = np.linalg.norm(r_guess)
+            if guess_norm < b_norm:
+                x, r = np.array(guess, dtype=float), r_guess
+                if guess_norm <= CG_TOLERANCE * b_norm:
+                    return x
         cap = _cg_iteration_cap(w.max() / w.min())
         inv_mean = 1.0 / np.mean(w)
-        r = np.array(rhs, dtype=float)
         p = inv_mean * r
         rz = r @ p
         for it in range(1, cap + 1):
@@ -424,7 +446,9 @@ class GalerkinOperators:
     system, weighted by the density or by ``rho c(theta)``, is rebuilt on
     every call: below the :func:`matrix_free` crossover as the spectral Gram
     matrix, assembled by the basis per wavevector pair and
-    Cholesky-factorized, above it as a :class:`MassOperator` solved by CG.
+    Cholesky-factorized, above it as a :class:`MassOperator` solved by CG
+    from the ``guess`` passed to :meth:`rates`.  No solution is kept between
+    calls, so :meth:`rates` is a function of the state and the guess.
     """
 
     def __init__(self, params: cst.ConstitutiveParams, basis: DivFreeSpectralBasis, eps_density: float = 0.0):
@@ -469,10 +493,15 @@ class GalerkinOperators:
         w = np.cross(f.u, f.H, axisa=0, axisb=0, axisc=0)
         return entries + self.basis.gather_vector_curl(self.basis.grid_to_spectral(w), len(c))
 
-    def rates(self, f: _StateFields) -> Rates:
+    def rates(self, f: _StateFields, guess: Rates | None = None) -> Rates:
+        """The rates at the state of ``f``.  ``guess``, rates at a nearby
+        state, seeds the matrix-free mass solves with its ``da`` and ``db``
+        (:meth:`MassOperator.solve`); it moves the result only within the CG
+        tolerance, and not at all on the dense path."""
         self.counters.rhs_evaluations += 1
-        da = self.solve_mass(self.velocity_mass(f), self.momentum_rhs(f))
-        db = self.solve_mass(self.thermal_mass(f), self.thermal_rhs(f))
+        da_0, db_0 = (None, None) if guess is None else (guess.da, guess.db)
+        da = self.solve_mass(self.velocity_mass(f), self.momentum_rhs(f), da_0)
+        db = self.solve_mass(self.thermal_mass(f), self.thermal_rhs(f), db_0)
         return Rates(f.density_rate, da, db, self.induction_rhs(f))
 
     def stiff_diagonal(self, f: _StateFields, h: float) -> tuple:
@@ -529,11 +558,12 @@ class GalerkinOperators:
         return b.scalar_gram(c_w, len(f.st.b))
 
     @staticmethod
-    def solve_mass(mat: np.ndarray | MassOperator, rhs: np.ndarray) -> np.ndarray:
-        """``mat^-1 rhs``: CG for a :class:`MassOperator`, blocked Cholesky
-        substitution for a Gram matrix."""
+    def solve_mass(mat: np.ndarray | MassOperator, rhs: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
+        """``mat^-1 rhs``: CG started from ``guess`` for a
+        :class:`MassOperator`, blocked Cholesky substitution for a Gram
+        matrix, which ignores ``guess``."""
         if isinstance(mat, MassOperator):
-            return mat.solve(rhs)
+            return mat.solve(rhs, guess)
         try:
             lo = np.linalg.cholesky(mat)
         except np.linalg.LinAlgError as exc:

@@ -22,7 +22,8 @@ counted where it is done, on the operators' :class:`specmhd.galerkin.StepCounter
 Each accepted state is realized once (:meth:`GalerkinOperators.fields`); the
 post-step monitors, the diagnostics report and, before the first step, the
 start-state rates all read that realization.  Mass systems are rebuilt and
-solved at every stage.
+solved at every stage; a matrix-free solve starts from the step's predicted
+rates at the first stage and from the previous stage's rates after it.
 """
 
 from __future__ import annotations
@@ -132,8 +133,11 @@ def step(
     diagonal (:meth:`GalerkinOperators.stiff_diagonal`) frozen at the first
     stage's realization: a Newton step whose Jacobian keeps only the
     diffusion, so the iteration contracts at the nonlinear rate instead of
-    dt/2 times the largest diffusion eigenvalue.  The work of the step is
-    added to ``ops.counters``.
+    dt/2 times the largest diffusion eigenvalue.  ``start`` also seeds the
+    first stage's matrix-free mass solves, and each later stage's are seeded
+    with the previous stage's rates (the ``guess`` of
+    :meth:`GalerkinOperators.rates`).  The work of the step is added to
+    ``ops.counters``.
     """
     counters = ops.counters
     extrapolated = history is not None
@@ -145,10 +149,11 @@ def step(
     first = candidate = _advance(state, t_new, dt, start)
     deltas: list[float] = []
     damping = None
+    rates = start
     for _ in range(cfg.max_nonlinear_iterations):
         counters.stage_iterations += 1
         fields = ops.fields(_midpoint(state, candidate))
-        rates = ops.rates(fields)
+        rates = ops.rates(fields, guess=rates)
         updated = _advance(state, t_new, dt, rates)
         deltas.append(_delta(updated, candidate))
         if deltas[-1] <= cfg.solver_tolerance:
@@ -165,7 +170,7 @@ def step(
             *[x + d * (y - x) for x, y, d in zip(candidate.parts(), updated.parts(), damping)],
             state.basis,
         )
-        fields = updated = None  # nothing of this stage outlives it
+        fields = updated = None  # of this stage, only its rates outlive it, as the next guess
     if len(deltas) > 1:
         contraction = f"contraction estimate {deltas[-1] / deltas[-2]:.3e}"
     else:

@@ -9,6 +9,7 @@ import pytest
 from specmhd import constitutive as cst
 from specmhd import galerkin as gal
 from specmhd import harness
+from specmhd import integrator as itg
 from specmhd import spectral as sp
 from specmhd.config import load_config, sweep_cells
 from specmhd.errors import MassSolveError
@@ -383,14 +384,14 @@ class TestMatrixFreeMass:
         assert_dense_solve(ops.solve_mass(gal.MassOperator.velocity(f), rhs[0]), oracle_velocity_mass(f), rhs[0])
         assert_dense_solve(ops.solve_mass(gal.MassOperator.thermal(f), rhs[1]), oracle_thermal_mass(f), rhs[1])
 
-    # the rule's crossover at N=16: K > 498 vector modes on the base grid,
-    # K > 432 scalar modes on the oversampled grid; then every mode
+    # the rule's crossover at N=16: K > 343 vector modes on the base grid,
+    # K > 329 scalar modes on the oversampled grid; then every mode
     @pytest.mark.parametrize("form", cst.SPECIFIC_HEAT_FORMS)
-    @pytest.mark.parametrize("k_u,k_b", [(498, 432), (499, 433), (1028, 515)])
+    @pytest.mark.parametrize("k_u,k_b", [(343, 329), (344, 330), (1028, 515)])
     def test_rates_on_each_side_of_the_rule(self, basis16, form, k_u, k_b):
         ops = gal.GalerkinOperators(heat_params(form), basis16)
         f = ops.fields(make_state(basis16, np.random.default_rng(k_u), k_u=k_u, k_b=k_b, rho_amp=0.4))
-        above = k_u > 498
+        above = k_u > 343
         assert isinstance(ops.velocity_mass(f), gal.MassOperator) == above
         assert isinstance(ops.thermal_mass(f), gal.MassOperator) == above
         rates = ops.rates(f)
@@ -399,7 +400,8 @@ class TestMatrixFreeMass:
 
     def test_rule_is_dense_below_the_benchmark_sizes(self):
         """Every shipped config and sweep cell, and the N=32, K=32 shape,
-        stay on the dense path; the 800-mode velocity system at N=16 does not."""
+        stay on the dense path; the 800-mode velocity and 401-mode thermal
+        systems at N=16 do not."""
         shapes = [(32, 32, 33)]
         for path in CONFIGS.glob("*.cfg"):
             cfg = load_config(path)
@@ -409,7 +411,20 @@ class TestMatrixFreeMass:
         for n, k_u, k_b in shapes:
             m = sp.DivFreeSpectralBasis(L, n, 1).oversample_grid()
             assert not gal.matrix_free(k_u, n, 3) and not gal.matrix_free(k_b, m, 1), (n, k_u, k_b)
-        assert gal.matrix_free(800, 16, 3) and not gal.matrix_free(401, 24, 1)
+        assert gal.matrix_free(800, 16, 3) and gal.matrix_free(401, 24, 1)
+
+    @pytest.mark.parametrize("check", ["galerkin.heat_balance", "galerkin.energy_identity"])
+    def test_registered_checks_above_the_rule(self, basis16, check):
+        """400 velocity and 401 temperature modes at N=16, where both mass
+        systems are matrix-free.  (From the |k|^2 = 17 velocity shell on,
+        520 modes and more, the energy identity misses its bound on either
+        mass path.)"""
+        ops = gal.GalerkinOperators(heat_params("saturating"), basis16, eps_density=1e-3)
+        f = ops.fields(make_state(basis16, np.random.default_rng(6), k_u=400, k_b=401, rho_amp=0.4))
+        assert isinstance(ops.velocity_mass(f), gal.MassOperator)
+        assert isinstance(ops.thermal_mass(f), gal.MassOperator)
+        ok, detail = harness.CHECKS[check](fields=f)
+        assert ok, detail
 
     @pytest.mark.parametrize("which", ["velocity", "thermal"])
     @pytest.mark.parametrize("value", ["negative", "nan"])
@@ -452,6 +467,68 @@ class TestMatrixFreeMass:
         rates = ops.rates(ops.fields(state))
         assert all(np.all(np.isfinite(x)) for x in rates.parts())
         assert ops.counters.cg_iterations > ops.counters.cg_iterations_max > 0
+
+
+def cg_solve(ops, op, rhs, guess=None):
+    """``op``'s CG solution and the iterations it took."""
+    before = ops.counters.cg_iterations
+    x = ops.solve_mass(op, rhs, guess)
+    return x, ops.counters.cg_iterations - before
+
+
+MASSES = {
+    "velocity": (gal.MassOperator.velocity, oracle_velocity_mass, "momentum_rhs", "da"),
+    "thermal": (gal.MassOperator.thermal, oracle_thermal_mass, "thermal_rhs", "db"),
+}
+
+
+class TestGuessedMassSolve:
+    """CG started from a guess, as the midpoint stages start it."""
+
+    @pytest.fixture(params=sorted(MASSES))
+    def nearby(self, request, basis):
+        """The mass operator, right-hand side, dense oracle and the previous
+        state's solution, for a state one short Euler step past a random one."""
+        operator, oracle, rhs_name, part = MASSES[request.param]
+        ops = gal.GalerkinOperators(heat_params("saturating"), basis)
+        st = make_state(basis, np.random.default_rng(8), rho_amp=0.4)
+        before = ops.rates(ops.fields(st))
+        f = ops.fields(itg._advance(st, st.t + 1e-3, 1e-3, before))
+        return ops, operator(f), getattr(ops, rhs_name)(f), oracle(f), getattr(before, part)
+
+    def test_nearby_guess_saves_iterations(self, nearby):
+        ops, op, rhs, gram, guess = nearby
+        cold, n_cold = cg_solve(ops, op, rhs)
+        warm, n_warm = cg_solve(ops, op, rhs, guess)
+        assert_dense_solve(cold, gram, rhs)
+        assert_dense_solve(warm, gram, rhs)
+        assert 0 < n_warm < n_cold
+
+    def test_far_guess_starts_from_zero(self, nearby):
+        ops, op, rhs, gram, _ = nearby
+        cold, n_cold = cg_solve(ops, op, rhs)
+        # residual 9 ||rhs||, so CG starts from zero as without a guess
+        far, n_far = cg_solve(ops, op, rhs, 10.0 * cold)
+        assert_dense_solve(far, gram, rhs)
+        assert n_far == n_cold
+        assert_bitwise(far, cold)
+
+    def test_exact_guess_takes_no_iteration(self, nearby):
+        ops, op, _, _, guess = nearby
+        x, n = cg_solve(ops, op, op @ guess, guess)
+        assert n == 0
+        assert_bitwise(x, guess)
+
+    def test_dense_path_ignores_the_guess(self, basis):
+        ops = gal.GalerkinOperators(heat_params("saturating"), basis)
+        f = ops.fields(make_state(basis, np.random.default_rng(9), rho_amp=0.4))
+        assert not isinstance(ops.velocity_mass(f), gal.MassOperator)
+        assert not isinstance(ops.thermal_mass(f), gal.MassOperator)
+        cold = ops.rates(f)
+        guess = gal.Rates(*(x + 1e-3 for x in cold.parts()))
+        for got, want in zip(ops.rates(f, guess).parts(), cold.parts()):
+            assert_bitwise(got, want)
+        assert ops.counters.cg_iterations == 0
 
 
 class TestRealizationWork:

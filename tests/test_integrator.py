@@ -229,9 +229,9 @@ class TestPredictor:
         times = []
         rates = gal.GalerkinOperators.rates
 
-        def counting(ops, f):
+        def counting(ops, f, guess=None):
             times.append(f.st.t)
-            return rates(ops, f)
+            return rates(ops, f, guess)
 
         monkeypatch.setattr(gal.GalerkinOperators, "rates", counting)
         st = plain_state(basis)
