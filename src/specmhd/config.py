@@ -5,17 +5,17 @@ Sections and keys mirror the solver blocks:
 
 ``[constitutive]``
     power_law_exponent, conductivity_exponent, stress_smoothing,
-    magnetic_diffusivity, viscosity_min/max, conductivity_min/max,
-    specific_heat_min/max, density_min/max, temperature_floor,
-    viscosity_form, conductivity_form, specific_heat_form
+    magnetic_diffusivity, viscosity_min, viscosity_max, conductivity_min,
+    conductivity_max, specific_heat_min, specific_heat_max, density_min,
+    density_max, temperature_floor, viscosity_form, conductivity_form,
+    specific_heat_form
 ``[domain]``
     box_size, grid_points
 ``[truncation]``
     velocity_modes, temperature_modes, magnetic_modes,
     density_regularization (a number, or ``auto`` for 0.25 (L/N)^2)
 ``[step]``
-    dt, t_end, scheme (one value, ``implicit-midpoint``), solver_tolerance,
-    max_nonlinear_iterations, theta_clamp
+    dt, t_end, solver_tolerance, max_nonlinear_iterations, theta_clamp
 ``[initial]``
     family plus that family's keys in ``initial_conditions.FAMILIES``
 ``[output]``
@@ -59,7 +59,7 @@ from specmhd.initial_conditions import FAMILIES, family_params
 from specmhd.integrator import StepConfig
 from specmhd.spectral import dealias_cutoff, resolution_problems
 
-CONFIG_SCHEMA_VERSION = "2"
+CONFIG_SCHEMA_VERSION = "3"
 
 SWEEP_KINDS = ("modes", "density_regularization")
 

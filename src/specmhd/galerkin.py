@@ -184,7 +184,7 @@ class _StateFields:
 
     @cached_property
     def theta(self):
-        return self.basis.scalar_grid(self.st.b, self.n)
+        return self.basis.scalar_grid(self.st.b)
 
     @cached_property
     def conv(self):

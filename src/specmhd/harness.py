@@ -113,7 +113,7 @@ def _max_abs_energy_residual(records: list) -> float:
 
 
 def build_basis_for(cfg: RunConfig) -> sp.DivFreeSpectralBasis:
-    return sp.build_basis(cfg.box_size, cfg.grid_points, max(cfg.velocity_modes, cfg.magnetic_modes))
+    return sp.build_basis(cfg.box_size, cfg.grid_points)
 
 
 def _require_valid(cfg: RunConfig) -> None:
@@ -137,7 +137,7 @@ def run(
     (outdir / "config.cfg").write_text(serialize_config(cfg))
     _write_stamp(outdir)
 
-    recorder = diag.TrajectoryRecorder(cfg.constitutive, None, store_history=store_history)
+    recorder = diag.TrajectoryRecorder(cfg.constitutive, store_history=store_history)
     status = "completed"
     exit_code = EXIT_PASS
     error_msg = ""
@@ -145,12 +145,9 @@ def run(
     t_start = time.perf_counter()
     try:
         _require_valid(cfg)
-        basis = build_basis_for(cfg)
-        recorder.basis = basis
-        state0 = build_initial_state(cfg, basis)
+        state0 = build_initial_state(cfg, build_basis_for(cfg))
         traj = itg.integrate(
             cfg.constitutive,
-            basis,
             state0,
             cfg.step,
             observers=[recorder],
@@ -289,7 +286,7 @@ def convergence_study(cfg: RunConfig, output_dir: str | None = None, quiet: bool
             aborted.append({"value": val, "status": rep.status, "exit_code": rep.exit_code, "error": error})
             continue
         cells[val] = rep.recorder
-        apriori[val] = diag.apriori_monitor(cfg.constitutive, rep.recorder)
+        apriori[val] = diag.apriori_monitor(rep.recorder)
 
     pairs = []
     for lo, hi in zip(values, values[1:]):
@@ -409,30 +406,35 @@ def _check_constitutive_inequalities(
     return True, "coercivity/growth/monotonicity/flux over 10^4 samples"
 
 
+# The vector modes that the spectral and galerkin checks use on their default
+# basis, _check_basis().
+_CHECK_MODES = 20
+
+
 def _check_basis() -> sp.DivFreeSpectralBasis:
-    return sp.build_basis(2 * np.pi, 12, 20)
+    return sp.build_basis(2 * np.pi, 12)
 
 
-def _check_spectral_core(basis: sp.DivFreeSpectralBasis | None = None) -> tuple[bool, str]:
-    """The basis is orthonormal (projection recovers the coefficients to
-    1e-12), each mode is solenoidal to 1e-13, Parseval holds to 1e-10, and
-    the gather of any gradient vanishes to 1e-12, so pressure never enters."""
+def _check_spectral_core(basis: sp.DivFreeSpectralBasis | None = None, modes: int = _CHECK_MODES) -> tuple[bool, str]:
+    """The first ``modes`` vector modes are orthonormal (projection recovers
+    the coefficients to 1e-12), each is solenoidal to 1e-13, Parseval holds
+    to 1e-10, and the gather of any gradient vanishes to 1e-12, so pressure
+    never enters."""
     basis = basis or _check_basis()
-    k = basis.k_modes
     rng = np.random.default_rng(7)
-    coeffs = rng.normal(size=k)
+    coeffs = rng.normal(size=modes)
     vals = basis.vector_grid(coeffs)
-    ortho = np.allclose(basis.project_vector(vals), coeffs, rtol=1e-12, atol=1e-13)
+    ortho = np.allclose(basis.project_vector(vals, modes), coeffs, rtol=1e-12, atol=1e-13)
     div_free = all(
         np.max(np.abs(basis.spectral_to_grid(basis.div(basis.synth_vector(e))))) < 1e-13
-        for e in np.eye(k)
+        for e in np.eye(modes)
     )
     w = basis.volume / basis.grid_points**3
     parseval = abs(w * np.sum(vals**2) - np.sum(coeffs**2)) < 1e-10 * np.sum(coeffs**2)
     # gradients are orthogonal to every mode, so pressure never enters
     phi = basis.synth_scalar(rng.normal(size=9))
     grad = np.stack([basis.grad(phi, m) for m in range(3)])
-    killed = np.max(np.abs(basis.gather_vector(grad, k))) < 1e-12
+    killed = np.max(np.abs(basis.gather_vector(grad, modes))) < 1e-12
     ok = bool(ortho and div_free and parseval and killed)
     return ok, "orthonormality, div-free, Parseval, gradients orthogonal to the modes"
 
@@ -445,15 +447,15 @@ def _check_fields(seed: int, amp: float, eps_density: float = 0.0):
     rho_spec = basis.zero_spectrum()
     rho_spec[0, 0, 0] = 1.0
     basis.set_amplitude(rho_spec, (0, 0, 1), 0.1)
-    nb = min(basis.k_modes + 1, basis.n_scalar_modes)
-    b = np.zeros(nb)
+    k = _CHECK_MODES
+    b = np.zeros(k + 1)
     b[0] = 1.0 * np.sqrt(basis.volume)
     state = gal.SimState(
         t=0.0,
         rho=rho_spec,
-        a=amp * rng.normal(size=basis.k_modes) / np.sqrt(basis.k_modes),
+        a=amp * rng.normal(size=k) / np.sqrt(k),
         b=b,
-        c=amp * rng.normal(size=basis.k_modes) / np.sqrt(basis.k_modes),
+        c=amp * rng.normal(size=k) / np.sqrt(k),
         basis=basis,
     )
     return gal.GalerkinOperators(cst.ConstitutiveParams(), basis, eps_density).fields(state)
@@ -532,9 +534,9 @@ def _check_magnetic_decay() -> tuple[bool, str]:
     state = _single_mode_state(magnetic_amplitude=0.5)
     basis = state.basis
     p = cst.ConstitutiveParams()
-    rec = diag.TrajectoryRecorder(p, basis)
+    rec = diag.TrajectoryRecorder(p)
     step = itg.StepConfig(dt=1e-3, t_end=0.1)
-    summary = itg.integrate(p, basis, state, step, observers=[rec])
+    summary = itg.integrate(p, state, step, observers=[rec])
     h_final = np.sqrt(2.0 * rec.records[-1].E_mag)
     expected = 0.5 * np.exp(-p.magnetic_diffusivity * basis.vec_k2[0] * step.t_end)
     err = abs(h_final - expected) / expected
@@ -556,10 +558,8 @@ def _check_density_decay(eps_density: float = 5e-3) -> tuple[bool, str]:
     relative."""
     state = _single_mode_state(density_amplitude=0.2, density_axis=0)
     p = cst.ConstitutiveParams()
-    rec = diag.TrajectoryRecorder(p, state.basis)
-    summary = itg.integrate(
-        p, state.basis, state, itg.StepConfig(dt=1e-3, t_end=0.1), observers=[rec], eps_density=eps_density
-    )
+    rec = diag.TrajectoryRecorder(p)
+    summary = itg.integrate(p, state, itg.StepConfig(dt=1e-3, t_end=0.1), observers=[rec], eps_density=eps_density)
     amp = summary.final_state.rho[1, 0, 0].real
     expected = 0.1 * np.exp(-eps_density * 0.1)
     err = abs(amp - expected) / expected
@@ -580,9 +580,9 @@ def _check_energy_residual_order(
     p = cst.ConstitutiveParams()
     maxima = []
     for dt in (2e-3, 1e-3):
-        rec = diag.TrajectoryRecorder(p, state.basis)
+        rec = diag.TrajectoryRecorder(p)
         step = itg.StepConfig(dt=dt, t_end=0.02)
-        itg.integrate(p, state.basis, state, step, observers=[rec], eps_density=eps_density)
+        itg.integrate(p, state, step, observers=[rec], eps_density=eps_density)
         maxima.append(_max_abs_energy_residual(rec.records))
     ratio = maxima[0] / maxima[1] if maxima[1] > 0.0 else np.inf
     ok = maxima[0] < 1e-6 and 3.5 <= ratio <= 4.5
@@ -590,10 +590,12 @@ def _check_energy_residual_order(
 
 
 def _check_vector_identities(
-    basis: sp.DivFreeSpectralBasis | None = None, pairs: list | None = None, nu: float = 0.9
+    basis: sp.DivFreeSpectralBasis | None = None, pairs: list | None = None, nu: float = 0.9,
+    modes: int = _CHECK_MODES,
 ) -> tuple[bool, str]:
     """The curl/divergence identities behind the energy bookkeeping,
-    pointwise to 1e-10 for each ``(c_u, c_H)`` pair of vector spectra::
+    pointwise to 1e-10 for each ``(c_u, c_H)`` pair of vector spectra (by
+    default five pairs of random fields on the first ``modes`` modes)::
 
         div(nu H x curl H)   = nu |curl H|^2 - curl(nu curl H) . H
         div((u x H) x H)     = ((curl H) x H) . u + curl(u x H) . H
@@ -604,8 +606,7 @@ def _check_vector_identities(
     basis = basis or _check_basis()
     if pairs is None:
         rng = np.random.default_rng(11)
-        k = basis.k_modes
-        pairs = [(basis.synth_vector(rng.normal(size=k)), basis.synth_vector(rng.normal(size=k))) for _ in range(5)]
+        pairs = [tuple(basis.synth_vector(rng.normal(size=modes)) for _ in range(2)) for _ in range(5)]
     g = 2 * basis.grid_points
     grid = basis.spectral_to_grid
 
@@ -645,11 +646,11 @@ def _grid_norms_sq(basis: sp.DivFreeSpectralBasis, c: np.ndarray) -> tuple[float
 
 
 def _check_functional_inequalities(
-    basis: sp.DivFreeSpectralBasis | None = None, n_fields: int = 100, seed: int = 5
+    basis: sp.DivFreeSpectralBasis | None = None, n_fields: int = 100, seed: int = 5, modes: int = _CHECK_MODES
 ) -> tuple[bool, str]:
-    """The sharp Korn and Poincare constants over ``n_fields`` random
-    band-limited fields: on solenoidal zero-mean fields of the torus the
-    ratio |grad u| / |grad u + grad u^T| equals 1/sqrt(2) to 1e-10 relative
+    """The sharp Korn and Poincare constants over ``n_fields`` random fields
+    on the first ``modes`` modes: on solenoidal zero-mean fields of the torus
+    the ratio |grad u| / |grad u + grad u^T| equals 1/sqrt(2) to 1e-10 relative
     (so the Korn constant 1 holds with margin), every ratio |u| / |grad u|
     is at most L / (2 pi) + 1e-12, and a single lowest-shell mode attains
     L / (2 pi) to 1e-12 by grid quadrature."""
@@ -658,15 +659,15 @@ def _check_functional_inequalities(
     worst_korn = 0.0
     worst_poincare = 0.0
     for _ in range(n_fields):
-        coeffs = rng.normal(size=basis.k_modes)
+        coeffs = rng.normal(size=modes)
         _, grad_sq, strain_sq = _grid_norms_sq(basis, basis.synth_vector(coeffs))
         worst_korn = max(worst_korn, float(np.sqrt(grad_sq / strain_sq)))
         norm = float(np.sqrt(np.sum(coeffs**2)))
-        grad_norm = float(np.sqrt(np.sum(coeffs**2 * basis.vec_k2[: basis.k_modes])))
+        grad_norm = float(np.sqrt(np.sum(coeffs**2 * basis.vec_k2[:modes])))
         worst_poincare = max(worst_poincare, norm / grad_norm)
     poincare = basis.box_size / (2.0 * np.pi)
     # equality case: a single lowest-shell mode
-    lowest_sq, lowest_grad_sq, _ = _grid_norms_sq(basis, basis.synth_vector(np.eye(basis.k_modes)[0]))
+    lowest_sq, lowest_grad_sq, _ = _grid_norms_sq(basis, basis.synth_vector(np.eye(modes)[0]))
     lowest = float(np.sqrt(lowest_sq / lowest_grad_sq))
     ok = (
         abs(worst_korn * np.sqrt(2.0) - 1.0) <= 1e-10
@@ -685,8 +686,8 @@ def _check_decay_bound() -> tuple[bool, str]:
     ``DECAY_BOUND_SLACK``), and the heat and density flags hold with it."""
     state = _single_mode_state(velocity_amplitude=0.3, magnetic_amplitude=0.5)
     p = cst.ConstitutiveParams()
-    rec = diag.TrajectoryRecorder(p, state.basis)
-    itg.integrate(p, state.basis, state, itg.StepConfig(dt=1e-3, t_end=0.05), observers=[rec])
+    rec = diag.TrajectoryRecorder(p)
+    itg.integrate(p, state, itg.StepConfig(dt=1e-3, t_end=0.05), observers=[rec])
     recs = rec.records
     margin = min(diag.decay_margin(r.decay_lhs, r.decay_rhs) for r in recs)
     flags = all(r.heat_monotone_ok and r.density_bounds_ok for r in recs)

@@ -1,5 +1,5 @@
 """Time advancement of the coupled density/velocity/temperature/magnetic
-system by the implicit midpoint rule.
+system by the implicit midpoint rule, the one time scheme.
 
 Each step solves one midpoint stage by iteration to the configured
 tolerance.  The first step starts from a forward-Euler predictor, the rates
@@ -36,7 +36,6 @@ from specmhd import galerkin as gal
 from specmhd.constitutive import ConstitutiveParams, validate_params
 from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, NonlinearSolveError, SolverAbort
 from specmhd.galerkin import GalerkinOperators, Rates, SimState
-from specmhd.spectral import DivFreeSpectralBasis
 
 NORM_BLOWUP_LIMIT = 1e12
 DENSITY_DRIFT_RATE = 1e-10
@@ -44,12 +43,10 @@ DENSITY_DRIFT_RATE = 1e-10
 
 @dataclass
 class StepConfig:
-    """Time-step parameters; the tolerance governs the midpoint iteration.
-    ``scheme`` admits the one value ``implicit-midpoint``."""
+    """Time-step parameters; the tolerance governs the midpoint iteration."""
 
     dt: float = 1e-3
     t_end: float = 0.1
-    scheme: str = "implicit-midpoint"
     solver_tolerance: float = 1e-12
     max_nonlinear_iterations: int = 50
     theta_clamp: str = "clamp"
@@ -60,8 +57,6 @@ class StepConfig:
             bad.append(f"dt must be positive (got {self.dt})")
         if not self.t_end >= 0:
             bad.append(f"t_end must be nonnegative (got {self.t_end})")
-        if self.scheme != "implicit-midpoint":
-            bad.append(f"unknown scheme {self.scheme!r}; the only scheme is 'implicit-midpoint'")
         if not 0.0 < self.solver_tolerance <= 1e-6:
             bad.append(
                 f"solver_tolerance must lie in (0, 1e-6] (got {self.solver_tolerance})"
@@ -184,14 +179,14 @@ def step(
 
 def integrate(
     params: ConstitutiveParams,
-    basis: DivFreeSpectralBasis,
     state0: SimState,
     cfg: StepConfig,
     observers=(),
     eps_density: float = 0.0,
     cadence: int = 1,
 ) -> TrajectorySummary:
-    """Run the time loop with per-step monitors and sampled observers.
+    """Run the time loop with per-step monitors and sampled observers, on
+    the operators of ``state0.basis``.
 
     Observers are callables ``obs(state, report)`` invoked at t = 0, every
     ``cadence`` accepted steps, and at the final time, with strictly
@@ -204,7 +199,7 @@ def integrate(
         raise ConfigError("\n".join(bad))
     if not state0.is_finite():
         raise ConfigError("initial state invalid: non-finite state entries")
-    ops = GalerkinOperators(params, basis, eps_density)
+    ops = GalerkinOperators(params, state0.basis, eps_density)
     state = state0.copy()
     fields = ops.fields(state)
     rho_min0, rho_max0 = float(fields.rho.min()), float(fields.rho.max())

@@ -137,20 +137,21 @@ def _polarization_pairs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class DivFreeSpectralBasis:
     """Divergence-free vector family plus scalar family on the periodic box.
 
-    Immutable after construction; every method is reentrant.  ``k_modes`` is
-    the configured vector truncation level; the full tables (everything under
-    the dealiasing cutoff) are kept so nested truncations share one ordering.
+    Immutable after construction; every method is reentrant.  It depends
+    only on the box and the grid: the tables hold every mode under the
+    dealiasing cutoff, and a truncation is the leading slice of them (the
+    length of a coefficient vector), so nested truncations share one
+    ordering.
     """
 
-    def __init__(self, box_size: float, grid_points: int, k_modes: int):
-        bad = resolution_problems(box_size, grid_points, vector={"k_modes": k_modes})
+    def __init__(self, box_size: float, grid_points: int):
+        bad = resolution_problems(box_size, grid_points)
         if bad:
             raise ResolutionError("\n".join(bad))
         self.box_size = float(box_size)
         self.grid_points = int(grid_points)
         self.volume = self.box_size**3
         self.cutoff = dealias_cutoff(grid_points)
-        self.k_modes = int(k_modes)
         base = 2.0 * np.pi / self.box_size
 
         # vector table: per canonical wavevector, (pol 0, cos), (pol 0, sin),
@@ -177,10 +178,9 @@ class DivFreeSpectralBasis:
 
     # ------------------------------------------------------------------ grid
 
-    def mesh(self, grid: int | None = None):
+    def mesh(self):
         """Coordinate arrays (x, y, z) of shape (G, G, G)."""
-        g = grid or self.grid_points
-        lin = np.linspace(0.0, self.box_size, g, endpoint=False)
+        lin = np.linspace(0.0, self.box_size, self.grid_points, endpoint=False)
         return np.meshgrid(lin, lin, lin, indexing="ij")
 
     @staticmethod
@@ -350,11 +350,11 @@ class DivFreeSpectralBasis:
         self._synth(self.scal_n[1:m], self.scal_phase[1:m], trig, np.ones((len(trig), 1)), c[None])
         return c
 
-    def vector_grid(self, coeffs: np.ndarray, grid: int | None = None) -> np.ndarray:
-        return self.spectral_to_grid(self.synth_vector(coeffs, grid))
+    def vector_grid(self, coeffs: np.ndarray) -> np.ndarray:
+        return self.spectral_to_grid(self.synth_vector(coeffs))
 
-    def scalar_grid(self, coeffs: np.ndarray, grid: int | None = None) -> np.ndarray:
-        return self.spectral_to_grid(self.synth_scalar(coeffs, grid))
+    def scalar_grid(self, coeffs: np.ndarray) -> np.ndarray:
+        return self.spectral_to_grid(self.synth_scalar(coeffs))
 
     # --------------------------------------------------------------- gathers
 
@@ -494,9 +494,8 @@ class DivFreeSpectralBasis:
 
     # ------------------------------------------------------------ projection
 
-    def project_vector(self, values: np.ndarray, count: int | None = None) -> np.ndarray:
-        """L2 projection of a grid vector field onto the first modes."""
-        count = count or self.k_modes
+    def project_vector(self, values: np.ndarray, count: int) -> np.ndarray:
+        """L2 projection of a grid vector field onto the first ``count`` modes."""
         return self.gather_vector(self.grid_to_spectral(values), count)
 
 
@@ -564,6 +563,6 @@ class Field:
 # --------------------------------------------------------------- module API
 
 
-def build_basis(box_size: float, grid_points: int, k_modes: int) -> DivFreeSpectralBasis:
+def build_basis(box_size: float, grid_points: int) -> DivFreeSpectralBasis:
     """Construct the orthonormal divergence-free and scalar mode families."""
-    return DivFreeSpectralBasis(box_size, grid_points, k_modes)
+    return DivFreeSpectralBasis(box_size, grid_points)

@@ -30,7 +30,7 @@ from specmhd.galerkin import GalerkinOperators, SimState, _StateFields
 def make_state(
     basis,
     rng,
-    k_u=None,
+    k_u,
     k_b=None,
     k_c=None,
     amp=0.3,
@@ -40,9 +40,10 @@ def make_state(
     theta_amp=0.2,
     t=0.0,
 ):
-    """Random admissible state with band-limited density and positive theta."""
-    k_u = k_u or basis.k_modes
-    k_c = k_c or basis.k_modes
+    """Random admissible state with band-limited density and positive theta,
+    with ``k_u`` velocity modes and by default as many magnetic modes and one
+    temperature mode more."""
+    k_c = k_c or k_u
     k_b = k_b or min(k_u + 1, basis.n_scalar_modes)
     a = amp * rng.normal(size=k_u) / np.sqrt(k_u)
     c = amp * rng.normal(size=k_c) / np.sqrt(k_c)

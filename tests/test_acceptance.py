@@ -137,7 +137,7 @@ def test_criterion_4_magnetic_decay_oracle(tmp_path):
 
 def test_criterion_5_galerkin_operator_oracles():
     with _Timer("Galerkin operator oracles", 60.0) as t:
-        basis = sp.build_basis(2.0 * np.pi, 12, 20)
+        basis = sp.build_basis(2.0 * np.pi, 12)
         params = cst.ConstitutiveParams(power_law_exponent=3.0)
         rng = np.random.default_rng(99)
         rho_spec = basis.zero_spectrum()
@@ -210,16 +210,16 @@ def test_criterion_5_galerkin_operator_oracles():
 
 def test_criterion_6_vector_identities():
     with _Timer("vector identities", 10.0) as t:
-        basis = sp.build_basis(2.0 * np.pi, 16, 24)
-        ok, detail = harness.CHECKS["diagnostics.vector_identities"](basis=basis)
+        basis = sp.build_basis(2.0 * np.pi, 16)
+        ok, detail = harness.CHECKS["diagnostics.vector_identities"](basis=basis, modes=24)
         assert ok, detail
         t.finish(detail)
 
 
 def test_criterion_7_functional_inequality_constants():
     with _Timer("functional inequality constants", 10.0) as t:
-        basis = sp.build_basis(2.0 * np.pi, 16, 24)
-        ok, detail = harness.CHECKS["diagnostics.functional_inequalities"](basis=basis)
+        basis = sp.build_basis(2.0 * np.pi, 16)
+        ok, detail = harness.CHECKS["diagnostics.functional_inequalities"](basis=basis, modes=24)
         assert ok, detail
         t.finish(detail)
 

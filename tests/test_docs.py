@@ -1,13 +1,17 @@
 """Docstring cross-references in the package resolve: every ``:func:``,
 ``:meth:``, ``:class:``, ``:attr:`` and ``:mod:`` target names an object
-that exists, so a deleted or renamed name cannot linger in the docs."""
+that exists, so a deleted or renamed name cannot linger in the docs.  The
+config module docstring lists each section's keys as the loader reads
+them, so a dropped or added key cannot leave it stale."""
 
 import ast
 import functools
 import importlib
 import re
+from dataclasses import fields
 from pathlib import Path
 
+from specmhd import config
 from specmhd import galerkin as gal
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "specmhd"
@@ -74,3 +78,33 @@ def test_resolver_rejects_a_missing_name():
     assert not resolves("SimState.validate", gal)
     assert not resolves("specmhd.galerkin.SimState.validate", gal)
     assert not resolves("solve", gal)
+
+
+def docstring_keys(doc):
+    """The key list under each ``[section]`` heading of the config module
+    docstring, remarks in parentheses dropped."""
+    sections, current = {}, None
+    for line in doc.splitlines():
+        heading = re.fullmatch(r"``\[(\w+)\]``.*", line)
+        if heading:
+            current = sections.setdefault(heading.group(1), [])
+        elif current is not None and line.startswith("    "):
+            current.append(line)
+        else:
+            current = None
+    out = {}
+    for section, lines in sections.items():
+        text = " ".join(lines)
+        while re.search(r"\([^()]*\)", text):
+            text = re.sub(r"\([^()]*\)", "", text)
+        out[section] = [key.strip() for key in text.split(",")]
+    return out
+
+
+def test_config_docstring_lists_the_loaders_keys():
+    want = {section: [f.name for f in fields(cls)] for section, cls in config._DATACLASS_SECTIONS.items()}
+    want.update((section, list(keys)) for section, keys in config._FIELD_KEYS.items())
+    documented = docstring_keys(config.__doc__)
+    # [initial] is documented by reference to initial_conditions.FAMILIES
+    assert set(documented) == set(want) | {"initial"}
+    assert {section: documented[section] for section in want} == want

@@ -37,9 +37,12 @@ L = 2.0 * np.pi
 
 # 20 modes span two spectral shells, so triad couplings (Lorentz work,
 # transport exchange) are active and the identities are tested for real
+K = 20
+
+
 @pytest.fixture(scope="module")
 def basis():
-    return sp.build_basis(L, 12, 20)
+    return sp.build_basis(L, 12)
 
 
 @pytest.fixture()
@@ -53,9 +56,7 @@ def ops(basis, params):
 
 
 def uniform_rho_state(basis, a=None, b=None, c=None, rho0=1.0, theta0=1.0):
-    k = basis.k_modes
-    nb = min(k + 1, basis.n_scalar_modes)
-    bvec = np.zeros(nb)
+    bvec = np.zeros(K + 1)
     bvec[0] = theta0 * np.sqrt(basis.volume)
     if b is not None:
         bvec[: len(b)] = b
@@ -64,9 +65,9 @@ def uniform_rho_state(basis, a=None, b=None, c=None, rho0=1.0, theta0=1.0):
     return gal.SimState(
         t=0.0,
         rho=rho,
-        a=np.zeros(k) if a is None else np.asarray(a, dtype=float),
+        a=np.zeros(K) if a is None else np.asarray(a, dtype=float),
         b=bvec,
-        c=np.zeros(k) if c is None else np.asarray(c, dtype=float),
+        c=np.zeros(K) if c is None else np.asarray(c, dtype=float),
         basis=basis,
     )
 
@@ -74,7 +75,7 @@ def uniform_rho_state(basis, a=None, b=None, c=None, rho0=1.0, theta0=1.0):
 class TestDensityRhs:
     def test_constant_density_solenoidal_velocity(self, basis, params):
         rng = np.random.default_rng(0)
-        st = uniform_rho_state(basis, a=0.5 * rng.normal(size=basis.k_modes))
+        st = uniform_rho_state(basis, a=0.5 * rng.normal(size=K))
         rate = gal.GalerkinOperators(params, basis).fields(st).density_rate
         assert np.max(np.abs(rate)) < 1e-14
 
@@ -89,7 +90,7 @@ class TestDensityRhs:
 
     def test_mean_is_zero(self, basis, params):
         rng = np.random.default_rng(1)
-        st = make_state(basis, rng)
+        st = make_state(basis, rng, K)
         rate = gal.GalerkinOperators(params, basis, eps_density=1e-3).fields(st).density_rate
         assert abs(rate[0, 0, 0]) < 1e-16
 
@@ -102,7 +103,7 @@ class TestMomentumRhs:
     def test_stokes_stress_single_mode(self, basis):
         # newtonian limit: stress entry is -mu (D(u), D(psi_j)) = -2 mu |k|^2 a
         p = cst.ConstitutiveParams(power_law_exponent=2.0, stress_smoothing=0.5)
-        a = np.zeros(basis.k_modes)
+        a = np.zeros(K)
         a[0] = 0.7
         st = uniform_rho_state(basis, a=a)
         ops = gal.GalerkinOperators(p, basis)
@@ -115,7 +116,7 @@ class TestMomentumRhs:
 
     def test_lorentz_projection_vs_oracle(self, basis, ops):
         rng = np.random.default_rng(2)
-        c = 0.8 * rng.normal(size=basis.k_modes)
+        c = 0.8 * rng.normal(size=K)
         st = uniform_rho_state(basis, c=c)
         rhs = ops.momentum_rhs(ops.fields(st))  # u = 0: only the Lorentz term
         gd = oracle_dense_grid(basis)
@@ -123,7 +124,7 @@ class TestMomentumRhs:
         h = oracle_vector_field(basis, c, mesh)
         curl_h = oracle_vector_field_curl(basis, c, mesh)
         lorentz = np.cross(curl_h, h, axisa=0, axisb=0, axisc=0)
-        for j in range(basis.k_modes):
+        for j in range(K):
             psi = oracle_vector_mode(basis, j, mesh)
             want = riemann(L, np.sum(lorentz * psi, axis=0))
             assert rhs[j] == pytest.approx(want, abs=1e-10)
@@ -137,7 +138,7 @@ class TestThermalRhs:
 
     def test_magnetic_source_vs_oracle(self, basis, params, ops):
         rng = np.random.default_rng(3)
-        c = 0.6 * rng.normal(size=basis.k_modes)
+        c = 0.6 * rng.normal(size=K)
         st = uniform_rho_state(basis, c=c)
         rhs = ops.thermal_rhs(ops.fields(st))
         gd = oracle_dense_grid(basis)
@@ -152,7 +153,7 @@ class TestThermalRhs:
 
     def test_source_positivity(self, basis, ops):
         rng = np.random.default_rng(4)
-        st = make_state(basis, rng)
+        st = make_state(basis, rng, K)
         f = ops.fields(st)
         # add back the density coupling -(rho_t Q(theta), omega_0) of the same
         # realization, as the galerkin.heat_balance check does
@@ -162,7 +163,7 @@ class TestThermalRhs:
         assert rhs[0] + coupling >= -1e-12
 
     def test_heat_balance_identity(self, basis, params):
-        st = make_state(basis, np.random.default_rng(5))
+        st = make_state(basis, np.random.default_rng(5), K)
         f = gal.GalerkinOperators(params, basis, eps_density=2e-3).fields(st)
         ok, detail = harness.CHECKS["galerkin.heat_balance"](fields=f)
         assert ok, detail
@@ -173,19 +174,19 @@ class TestInductionMatrix:
         st = uniform_rho_state(basis)
         a_mat = induction_matrix(ops, st)
         np.testing.assert_allclose(
-            a_mat, np.diag(params.magnetic_diffusivity * basis.vec_k2[: basis.k_modes]), atol=1e-13
+            a_mat, np.diag(params.magnetic_diffusivity * basis.vec_k2[:K]), atol=1e-13
         )
 
     def test_entries_vs_dense_quadrature(self, basis, params, ops):
         rng = np.random.default_rng(6)
-        a = 0.5 * rng.normal(size=basis.k_modes)
+        a = 0.5 * rng.normal(size=K)
         st = uniform_rho_state(basis, a=a)
         a_mat = induction_matrix(ops, st)
         gd = oracle_dense_grid(basis)
         mesh = oracle_mesh(L, gd)
         u = oracle_vector_field(basis, a, mesh)
         nu = params.magnetic_diffusivity
-        k = basis.k_modes
+        k = K
         want = np.zeros((k, k))
         for i in range(k):
             pi_i = oracle_vector_mode(basis, i, mesh)
@@ -201,7 +202,7 @@ class TestInductionMatrix:
     def test_weak_matrix_reproduces_evolution(self, basis, ops):
         # induction_rhs is linear in c: the columns reassemble it at any c
         rng = np.random.default_rng(15)
-        st = make_state(basis, rng, amp=0.5)
+        st = make_state(basis, rng, K, amp=0.5)
         a_mat = induction_matrix(ops, st)
         rhs = ops.induction_rhs(ops.fields(st))
         np.testing.assert_allclose(-a_mat @ st.c, rhs, atol=1e-11)
@@ -209,11 +210,11 @@ class TestInductionMatrix:
     def test_transport_energy_exchange_identity(self, basis, params, ops):
         # c^T (A - A_diff) c equals -(integral of H^T grad(u) H + 0.5 grad|H|^2 . u)
         rng = np.random.default_rng(7)
-        a = 0.5 * rng.normal(size=basis.k_modes)
-        c = 0.5 * rng.normal(size=basis.k_modes)
+        a = 0.5 * rng.normal(size=K)
+        c = 0.5 * rng.normal(size=K)
         st = uniform_rho_state(basis, a=a, c=c)
         a_mat = induction_matrix(ops, st)
-        a_diff = np.diag(params.magnetic_diffusivity * basis.vec_k2[: basis.k_modes])
+        a_diff = np.diag(params.magnetic_diffusivity * basis.vec_k2[:K])
         quad_form = float(c @ (a_mat - a_diff) @ c)
         gd = oracle_dense_grid(basis)
         mesh = oracle_mesh(L, gd)
@@ -231,21 +232,21 @@ class TestMassMatrices:
     def test_unit_density_is_identity(self, basis, ops):
         st = uniform_rho_state(basis)
         m = ops.velocity_mass(ops.fields(st))
-        np.testing.assert_allclose(m, np.eye(basis.k_modes), atol=1e-13)
+        np.testing.assert_allclose(m, np.eye(K), atol=1e-13)
 
     def test_constant_density_scales(self, basis, ops):
         st = uniform_rho_state(basis, rho0=1.7)
         m = ops.velocity_mass(ops.fields(st))
-        np.testing.assert_allclose(m, 1.7 * np.eye(basis.k_modes), atol=1e-13)
+        np.testing.assert_allclose(m, 1.7 * np.eye(K), atol=1e-13)
 
     def test_eigenvalues_within_density_range(self, basis, ops):
-        st = make_state(basis, np.random.default_rng(8), rho_amp=0.4)
+        st = make_state(basis, np.random.default_rng(8), K, rho_amp=0.4)
         ok, detail = harness.CHECKS["galerkin.mass_matrices"](fields=ops.fields(st))
         assert ok, detail
 
     def test_velocity_mass_vs_dense_quadrature(self, basis, ops):
         rng = np.random.default_rng(9)
-        st = make_state(basis, rng, rho_amp=0.4)
+        st = make_state(basis, rng, K, rho_amp=0.4)
         m = ops.velocity_mass(ops.fields(st))
         gd = oracle_dense_grid(basis)
         mesh = oracle_mesh(L, gd)
@@ -264,9 +265,9 @@ class TestMassMatrices:
             )
             # the x-half spectrum stores the conjugate partner at -n only for nx = 0
             rho_dense += term if ix == 0 else 2.0 * term
-        for i in range(0, basis.k_modes, 5):
+        for i in range(0, K, 5):
             psi_i = oracle_vector_mode(basis, i, mesh)
-            for j in range(0, basis.k_modes, 7):
+            for j in range(0, K, 7):
                 psi_j = oracle_vector_mode(basis, j, mesh)
                 want = riemann(L, rho_dense * np.sum(psi_i * psi_j, axis=0))
                 assert m[i, j] == pytest.approx(want, abs=1e-11)
@@ -277,7 +278,7 @@ class TestMassMatrices:
         np.testing.assert_allclose(n, 2.0 * np.eye(len(st.b)), atol=1e-12)
 
     def test_rates_synthesize_each_spectrum_once(self, basis, ops, monkeypatch):
-        st = make_state(basis, np.random.default_rng(2))
+        st = make_state(basis, np.random.default_rng(2), K)
         calls = []
 
         def counted(name):
@@ -303,18 +304,18 @@ class TestMassMatrices:
     def test_not_spd_raises(self, basis, ops):
         f = ops.fields(uniform_rho_state(basis, rho0=-1.0))
         with pytest.raises(MassSolveError, match="not positive definite"):
-            ops.solve_mass(ops.velocity_mass(f), np.zeros(basis.k_modes))
+            ops.solve_mass(ops.velocity_mass(f), np.zeros(K))
 
     def test_not_finite_raises(self, basis, ops):
         st = uniform_rho_state(basis)
         st.rho[0, 0, 0] = np.nan
         with pytest.raises(MassSolveError, match="not finite"):
-            ops.solve_mass(ops.velocity_mass(ops.fields(st)), np.zeros(basis.k_modes))
+            ops.solve_mass(ops.velocity_mass(ops.fields(st)), np.zeros(K))
 
     # partial groups: 4 vector modes share a wavevector, 2 scalar modes after the constant
     @pytest.mark.parametrize("k_u", [1, 2, 3, 5, 21, 22, 23])
     def test_velocity_mass_bitwise_vs_entrywise(self, basis, ops, k_u):
-        st = make_state(basis, np.random.default_rng(k_u), k_u=k_u, rho_amp=0.4)
+        st = make_state(basis, np.random.default_rng(k_u), k_u, k_c=K, rho_amp=0.4)
         f = ops.fields(st)
         assert_bitwise(ops.velocity_mass(f), oracle_velocity_mass(f))
 
@@ -325,7 +326,7 @@ class TestMassMatrices:
             specific_heat_form=form, specific_heat_min=1.0, specific_heat_max=3.0
         )
         ops = gal.GalerkinOperators(params, basis)
-        st = make_state(basis, np.random.default_rng(k_b), k_b=k_b, rho_amp=0.4)
+        st = make_state(basis, np.random.default_rng(k_b), K, k_b=k_b, rho_amp=0.4)
         f = ops.fields(st)
         assert_bitwise(ops.thermal_mass(f), oracle_thermal_mass(f))
 
@@ -368,7 +369,7 @@ def assert_dense_solve(x, gram, rhs):
 # every vector and scalar mode under the cutoff at N=16: 1028 and 515
 @pytest.fixture(scope="module")
 def basis16():
-    return sp.build_basis(L, 16, 1028)
+    return sp.build_basis(L, 16)
 
 
 class TestMatrixFreeMass:
@@ -379,7 +380,7 @@ class TestMatrixFreeMass:
     @pytest.mark.parametrize("k", [1, 3, 23])
     def test_partial_groups_match_dense(self, basis, form, k):
         ops = gal.GalerkinOperators(heat_params(form), basis)
-        f = ops.fields(make_state(basis, np.random.default_rng(k), k_u=k, k_b=k, rho_amp=0.4))
+        f = ops.fields(make_state(basis, np.random.default_rng(k), k, k_b=k, k_c=K, rho_amp=0.4))
         rhs = np.random.default_rng(100 + k).normal(size=(2, k))
         assert_dense_solve(ops.solve_mass(gal.MassOperator.velocity(f), rhs[0]), oracle_velocity_mass(f), rhs[0])
         assert_dense_solve(ops.solve_mass(gal.MassOperator.thermal(f), rhs[1]), oracle_thermal_mass(f), rhs[1])
@@ -390,7 +391,7 @@ class TestMatrixFreeMass:
     @pytest.mark.parametrize("k_u,k_b", [(343, 329), (344, 330), (1028, 515)])
     def test_rates_on_each_side_of_the_rule(self, basis16, form, k_u, k_b):
         ops = gal.GalerkinOperators(heat_params(form), basis16)
-        f = ops.fields(make_state(basis16, np.random.default_rng(k_u), k_u=k_u, k_b=k_b, rho_amp=0.4))
+        f = ops.fields(make_state(basis16, np.random.default_rng(k_u), k_u, k_b=k_b, k_c=1028, rho_amp=0.4))
         above = k_u > 343
         assert isinstance(ops.velocity_mass(f), gal.MassOperator) == above
         assert isinstance(ops.thermal_mass(f), gal.MassOperator) == above
@@ -409,7 +410,7 @@ class TestMatrixFreeMass:
                 shapes.append((run.grid_points, max(run.velocity_modes, run.magnetic_modes), run.temperature_modes))
         assert len(shapes) > 7
         for n, k_u, k_b in shapes:
-            m = sp.DivFreeSpectralBasis(L, n, 1).oversample_grid()
+            m = sp.DivFreeSpectralBasis(L, n).oversample_grid()
             assert not gal.matrix_free(k_u, n, 3) and not gal.matrix_free(k_b, m, 1), (n, k_u, k_b)
         assert gal.matrix_free(800, 16, 3) and gal.matrix_free(401, 24, 1)
 
@@ -420,7 +421,7 @@ class TestMatrixFreeMass:
         520 modes and more, the energy identity misses its bound on either
         mass path.)"""
         ops = gal.GalerkinOperators(heat_params("saturating"), basis16, eps_density=1e-3)
-        f = ops.fields(make_state(basis16, np.random.default_rng(6), k_u=400, k_b=401, rho_amp=0.4))
+        f = ops.fields(make_state(basis16, np.random.default_rng(6), 400, k_b=401, k_c=1028, rho_amp=0.4))
         assert isinstance(ops.velocity_mass(f), gal.MassOperator)
         assert isinstance(ops.thermal_mass(f), gal.MassOperator)
         ok, detail = harness.CHECKS[check](fields=f)
@@ -444,8 +445,8 @@ class TestMatrixFreeMass:
 
     def test_iteration_cap_names_count_and_residual(self, basis, ops, monkeypatch):
         monkeypatch.setattr(gal, "_cg_iteration_cap", lambda ratio: 2)
-        f = ops.fields(make_state(basis, np.random.default_rng(4), rho_amp=0.4))
-        rhs = np.random.default_rng(5).normal(size=basis.k_modes)
+        f = ops.fields(make_state(basis, np.random.default_rng(4), K, rho_amp=0.4))
+        rhs = np.random.default_rng(5).normal(size=K)
         with pytest.raises(MassSolveError, match=r"after 2 iterations at relative residual \d\.\d{3}e-\d+ > 1e-14"):
             ops.solve_mass(gal.MassOperator.velocity(f), rhs)
 
@@ -461,7 +462,7 @@ class TestMatrixFreeMass:
         where a dense velocity mass would take 556 MB."""
         cfg = load_config(CONFIGS / "random_band.cfg")
         cfg = replace(cfg, grid_points=32, velocity_modes=8336, magnetic_modes=8336, temperature_modes=4169)
-        basis32 = sp.build_basis(cfg.box_size, 32, 8336)
+        basis32 = sp.build_basis(cfg.box_size, 32)
         state = build_initial_state(cfg, basis32)
         ops = gal.GalerkinOperators(cfg.constitutive, basis32, cfg.density_regularization)
         rates = ops.rates(ops.fields(state))
@@ -491,7 +492,7 @@ class TestGuessedMassSolve:
         state's solution, for a state one short Euler step past a random one."""
         operator, oracle, rhs_name, part = MASSES[request.param]
         ops = gal.GalerkinOperators(heat_params("saturating"), basis)
-        st = make_state(basis, np.random.default_rng(8), rho_amp=0.4)
+        st = make_state(basis, np.random.default_rng(8), K, rho_amp=0.4)
         before = ops.rates(ops.fields(st))
         f = ops.fields(itg._advance(st, st.t + 1e-3, 1e-3, before))
         return ops, operator(f), getattr(ops, rhs_name)(f), oracle(f), getattr(before, part)
@@ -521,7 +522,7 @@ class TestGuessedMassSolve:
 
     def test_dense_path_ignores_the_guess(self, basis):
         ops = gal.GalerkinOperators(heat_params("saturating"), basis)
-        f = ops.fields(make_state(basis, np.random.default_rng(9), rho_amp=0.4))
+        f = ops.fields(make_state(basis, np.random.default_rng(9), K, rho_amp=0.4))
         assert not isinstance(ops.velocity_mass(f), gal.MassOperator)
         assert not isinstance(ops.thermal_mass(f), gal.MassOperator)
         cold = ops.rates(f)
@@ -610,13 +611,27 @@ class TestEnergyIdentity:
     def test_semi_discrete_energy_identity(self, basis, form, eps):
         params = cst.ConstitutiveParams(**IDENTITY_FORMS[form])
         assert not cst.validate_params(params)
-        st = make_state(basis, np.random.default_rng(10), amp=0.6, rho_amp=0.3)
+        st = make_state(basis, np.random.default_rng(10), K, amp=0.6, rho_amp=0.3)
         f = gal.GalerkinOperators(params, basis, eps).fields(st)
         ok, detail = harness.CHECKS["galerkin.energy_identity"](fields=f)
         assert ok, detail
 
+    # The check at N=16 below and on the |k|^2 = 17 velocity shell, which
+    # holds modes 513-608: the density rate keeps |n|^2 <= 25 (the basis
+    # cutoff), so div(rho u) loses the |n|^2 = 26 products of a |k|^2 = 17
+    # velocity mode and a |k| = 1 density mode that (rho (u.grad)u, u) keeps.
+    # With the mask off, 540 modes close the identity to 0.
+    MASKED = pytest.mark.xfail(strict=True, reason="the density-rate mask drops |n|^2 = 26: defect 6.0e-8, scale 1.15")
+
+    @pytest.mark.parametrize("k", [500, pytest.param(540, marks=MASKED)])
+    def test_identity_at_the_17_shell(self, basis16, k):
+        st = make_state(basis16, np.random.default_rng(6), k, rho_amp=0.4)
+        f = gal.GalerkinOperators(cst.ConstitutiveParams(), basis16).fields(st)
+        ok, detail = harness.CHECKS["galerkin.energy_identity"](fields=f)
+        assert ok, detail
+
     def test_identity_detects_lorentz_sign_flip(self, basis, ops):
-        st = make_state(basis, np.random.default_rng(11), amp=0.6)
+        st = make_state(basis, np.random.default_rng(11), K, amp=0.6)
         f = lorentz_flipped(ops.fields(st))
         ok, detail = harness.CHECKS["galerkin.energy_identity"](fields=f)
         assert not ok, detail
@@ -625,7 +640,7 @@ class TestEnergyIdentity:
 
     def test_report_monitors(self, basis, params):
         rng = np.random.default_rng(12)
-        st = make_state(basis, rng)
+        st = make_state(basis, rng, K)
         rep = gal.energy_report(gal.GalerkinOperators(params, basis, eps_density=1e-3).fields(st))
         assert rep["E_kin"] >= 0 and rep["E_mag"] >= 0
         assert rep["D_visc"] >= 0 and rep["D_mag"] >= 0

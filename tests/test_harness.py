@@ -36,7 +36,7 @@ t_end = 0.01
 # serialize_config's text for a config with every section set: copies of
 # config.cfg in run directories are read back in this format
 PINNED_TEXT = """\
-# specmhd configuration (schema 2)
+# specmhd configuration (schema 3)
 
 [constitutive]
 power_law_exponent = 2.5
@@ -69,7 +69,6 @@ density_regularization = 0.125
 [step]
 dt = 0.01
 t_end = 0.5
-scheme = implicit-midpoint
 solver_tolerance = 1e-12
 max_nonlinear_iterations = 20
 theta_clamp = clamp
@@ -138,7 +137,7 @@ class TestConfigLoading:
             temperature_modes=9,
             magnetic_modes=6,
             density_regularization=0.125,
-            step=StepConfig(dt=0.01, t_end=0.5, scheme="implicit-midpoint", max_nonlinear_iterations=20),
+            step=StepConfig(dt=0.01, t_end=0.5, max_nonlinear_iterations=20),
             initial_family="random_band",
             initial_params={"velocity_amplitude": 0.25, "seed": 2},
             output_directory="out/pinned",
@@ -537,7 +536,7 @@ class TestSweeps:
         assert all("density bounds drifted" in cell["error"] for cell in aborted)
 
     def test_density_difference_is_grid_l2_norm(self):
-        basis = sp.build_basis(2.0 * np.pi, 12, 20)
+        basis = sp.build_basis(2.0 * np.pi, 12)
         rng = np.random.default_rng(0)
         ra, rb = (basis.synth_scalar(rng.normal(size=9)) for _ in range(2))
         diff = basis.spectral_to_grid(ra) - basis.spectral_to_grid(rb)
@@ -625,7 +624,7 @@ class TestCli:
         blowup.write_text(
             "[domain]\ngrid_points = 8\n\n"
             "[truncation]\nvelocity_modes = 12\ntemperature_modes = 13\nmagnetic_modes = 12\n\n"
-            "[step]\ndt = 50.0\nt_end = 500.0\nscheme = implicit-midpoint\n\n"
+            "[step]\ndt = 50.0\nt_end = 500.0\n\n"
             "[initial]\nfamily = random_band\nseed = 3\nvelocity_amplitude = 0.5\n"
         )
         with np.errstate(all="ignore"):
@@ -638,13 +637,13 @@ class TestCli:
         assert (tmp_path / "bl" / "summary.json").exists()
         assert (tmp_path / "bl" / "diagnostics.csv").exists()
 
-    @pytest.mark.parametrize("removed", ["explicit-rk4", "imex-cn-ab2"])
-    def test_removed_scheme_is_config_error(self, tmp_path, capsys, removed):
-        path = tmp_path / "removed.cfg"
-        path.write_text(MINIMAL + f"scheme = {removed}\n")
+    def test_scheme_key_is_unknown(self, tmp_path, capsys):
+        # config schema 3 dropped [step] scheme, which admitted one value
+        path = tmp_path / "schema2.cfg"
+        path.write_text(MINIMAL + "scheme = implicit-midpoint\n")
         args = ["run", "--config", str(path), "--output-dir", str(tmp_path / "out"), "--quiet"]
         assert cli.main(args) == harness.EXIT_CONFIG
-        assert f"unknown scheme {removed!r}" in capsys.readouterr().err
+        assert "unknown key 'scheme' in section [step]" in capsys.readouterr().err
 
     def test_invariant_failure_names_its_cause(self, tmp_path, capsys):
         # with seed 3 random_band trips the density monitor at the first step

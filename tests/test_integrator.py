@@ -23,10 +23,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
 
+# 36 modes: full first and second shells, so triad couplings are active
+K = 36
+
+
 @pytest.fixture(scope="module")
 def basis():
-    # 36 modes: full first and second shells, so triad couplings are active
-    return sp.build_basis(L, 8, 36)
+    return sp.build_basis(L, 8)
 
 
 @pytest.fixture()
@@ -37,22 +40,22 @@ def params():
 def plain_state(basis, theta0=1.0, rho0=1.0):
     rho_spec = basis.zero_spectrum()
     rho_spec[0, 0, 0] = rho0
-    b = np.zeros(min(basis.k_modes + 1, basis.n_scalar_modes))
+    b = np.zeros(min(K + 1, basis.n_scalar_modes))
     b[0] = theta0 * np.sqrt(basis.volume)
     return gal.SimState(
         t=0.0,
         rho=rho_spec,
-        a=np.zeros(basis.k_modes),
+        a=np.zeros(K),
         b=b,
-        c=np.zeros(basis.k_modes),
+        c=np.zeros(K),
         basis=basis,
     )
 
 
 def run(params, basis, state, dt, t_end, eps=0.0, cadence=1):
     cfg = itg.StepConfig(dt=dt, t_end=t_end)
-    rec = diag.TrajectoryRecorder(params, basis)
-    summary = itg.integrate(params, basis, state, cfg, observers=[rec], eps_density=eps, cadence=cadence)
+    rec = diag.TrajectoryRecorder(params)
+    summary = itg.integrate(params, state, cfg, observers=[rec], eps_density=eps, cadence=cadence)
     return summary, rec
 
 
@@ -68,15 +71,12 @@ class TestStepBasics:
     def test_config_validation(self):
         assert itg.StepConfig(dt=-1.0).validate()
         assert itg.StepConfig(solver_tolerance=1e-3).validate()
-        for removed in ("leapfrog", "explicit-rk4", "imex-cn-ab2"):
-            (bad,) = itg.StepConfig(scheme=removed).validate()
-            assert repr(removed) in bad
         assert not itg.StepConfig().validate()
 
     def test_invalid_initial_density_rejected(self, basis, params):
         st = plain_state(basis, rho0=5.0)  # above density_max
         with pytest.raises(ConfigError, match="initial state invalid"):
-            itg.integrate(params, basis, st, itg.StepConfig(dt=1e-3, t_end=1e-3))
+            itg.integrate(params, st, itg.StepConfig(dt=1e-3, t_end=1e-3))
 
 
 class TestMagneticDecayOracle:
@@ -141,7 +141,7 @@ class TestGuards:
         st.a[:4] = 1.0
         cfg = itg.StepConfig(dt=50.0, t_end=500.0)
         with np.errstate(all="ignore"), pytest.raises(BlowUpError, match="blow-up detected at t=50"):
-            itg.integrate(params, basis, st, cfg)
+            itg.integrate(params, st, cfg)
 
     def test_clamp_policy_error(self, basis):
         params = cst.ConstitutiveParams(temperature_floor=2.0)
@@ -149,7 +149,7 @@ class TestGuards:
         st.c[0] = 0.1
         cfg = itg.StepConfig(dt=1e-3, t_end=0.01, theta_clamp="error")
         with pytest.raises(InvariantViolation, match="clamped"):
-            itg.integrate(params, basis, st, cfg)
+            itg.integrate(params, st, cfg)
 
     def test_abort_carries_the_trajectory(self, basis):
         params = cst.ConstitutiveParams(temperature_floor=2.0)
@@ -157,7 +157,7 @@ class TestGuards:
         st.c[0] = 0.1
         cfg = itg.StepConfig(dt=1e-3, t_end=0.01, theta_clamp="error")
         with pytest.raises(InvariantViolation) as caught:
-            itg.integrate(params, basis, st, cfg)
+            itg.integrate(params, st, cfg)
         traj = caught.value.trajectory
         # the monitor rejects the state of step 1, which the summary holds
         assert traj.n_steps == 1 and traj.final_state.t == pytest.approx(1e-3)
@@ -255,7 +255,7 @@ class TestPredictor:
         basis = harness.build_basis_for(cfg)
         state0 = build_initial_state(cfg, basis)
         eps = cfg.density_regularization
-        summary = itg.integrate(cfg.constitutive, basis, state0, step_cfg, eps_density=eps)
+        summary = itg.integrate(cfg.constitutive, state0, step_cfg, eps_density=eps)
         ref, ref_work = forward_euler_started_run(cfg.constitutive, basis, state0, step_cfg, eps)
         assert summary.n_steps == math.ceil(steps)
         assert summary.final_state.t == ref.t
@@ -270,8 +270,8 @@ def _initial(cfg):
 
 
 def _integrate(cfg):
-    basis, state0 = _initial(cfg)
-    return itg.integrate(cfg.constitutive, basis, state0, cfg.step, eps_density=cfg.density_regularization)
+    _, state0 = _initial(cfg)
+    return itg.integrate(cfg.constitutive, state0, cfg.step, eps_density=cfg.density_regularization)
 
 
 class TestStiffStage:
@@ -344,7 +344,7 @@ class TestStiffStage:
 
     def test_stiff_diagonal_frozen_at_the_first_stage(self, monkeypatch):
         cfg = load_config(CONFIGS / "random_band.cfg")
-        basis, state = _initial(cfg)
+        _, state = _initial(cfg)
         dt = cfg.step.dt
         calls, realized, steps = [], [], []
         stiff = gal.GalerkinOperators.stiff_diagonal
@@ -369,7 +369,7 @@ class TestStiffStage:
         monkeypatch.setattr(gal.GalerkinOperators, "fields", realizing)
         monkeypatch.setattr(itg, "step", stepping)
         step_cfg = replace(cfg.step, t_end=4 * dt)
-        itg.integrate(cfg.constitutive, basis, state, step_cfg, eps_density=cfg.density_regularization)
+        itg.integrate(cfg.constitutive, state, step_cfg, eps_density=cfg.density_regularization)
         assert len(steps) == 4 and any(n > 1 for _, n, _ in steps)
         # at most one call per step, only when it iterates, on its first stage
         assert calls == [(0.5 * dt, first) for _, n, first in steps if n > 1]

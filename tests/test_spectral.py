@@ -28,9 +28,12 @@ from helpers import (
 L = 2.0 * np.pi
 
 
+K = 24
+
+
 @pytest.fixture(scope="module")
 def basis():
-    return sp.build_basis(L, 16, 24)
+    return sp.build_basis(L, 16)
 
 
 def mode_field_oracle(basis, j, grid):
@@ -45,21 +48,20 @@ def mode_field_oracle(basis, j, grid):
 
 class TestBasisConstruction:
     def test_smallest_shell_first(self):
-        b = sp.build_basis(L, 8, 2)
+        b = sp.build_basis(L, 8)
         assert np.all(np.sum(b.vec_n[:2] ** 2, axis=1) == 1)
         np.testing.assert_allclose(b.vec_k2[:2], 1.0)
 
-    def test_mode_count_matches_truncation(self, basis):
-        assert basis.k_modes == 24
-        assert basis.n_vector_modes >= 24
+    def test_mode_counts_fill_the_cutoff(self, basis):
+        assert (basis.n_vector_modes, basis.n_scalar_modes) == sp.available_modes(16) == (1028, 515)
 
-    def test_too_many_modes_rejected(self):
+    def test_too_many_modes_rejected(self, basis):
         with pytest.raises(ResolutionError, match="insufficient resolution"):
-            sp.build_basis(L, 8, 10_000)
+            basis.synth_vector(np.zeros(basis.n_vector_modes + 1))
 
     def test_odd_grid_rejected(self):
         with pytest.raises(ResolutionError, match="even"):
-            sp.build_basis(L, 15, 4)
+            sp.build_basis(L, 15)
 
     def test_gram_matrix_identity(self, basis):
         # quadrature oracle: direct grid products of trig-evaluated modes
@@ -71,12 +73,12 @@ class TestBasisConstruction:
 
     def test_modes_divergence_free(self, basis):
         # with orthonormality, Parseval and gradients orthogonal to the modes
-        ok, detail = harness.CHECKS["spectral.core"](basis=basis)
+        ok, detail = harness.CHECKS["spectral.core"](basis=basis, modes=K)
         assert ok, detail
 
     def test_deterministic_ordering(self):
-        a = sp.build_basis(L, 16, 24)
-        b = sp.build_basis(L, 32, 24)
+        a = sp.build_basis(L, 16)
+        b = sp.build_basis(L, 32)
         np.testing.assert_array_equal(a.vec_n[:24], b.vec_n[:24])
         np.testing.assert_allclose(a.vec_e[:24], b.vec_e[:24])
 
@@ -84,7 +86,7 @@ class TestBasisConstruction:
     @pytest.mark.parametrize("grid", [4, 6, 8, 16, 32])
     def test_tables_match_per_wavevector_construction(self, grid):
         # snapshots and coefficient vectors depend on these bits
-        b = sp.build_basis(L, grid, 1)
+        b = sp.build_basis(L, grid)
         for name, want in oracle_mode_tables(b.cutoff).items():
             got = getattr(b, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -94,15 +96,15 @@ class TestBasisConstruction:
 class TestFieldRoundTrip:
     def test_grid_spectral_round_trip(self, basis):
         rng = np.random.default_rng(3)
-        coeffs = rng.normal(size=basis.k_modes)
+        coeffs = rng.normal(size=K)
         vals = basis.vector_grid(coeffs)
         back = basis.spectral_to_grid(basis.grid_to_spectral(vals))
         np.testing.assert_allclose(back, vals, rtol=1e-12, atol=1e-13)
 
     def test_projection_recovers_coefficients(self, basis):
         rng = np.random.default_rng(4)
-        coeffs = rng.normal(size=basis.k_modes)
-        got = basis.project_vector(basis.vector_grid(coeffs))
+        coeffs = rng.normal(size=K)
+        got = basis.project_vector(basis.vector_grid(coeffs), K)
         np.testing.assert_allclose(got, coeffs, rtol=1e-12, atol=1e-13)
 
     def test_scalar_projection_with_constant(self, basis):
@@ -113,7 +115,7 @@ class TestFieldRoundTrip:
 
     def test_snapshot_round_trip(self, basis, tmp_path):
         rng = np.random.default_rng(6)
-        vals = basis.vector_grid(rng.normal(size=basis.k_modes))
+        vals = basis.vector_grid(rng.normal(size=K))
         f = sp.Field("vector", "grid", vals, L)
         f.save(tmp_path / "snap")
         g = sp.Field.load(tmp_path / "snap")
@@ -163,7 +165,7 @@ class TestDifferentiate:
 
     def test_curl_curl_is_minus_laplacian_on_solenoidal(self, basis):
         rng = np.random.default_rng(13)
-        c = basis.synth_vector(rng.normal(size=basis.k_modes))
+        c = basis.synth_vector(rng.normal(size=K))
         cc = basis.curl(basis.curl(c))
         kx, ky, kz = basis.wavenumbers()
         lap = -(kx**2 + ky**2 + kz**2) * c
@@ -175,7 +177,7 @@ class TestInnerProductAndDealias:
 
     def test_parseval(self, basis):
         rng = np.random.default_rng(16)
-        coeffs = rng.normal(size=basis.k_modes)
+        coeffs = rng.normal(size=K)
         vals = basis.vector_grid(coeffs)
         grid_norm = basis.volume / basis.grid_points**3 * np.sum(vals**2)
         assert grid_norm == pytest.approx(float(np.sum(coeffs**2)), rel=1e-10)
@@ -201,10 +203,10 @@ class TestHalfSpectrumLayout:
     def test_synth_vector_matches_trig_oracle(self, basis):
         # modes on both sides of the plane nx = 0, where the conjugate
         # partner is stored explicitly
-        on_plane = basis.vec_n[: basis.k_modes, 0] == 0
+        on_plane = basis.vec_n[:K, 0] == 0
         assert on_plane.any() and (~on_plane).any()
         rng = np.random.default_rng(21)
-        coeffs = rng.normal(size=basis.k_modes)
+        coeffs = rng.normal(size=K)
         got = basis.spectral_to_grid(basis.synth_vector(coeffs))
         want = oracle_vector_field(basis, coeffs, oracle_mesh(L, basis.grid_points))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -239,7 +241,7 @@ class TestHalfSpectrumLayout:
         want[:, 8] = want[:, :, 8] = want[:, :, :, 8] = 0.0
         np.testing.assert_array_equal(basis.resample_spectrum(up, 16), want)
         # a padded band-limited spectrum is the same field sampled on 24^3
-        coeffs = rng.normal(size=basis.k_modes)
+        coeffs = rng.normal(size=K)
         up = basis.resample_spectrum(basis.synth_vector(coeffs), 24)
         want = oracle_vector_field(basis, coeffs, oracle_mesh(L, 24))
         np.testing.assert_allclose(basis.spectral_to_grid(up), want, rtol=0, atol=1e-13)
@@ -253,7 +255,7 @@ class TestHalfSpectrumLayout:
 
     def test_theta_sobolev_matches_grid_quadrature(self, basis):
         p = cst.ConstitutiveParams(conductivity_exponent=1.0)
-        st = make_state(basis, np.random.default_rng(24), theta_amp=0.5)
+        st = make_state(basis, np.random.default_rng(24), K, theta_amp=0.5)
         f = gal.GalerkinOperators(p, basis).fields(st)
         lam = gal.THETA_NEG_POWER
         rep = gal.energy_report(f)
