@@ -645,6 +645,15 @@ class TestCli:
         assert cli.main(args) == harness.EXIT_CONFIG
         assert "unknown key 'scheme' in section [step]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("removed", ["explicit-rk4", "imex-cn-ab2"])
+    def test_removed_scheme_is_config_error(self, tmp_path, capsys, removed):
+        # a config naming a scheme removed before schema 3 fails on the key itself
+        path = tmp_path / "removed.cfg"
+        path.write_text(MINIMAL + f"scheme = {removed}\n")
+        args = ["run", "--config", str(path), "--output-dir", str(tmp_path / "out"), "--quiet"]
+        assert cli.main(args) == harness.EXIT_CONFIG
+        assert "unknown key 'scheme' in section [step]" in capsys.readouterr().err
+
     def test_invariant_failure_names_its_cause(self, tmp_path, capsys):
         # with seed 3 random_band trips the density monitor at the first step
         args = ["run", "--config", str(CONFIGS / "random_band.cfg"), "--seed", "3"]
