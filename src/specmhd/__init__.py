@@ -2,7 +2,7 @@
 heat-conducting, power-law incompressible MHD on a periodic box."""
 
 from specmhd.constitutive import ConstitutiveParams, validate_params
-from specmhd.spectral import DivFreeSpectralBasis, Field, build_basis
+from specmhd.spectral import DivFreeSpectralBasis, build_basis
 from specmhd.galerkin import GalerkinOperators, SimState
 from specmhd.integrator import StepConfig, TrajectorySummary, integrate, step
 
@@ -10,7 +10,6 @@ __all__ = [
     "ConstitutiveParams",
     "validate_params",
     "DivFreeSpectralBasis",
-    "Field",
     "build_basis",
     "GalerkinOperators",
     "SimState",

@@ -270,6 +270,15 @@ def validate_config(cfg: RunConfig) -> list[str]:
     if cfg.sweep_kind and cfg.sweep_kind not in SWEEP_KINDS:
         bad.append(f"unknown sweep kind {cfg.sweep_kind!r}; options {SWEEP_KINDS}")
     elif cfg.sweep_kind:
+        # consecutive cells are compared as coarse then fine
+        finer = 1 if cfg.sweep_kind == "modes" else -1
+        listed = ",".join(map(str, cfg.sweep_values))
+        for prev, v in zip(cfg.sweep_values, cfg.sweep_values[1:]):
+            if not finer * (v - prev) > 0:
+                bad.append(
+                    f"sweep value {v}: does not refine {prev}; {cfg.sweep_kind} must strictly "
+                    f"{'increase' if finer > 0 else 'decrease'} along the sweep (got {listed})"
+                )
         for v, cell in zip(cfg.sweep_values, sweep_cells(cfg)):
             bad += [f"sweep value {v}: {msg}" for msg in validate_config(cell) if msg not in bad]
     return bad

@@ -3,8 +3,9 @@ self-verification suite.
 
 Every run directory receives the canonical config copy, the diagnostics CSV
 (fixed column order, one row per sample), a machine-readable ``summary.json``,
-and a schema-version stamp.  Runs are deterministic for a fixed config and
-seed: identical inputs produce byte-identical CSV output.
+a schema-version stamp, and, with ``snapshots`` on, the final state's grid
+samples.  Runs are deterministic for a fixed config and seed: identical
+inputs produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, MassSol
 from specmhd.initial_conditions import build_initial_state
 
 OUTPUT_ROOT_ENV = "SPECMHD_OUTPUT_ROOT"
+FIELD_SCHEMA_VERSION = "field-v2"
 
 EXIT_PASS = 0
 EXIT_INVARIANT = 1
@@ -57,7 +59,7 @@ def _write_stamp(outdir: Path) -> None:
     stamp = {
         "config_schema": CONFIG_SCHEMA_VERSION,
         "diagnostics_schema": diag.DIAGNOSTICS_SCHEMA_VERSION,
-        "field_schema": sp.FIELD_SCHEMA_VERSION,
+        "field_schema": FIELD_SCHEMA_VERSION,
         "mode_ordering": sp.MODE_ORDERING_VERSION,
         "package_version": specmhd.__version__,
     }
@@ -82,12 +84,33 @@ def _decay_rate_estimate(recorder: diag.TrajectoryRecorder) -> float | None:
     return float(-(np.log(h1) - np.log(h0)) / dt)
 
 
+def _write_snapshot(prefix: Path, values: np.ndarray, box_size: float) -> None:
+    """Write the grid samples of a scalar (G, G, G) or vector (3, G, G, G)
+    field as ``<prefix>.bin`` (raw little-endian float64, x varying fastest,
+    components outermost) plus a JSON sidecar ``<prefix>.json`` describing
+    the layout."""
+    # reorder the trailing (x, y, z) axes so x varies fastest on disk
+    disk = np.moveaxis(values, (-3, -2, -1), (-1, -2, -3))
+    prefix.with_suffix(".bin").write_bytes(np.ascontiguousarray(disk, dtype="<f8").tobytes())
+    header = {
+        "schema": FIELD_SCHEMA_VERSION,
+        "kind": "vector" if values.ndim == 4 else "scalar",
+        "representation": "grid",
+        "shape": list(values.shape),
+        "box_size": box_size,
+        "order": "x-fastest",
+        "complex_parts": False,
+        "mode_ordering_version": sp.MODE_ORDERING_VERSION,
+    }
+    prefix.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True))
+
+
 def _final_snapshots(outdir: Path, state: gal.SimState) -> None:
     basis = state.basis
-    sp.Field("scalar", "grid", basis.spectral_to_grid(state.rho), basis.box_size).save(outdir / "rho_final")
-    sp.Field("vector", "grid", basis.vector_grid(state.a), basis.box_size).save(outdir / "velocity_final")
-    sp.Field("vector", "grid", basis.vector_grid(state.c), basis.box_size).save(outdir / "magnetic_final")
-    sp.Field("scalar", "grid", basis.scalar_grid(state.b), basis.box_size).save(outdir / "theta_final")
+    _write_snapshot(outdir / "rho_final", basis.spectral_to_grid(state.rho), basis.box_size)
+    _write_snapshot(outdir / "velocity_final", basis.vector_grid(state.a), basis.box_size)
+    _write_snapshot(outdir / "magnetic_final", basis.vector_grid(state.c), basis.box_size)
+    _write_snapshot(outdir / "theta_final", basis.scalar_grid(state.b), basis.box_size)
 
 
 def _flag_failure(records: list, heat_drop: float) -> str:

@@ -14,7 +14,7 @@ half-spectrum layout and the phase convention.  Real trigonometric modes on
 Canonical means lexicographically positive, so the ``+k``/``-k`` pair is
 enumerated once.  Modes are ordered by ``|k|``, then lexicographically, then
 by polarization index, then phase (cosine before sine); this ordering is
-versioned because snapshots and coefficient vectors depend on it.  The mode
+versioned because coefficient vectors depend on it.  The mode
 tables are whole-array expressions over all canonical wavevectors; the row
 norms (``_row_norms``) are chosen to keep the bits of ordering version 1.
 
@@ -46,10 +46,7 @@ Galerkin mass matrices.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -57,7 +54,6 @@ from specmhd.constitutive import SYM_PAIRS, SYM_WEIGHTS
 from specmhd.errors import ResolutionError
 
 MODE_ORDERING_VERSION = "1"
-FIELD_SCHEMA_VERSION = "field-v2"
 
 _PHASE_COS = 0
 _PHASE_SIN = 1
@@ -189,17 +185,16 @@ class DivFreeSpectralBasis:
         ints = np.fft.fftfreq(g, d=1.0 / g)
         return np.arange(g // 2 + 1.0)[:, None, None], ints[None, :, None], ints[None, None, :]
 
-    def wavenumbers(self, grid: int | None = None):
+    def wavenumbers(self, grid: int):
         """Physical wavenumber arrays (kx, ky, kz) for the half layout on G^3."""
-        g = grid or self.grid_points
-        if g not in self._wavenumber_cache:
+        if grid not in self._wavenumber_cache:
             base = 2.0 * np.pi / self.box_size
-            self._wavenumber_cache[g] = tuple(base * n for n in self._integer_wavenumbers(g))
-        return self._wavenumber_cache[g]
+            self._wavenumber_cache[grid] = tuple(base * n for n in self._integer_wavenumbers(grid))
+        return self._wavenumber_cache[grid]
 
-    def dealias_mask(self, grid: int | None = None) -> np.ndarray:
+    def dealias_mask(self, grid: int) -> np.ndarray:
         """Boolean mask keeping |n| <= cutoff on a half-layout spectrum."""
-        nx, ny, nz = self._integer_wavenumbers(grid or self.grid_points)
+        nx, ny, nz = self._integer_wavenumbers(grid)
         return nx**2 + ny**2 + nz**2 <= self.cutoff * self.cutoff + 0.5
 
     def oversample_grid(self) -> int:
@@ -497,67 +492,6 @@ class DivFreeSpectralBasis:
     def project_vector(self, values: np.ndarray, count: int) -> np.ndarray:
         """L2 projection of a grid vector field onto the first ``count`` modes."""
         return self.gather_vector(self.grid_to_spectral(values), count)
-
-
-@dataclass
-class Field:
-    """One snapshot record: a scalar or vector field as grid samples or
-    spectral amplitudes, written by :meth:`save` and read by :meth:`load`.
-
-    Grid payloads are real with trailing shape (G, G, G).  Spectral payloads
-    are amplitude-normalized complex x-half spectra with trailing shape
-    (G // 2 + 1, G, G), as the module docstring describes.  Vector data
-    carries a leading component axis of length 3.  The solver itself holds
-    bare arrays; transforms are :meth:`DivFreeSpectralBasis.grid_to_spectral`
-    and :meth:`DivFreeSpectralBasis.spectral_to_grid`.
-    """
-
-    kind: str
-    representation: str
-    data: np.ndarray
-    box_size: float
-
-    def save(self, prefix: str | Path) -> None:
-        """Write ``<prefix>.bin`` (raw little-endian float64, x fastest) plus
-        a JSON sidecar ``<prefix>.json`` describing the layout."""
-        prefix = Path(prefix)
-        complex_parts = self.representation == "spectral"
-        arr = self.data
-        if complex_parts:
-            arr = np.stack([arr.real, arr.imag])
-        # reorder the trailing (x, y, z) axes so x varies fastest on disk
-        arr = np.moveaxis(arr, (-3, -2, -1), (-1, -2, -3))
-        payload = np.ascontiguousarray(arr, dtype="<f8")
-        prefix.with_suffix(".bin").write_bytes(payload.tobytes())
-        header = {
-            "schema": FIELD_SCHEMA_VERSION,
-            "kind": self.kind,
-            "representation": self.representation,
-            "shape": list(self.data.shape),
-            "box_size": self.box_size,
-            "order": "x-fastest",
-            "complex_parts": complex_parts,
-            "mode_ordering_version": MODE_ORDERING_VERSION,
-        }
-        prefix.with_suffix(".json").write_text(json.dumps(header, indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, prefix: str | Path) -> "Field":
-        prefix = Path(prefix)
-        header = json.loads(prefix.with_suffix(".json").read_text())
-        if header["schema"] != FIELD_SCHEMA_VERSION:
-            raise ValueError(f"unsupported field schema {header['schema']!r}")
-        shape = tuple(header["shape"])
-        disk_shape = ((2,) if header["complex_parts"] else ()) + shape
-        disk_shape = disk_shape[:-3] + (disk_shape[-1], disk_shape[-2], disk_shape[-3])
-        raw = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8")
-        arr = raw.reshape(disk_shape)
-        arr = np.moveaxis(arr, (-3, -2, -1), (-1, -2, -3))
-        if header["complex_parts"]:
-            data = arr[0] + 1j * arr[1]
-        else:
-            data = arr.copy()
-        return cls(header["kind"], header["representation"], np.ascontiguousarray(data), header["box_size"])
 
 
 # --------------------------------------------------------------- module API

@@ -5,7 +5,8 @@ mass assembly that the per-wavevector-pair assembly must reproduce bitwise,
 the induction matrix of the solver's induction right-hand side, a
 miswired Lorentz force for fault injection, a midpoint time loop that
 starts every step from its start-state rates, the plain (undamped)
-midpoint stage iteration, and the stiff 800-mode random_band input.
+midpoint stage iteration, the stiff 800-mode random_band input, and the
+README's snapshot reader.
 
 The quadrature oracle never touches the FFT machinery: modes and fields are
 evaluated from their closed trigonometric forms on a uniform dense grid and
@@ -16,6 +17,7 @@ polynomials whose bandwidth stays below the grid size.
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -342,3 +344,12 @@ def stiff_random_band(dt, steps=2, seed=5):
         initial_params={**cfg.initial_params, "seed": seed},
     )
     return dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, dt=dt, t_end=steps * dt))
+
+
+def read_snapshot(prefix: Path) -> tuple[dict, np.ndarray]:
+    """A snapshot's sidecar header and its grid samples, read as the README's
+    "Snapshot format" section reads them."""
+    header = json.loads(prefix.with_suffix(".json").read_text())
+    *lead, gx, gy, gz = header["shape"]
+    raw = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8")
+    return header, np.moveaxis(raw.reshape(*lead, gz, gy, gx), (-3, -2, -1), (-1, -2, -3))

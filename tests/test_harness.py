@@ -15,7 +15,7 @@ from specmhd.errors import ConfigError
 from specmhd.initial_conditions import FAMILIES, build_initial_state
 from specmhd.integrator import StepConfig
 
-from helpers import lorentz_flipped, stiff_random_band
+from helpers import lorentz_flipped, read_snapshot, stiff_random_band
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -87,6 +87,24 @@ snapshots = true
 kind = modes
 values = 4,6,8
 """
+
+# the JSON sidecar of single_mode_mhd's final velocity snapshot
+SNAPSHOT_SIDECAR = """\
+{
+  "box_size": 6.283185307179586,
+  "complex_parts": false,
+  "kind": "vector",
+  "mode_ordering_version": "1",
+  "order": "x-fastest",
+  "representation": "grid",
+  "schema": "field-v2",
+  "shape": [
+    3,
+    8,
+    8,
+    8
+  ]
+}"""
 
 
 class TestConfigLoading:
@@ -306,6 +324,21 @@ class TestRunOutputs:
         # the written config reloads to the exact run configuration
         assert load_config(outdir / "config.cfg") == cfg
 
+    def test_snapshots_are_the_final_state(self, tmp_path):
+        # single_mode_mhd, not magnetic_decay: a flow at rest and a constant
+        # density would match under any layout
+        cfg = load_config(CONFIGS / "single_mode_mhd.cfg")
+        cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, t_end=1e-3), snapshots=True)
+        rep = harness.run(cfg, output_dir=str(tmp_path / "out"), quiet=True, store_history=True)
+        final, basis = rep.recorder.history[-1], rep.recorder.basis
+        assert final["t"] == rep.summary["final"]["t"]
+        header, velocity = read_snapshot(rep.output_dir / "velocity_final")
+        assert (rep.output_dir / "velocity_final.json").read_text() == SNAPSHOT_SIDECAR
+        np.testing.assert_array_equal(velocity, basis.vector_grid(final["a"]))
+        _, rho = read_snapshot(rep.output_dir / "rho_final")
+        np.testing.assert_array_equal(rho, basis.spectral_to_grid(final["rho_spec"]))
+        assert np.ptp(velocity) > 0 and np.ptp(rho) > 0
+
     def test_decay_rate_in_summary(self, tmp_path):
         cfg = load_config(CONFIGS / "magnetic_decay.cfg")
         rep = harness.run(cfg, output_dir=str(tmp_path / "decay"), quiet=True)
@@ -452,6 +485,8 @@ class TestSweeps:
             ("sweep_modes", "8,16,5000", "5000"),  # more vector modes than fit
             ("sweep_modes", "8,16,600", "600"),  # the cell's 601 temperature modes do not fit
             ("sweep_eps", "4e-3,2e-3,-1.0", "-1.0"),  # anti-diffusive density transport
+            ("sweep_modes", "32,16,8", "16"),  # coarsens instead of refining
+            ("sweep_eps", "1e-3,2e-3,2e-3", "0.002"),  # a repeated value refines nothing
         ],
     )
     def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, name, values, bad):
