@@ -38,13 +38,22 @@ weight (:class:`MassOperator`), started from the caller's guess, the rates
 of a nearby state.  :func:`matrix_free` is the rule between the two.  Only
 :mod:`specmhd.spectral` knows the mode tables behind them.
 
-Quadratic and cubic products of basis-band fields are integrated exactly on
-the base grid (the mode cutoff sits strictly inside the two-thirds rule):
-the Lorentz force, the induction transport and the Joule heating
-``nu |curl H|^2`` are gathered there, from one ``curl H``.  Non-polynomial
-factors (power-law stress, temperature powers, specific heat) are evaluated
-on a 3/2-oversampled grid, leaving a controlled quadrature error there and
-nowhere else.
+A pairing of up to three basis-band factors, the test function included, is
+integrated exactly on the base grid (the mode cutoff K sits strictly inside
+the two-thirds rule, so ``3K < N``): the Lorentz force, the induction
+transport, the Joule heating ``nu |curl H|^2`` (gathered there from one
+``curl H``) and the regularization term ``eps (grad rho . grad u, psi_j)``.
+The convection pairing ``(rho (u.grad)u, psi_j)`` has four band factors, of
+per-axis degree up to ``4K`` (20 > 16 at N = 16): its base-grid quadrature
+is exact only while the density's largest per-axis wavenumber plus three
+times the velocity's stays below N (ROADMAP item 12).  Non-polynomial factors
+(power-law stress, temperature powers, specific heat) are evaluated on a
+3/2-oversampled grid, leaving a controlled quadrature error there.
+
+Every gather reads only band entries, so each right-hand side takes its
+integrands to the band cube of :mod:`specmhd.spectral`, and the oversampled
+realizations start from it; the base-grid realizations keep the full
+inverse transform.
 """
 
 from __future__ import annotations
@@ -146,6 +155,7 @@ class _StateFields:
         self.basis = ops.basis
         self.n = ops.basis.grid_points
         self.m = ops.basis.oversample_grid()
+        self.band = ops.basis.band
 
     # ---- base grid (exact for polynomial nonlinearities)
 
@@ -195,7 +205,8 @@ class _StateFields:
     def density_rate(self):
         """Spectral rate -div(rho u) + eps lap(rho), dealiased, mean zero."""
         flux = self.rho[None] * self.u
-        rate = -self.basis.div(self.basis.grid_to_spectral(flux)) * self.ops._mask_n
+        rate = -self.basis.div(self.basis.grid_to_spectral(flux, size=self.band)) * self.ops._mask_band
+        rate = self.basis.resample_spectrum(rate, self.n)
         if self.ops.eps_density:
             rate = rate - self.ops.eps_density * self.ops._k2_n * self.st.rho
         return rate
@@ -212,15 +223,15 @@ class _StateFields:
 
     @cached_property
     def c_u_m(self):
-        return self.basis.synth_vector(self.st.a, self.m)
+        return self.basis.synth_vector(self.st.a, self.band)
 
     @cached_property
     def c_theta_m(self):
-        return self.basis.synth_scalar(self.st.b, self.m)
+        return self.basis.synth_scalar(self.st.b, self.band)
 
     @cached_property
     def u_m(self):
-        return self.basis.spectral_to_grid(self._last_use("c_u_m", "strain_m"))
+        return self.basis.spectral_to_grid(self._last_use("c_u_m", "strain_m"), grid=self.m)
 
     @cached_property
     def strain_m(self):
@@ -229,25 +240,29 @@ class _StateFields:
         c = self._last_use("c_u_m", "u_m")
         out = np.empty((6,) + (self.m,) * 3, dtype=float)
         for p, (i, j) in enumerate(cst.SYM_PAIRS):
-            out[p] = self.basis.spectral_to_grid(self.basis.strain(c, i, j))
+            out[p] = self.basis.spectral_to_grid(self.basis.strain(c, i, j), grid=self.m)
         return out
+
+    def _band_to_m(self, spectrum):
+        """A band-limited base-grid spectrum on the oversampled grid."""
+        return self.basis.spectral_to_grid(self.basis.resample_spectrum(spectrum, self.band), grid=self.m)
 
     @cached_property
     def rho_m(self):
-        return self.basis.spectral_to_grid(self.basis.resample_spectrum(self.st.rho, self.m))
+        return self._band_to_m(self.st.rho)
 
     @cached_property
     def rho_t_m(self):
         """The density rate on the oversampled grid."""
-        return self.basis.spectral_to_grid(self.basis.resample_spectrum(self.density_rate, self.m))
+        return self._band_to_m(self.density_rate)
 
     @cached_property
     def theta_m(self):
-        return self.basis.spectral_to_grid(self._last_use("c_theta_m", "grad_theta_m"))
+        return self.basis.spectral_to_grid(self._last_use("c_theta_m", "grad_theta_m"), grid=self.m)
 
     @cached_property
     def grad_theta_m(self):
-        return self.basis.grid_gradient(self._last_use("c_theta_m", "theta_m"))
+        return self.basis.grid_gradient(self._last_use("c_theta_m", "theta_m"), grid=self.m)
 
     @cached_property
     def clamp_count(self) -> int:
@@ -346,18 +361,18 @@ def _cg_iteration_cap(ratio: float) -> int:
 class MassOperator:
     """The mass matrix ``(w phi_i, phi_j)``, i, j < ``count``, of the
     realization ``f`` as its action
-    ``x -> gather(grid_to_spectral(w * spectral_to_grid(synth(x))))`` on the
-    grid of the weight values ``w``, the same quadrature the Gram matrix
-    integrates.  The matrix is never formed: ``mass @ x`` applies it and
-    :meth:`solve` inverts it by CG, recording its iterations on
-    ``f.ops.counters``.
+    ``x -> gather(grid_to_spectral(w * realize(x)))`` on the grid of the
+    weight values ``w``, the same quadrature the Gram matrix integrates.
+    The matrix is never formed: ``mass @ x`` applies it and :meth:`solve`
+    inverts it by CG, recording its iterations on ``f.ops.counters``.
     """
 
-    def __init__(self, f: "_StateFields", weight, count, synth, gather, name):
+    def __init__(self, f: "_StateFields", weight, count, realize, gather, name):
         self.counters = f.ops.counters
+        self.band = f.band
         self.weight = weight
         self.count = count
-        self.synth = synth
+        self.realize = realize
         self.gather = gather
         self.name = name
 
@@ -365,18 +380,21 @@ class MassOperator:
     def velocity(cls, f: "_StateFields") -> "MassOperator":
         """(rho psi_i, psi_j) on the base grid."""
         b = f.basis
-        return cls(f, f.rho, len(f.st.a), b.synth_vector, b.gather_vector, "density")
+        return cls(f, f.rho, len(f.st.a), b.vector_grid, b.gather_vector, "density")
 
     @classmethod
     def thermal(cls, f: "_StateFields") -> "MassOperator":
         """(rho c(theta) omega_i, omega_j) on the oversampled grid."""
         b = f.basis
-        return cls(f, f.heat_capacity_m, len(f.st.b), b.synth_scalar, b.gather_scalar, "rho c(theta)")
+
+        def realize(x):
+            return b.spectral_to_grid(b.synth_scalar(x, f.band), grid=f.m)
+
+        return cls(f, f.heat_capacity_m, len(f.st.b), realize, b.gather_scalar, "rho c(theta)")
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        g = self.weight.shape[-1]
-        u = DivFreeSpectralBasis.spectral_to_grid(self.synth(x, g))
-        return self.gather(DivFreeSpectralBasis.grid_to_spectral(self.weight * u), self.count)
+        values = self.weight * self.realize(x)
+        return self.gather(DivFreeSpectralBasis.grid_to_spectral(values, size=self.band), self.count)
 
     def solve(self, rhs: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
         """``M^-1 rhs`` by CG preconditioned with ``1 / mean(w)``, to the
@@ -458,7 +476,7 @@ class GalerkinOperators:
         self.counters = StepCounters()
         kx, ky, kz = basis.wavenumbers(basis.grid_points)
         self._k2_n = kx * kx + ky * ky + kz * kz
-        self._mask_n = basis.dealias_mask(basis.grid_points)
+        self._mask_band = basis.dealias_mask(basis.band)
         self.magnetic_stiffness_diag = params.magnetic_diffusivity * basis.vec_k2
 
     # ------------------------------------------------------------ rhs pieces
@@ -473,8 +491,8 @@ class GalerkinOperators:
             integrand = integrand + self.eps_density * np.einsum(
                 "mxyz,imxyz->ixyz", f.grad_rho, f.grad_u
             )
-        entries = self.basis.gather_vector(self.basis.grid_to_spectral(integrand), k_u)
-        return entries - self.basis.gather_strain(self.basis.grid_to_spectral(f.stress_m), k_u)
+        entries = self.basis.gather_vector(self.basis.grid_to_spectral(integrand, size=f.band), k_u)
+        return entries - self.basis.gather_strain(self.basis.grid_to_spectral(f.stress_m, size=f.band), k_u)
 
     def thermal_rhs(self, f: _StateFields) -> np.ndarray:
         p = self.params
@@ -483,15 +501,16 @@ class GalerkinOperators:
         transport = f.rho_m[None] * f.heat_m[None] * f.u_m - flux
         source = f.viscous_power_m - f.rho_t_m * f.heat_m
         joule = p.magnetic_diffusivity * np.sum(f.curl_H**2, axis=0)
-        entries = self.basis.gather_scalar_grad(self.basis.grid_to_spectral(transport), k_b)
-        entries += self.basis.gather_scalar(self.basis.grid_to_spectral(source), k_b)
-        return entries + self.basis.gather_scalar(self.basis.grid_to_spectral(joule), k_b)
+        b = self.basis
+        entries = b.gather_scalar_grad(b.grid_to_spectral(transport, size=f.band), k_b)
+        entries += b.gather_scalar(b.grid_to_spectral(source, size=f.band), k_b)
+        return entries + b.gather_scalar(b.grid_to_spectral(joule, size=f.band), k_b)
 
     def induction_rhs(self, f: _StateFields) -> np.ndarray:
         c = f.st.c
         entries = -self.magnetic_stiffness_diag[: len(c)] * c
         w = np.cross(f.u, f.H, axisa=0, axisb=0, axisc=0)
-        return entries + self.basis.gather_vector_curl(self.basis.grid_to_spectral(w), len(c))
+        return entries + self.basis.gather_vector_curl(self.basis.grid_to_spectral(w, size=f.band), len(c))
 
     def rates(self, f: _StateFields, guess: Rates | None = None) -> Rates:
         """The rates at the state of ``f``.  ``guess``, rates at a nearby

@@ -5,8 +5,8 @@ mass assembly that the per-wavevector-pair assembly must reproduce bitwise,
 the induction matrix of the solver's induction right-hand side, a
 miswired Lorentz force for fault injection, a midpoint time loop that
 starts every step from its start-state rates, the plain (undamped)
-midpoint stage iteration, the stiff 800-mode random_band input, and the
-README's snapshot reader.
+midpoint stage iteration, the stiff 800-mode random_band input, the
+README's snapshot reader, and a bitwise array comparison.
 
 The quadrature oracle never touches the FFT machinery: modes and fields are
 evaluated from their closed trigonometric forms on a uniform dense grid and
@@ -353,3 +353,9 @@ def read_snapshot(prefix: Path) -> tuple[dict, np.ndarray]:
     *lead, gx, gy, gz = header["shape"]
     raw = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8")
     return header, np.moveaxis(raw.reshape(*lead, gz, gy, gx), (-3, -2, -1), (-1, -2, -3))
+
+
+def assert_bitwise(got, want):
+    """``got`` and ``want`` have the same shape and the same bits."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

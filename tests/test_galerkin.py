@@ -16,6 +16,7 @@ from specmhd.errors import MassSolveError
 from specmhd.initial_conditions import build_initial_state
 
 from helpers import (
+    assert_bitwise,
     induction_matrix,
     lorentz_flipped,
     make_state,
@@ -534,10 +535,11 @@ class TestGuessedMassSolve:
 
 class TestRealizationWork:
     """Scalar 3-D transforms per call on the ``transform_n32`` benchmark
-    state (random_band, N=32, K=32, eps 1e-3), by direction and grid size,
-    each leading component counted, as the benchmark's tracer counts them.
-    A field realized twice, or on a grid its quadrature does not need,
-    shows here."""
+    state (random_band, N=32, K=32, eps 1e-3), by direction, grid size and
+    whether the spectrum is the band cube or the full one, each leading
+    component counted, as the benchmark's tracer counts them.  A field
+    realized twice, on a grid its quadrature does not need, or through the
+    full spectrum where it reads only the band, shows here."""
 
     @pytest.fixture()
     def n32(self):
@@ -554,9 +556,13 @@ class TestRealizationWork:
         for name in ("grid_to_spectral", "spectral_to_grid"):
             raw = getattr(sp.DivFreeSpectralBasis, name)
 
-            def counted(arr, raw=raw, name=name):
-                counts[name, arr.shape[-1]] += int(np.prod(arr.shape[:-3]))
-                return raw(arr)
+            def counted(arr, raw=raw, name=name, **kw):
+                # the band size of a forward call, the grid of an inverse one
+                size = kw.get("size", kw.get("grid"))
+                band = size not in (None, arr.shape[-1])
+                grid = size if band and name == "spectral_to_grid" else arr.shape[-1]
+                counts[name, grid, "band" if band else "full"] += int(np.prod(arr.shape[:-3]))
+                return raw(arr, **kw)
 
             monkeypatch.setattr(sp.DivFreeSpectralBasis, name, staticmethod(counted))
         return counts
@@ -565,25 +571,20 @@ class TestRealizationWork:
         ops, state = n32
         ops.rates(ops.fields(state))
         assert transforms == {
-            ("grid_to_spectral", 32): 10,
-            ("spectral_to_grid", 32): 22,
-            ("grid_to_spectral", 48): 10,
-            ("spectral_to_grid", 48): 15,
+            ("grid_to_spectral", 32, "band"): 10,
+            ("spectral_to_grid", 32, "full"): 22,
+            ("grid_to_spectral", 48, "band"): 10,
+            ("spectral_to_grid", 48, "band"): 15,
         }
 
     def test_energy_report_on_a_fresh_realization(self, n32, transforms):
         ops, state = n32
         gal.energy_report(ops.fields(state))
         assert transforms == {
-            ("spectral_to_grid", 32): 5,
-            ("spectral_to_grid", 48): 8,
-            ("grid_to_spectral", 48): 1,
+            ("spectral_to_grid", 32, "full"): 5,
+            ("spectral_to_grid", 48, "band"): 8,
+            ("grid_to_spectral", 48, "full"): 1,
         }
-
-
-def assert_bitwise(got, want):
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # the default forms, then one change each; the default cases are named by

@@ -12,6 +12,7 @@ from specmhd import spectral as sp
 from specmhd.errors import ResolutionError
 
 from helpers import (
+    assert_bitwise,
     make_state,
     oracle_dense_grid,
     oracle_mesh,
@@ -242,11 +243,13 @@ class TestHalfSpectrumLayout:
         np.testing.assert_allclose(basis.spectral_to_grid(up), want, rtol=0, atol=1e-13)
 
     def test_sum_sq_is_parseval(self, basis):
-        # a white-noise field has content in every plane, the Nyquist ones too
-        g = basis.grid_points
-        values = np.random.default_rng(25).normal(size=(2, g, g, g))
-        grid_sum = float(np.sum(values**2)) / g**3
-        assert basis.sum_sq(basis.grid_to_spectral(values)) == pytest.approx(grid_sum, rel=1e-12)
+        # a white-noise field has content in every plane, the Nyquist ones
+        # too; on the odd band size 2K + 1 the last stored plane nx = K has a
+        # conjugate partner
+        for g in (basis.grid_points, basis.band):
+            values = np.random.default_rng(25).normal(size=(2, g, g, g))
+            grid_sum = float(np.sum(values**2)) / g**3
+            assert basis.sum_sq(basis.grid_to_spectral(values)) == pytest.approx(grid_sum, rel=1e-12), g
 
     def test_theta_sobolev_matches_grid_quadrature(self, basis):
         p = cst.ConstitutiveParams(conductivity_exponent=1.0)
@@ -351,21 +354,65 @@ def test_resolution_rule_only_in_spectral():
     assert not found, f"resolution rule outside spectral.py: {found}"
 
 
+TRANSFORMS = ("grid_to_spectral", "spectral_to_grid")
+
+
+def _fft_uses(tree):
+    """(enclosing function, attribute, line) of every ``np.fft`` attribute."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and ast.unparse(child.value) == "np.fft":
+                found.append((func, child.attr, child.lineno))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    visit(tree, None)
+    return found
+
+
 def test_transforms_only_in_spectral():
-    """One transform layer: every FFT runs through ``grid_to_spectral`` and
-    ``spectral_to_grid``, the two functions the benchmark tracer wraps."""
-    src = Path(sp.__file__).parent
-    outside = [
-        f"{path.name}:{i}"
-        for path in sorted(src.glob("*.py"))
-        if path.name != "spectral.py"
-        for i, line in enumerate(path.read_text().splitlines(), 1)
-        if "np.fft." in line
-    ]
-    assert not outside, f"np.fft used outside spectral.py: {outside}"
-    calls = re.findall(r"np\.fft\.(\w+)\(", (src / "spectral.py").read_text())
-    transforms = sorted(name for name in calls if name != "fftfreq")
-    assert transforms == ["irfftn", "rfftn"]
+    """One transform layer: every FFT runs inside ``grid_to_spectral`` or
+    ``spectral_to_grid``, the two functions the benchmark tracer wraps.  The
+    tracer reads a call's array from its last positional argument, so every
+    call passes the array alone by position and ``size`` or ``grid`` by
+    keyword."""
+    stray, positional = [], []
+    for path in sorted(Path(sp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+                    and "fft" in ast.unparse(n)], f"{path.name} imports an FFT module"
+        stray += [
+            f"{path.name}:{line} {attr} in {func}"
+            for func, attr, line in _fft_uses(tree)
+            if attr != "fftfreq" and func not in TRANSFORMS
+        ]
+        positional += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in TRANSFORMS
+            and (len(node.args) != 1 or isinstance(node.args[0], ast.Starred))
+        ]
+    assert not stray, f"np.fft transforms outside the transform layer: {stray}"
+    assert not positional, f"transform calls without exactly one positional argument: {positional}"
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (6,)], ids=["scalar", "vector", "tensor"])
+@pytest.mark.parametrize("oversampled", [False, True], ids=["base", "oversampled"])
+@pytest.mark.parametrize("n", [8, 12, 16, 32])
+def test_band_transforms_are_bitwise_the_full_ones(n, oversampled, lead):
+    """On every (grid, band) pair the package uses, the band forward keeps
+    the band entries of the full spectrum and the band inverse is the full
+    inverse of the cube padded to the grid, bit for bit."""
+    basis = sp.build_basis(L, n)
+    g, b = basis.oversample_grid() if oversampled else n, basis.band
+    values = np.random.default_rng(g + len(lead)).normal(size=lead + (g, g, g))
+    cube = basis.grid_to_spectral(values, size=b)
+    assert cube.shape == lead + (b // 2 + 1, b, b)
+    assert_bitwise(cube, basis.resample_spectrum(basis.grid_to_spectral(values), b))
+    want = basis.spectral_to_grid(basis.resample_spectrum(cube, g))
+    assert_bitwise(basis.spectral_to_grid(cube, grid=g), want)
 
 
 def test_spectral_does_no_file_io():
