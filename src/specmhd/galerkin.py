@@ -50,10 +50,14 @@ times the velocity's stays below N (ROADMAP item 12).  Non-polynomial factors
 (power-law stress, temperature powers, specific heat) are evaluated on a
 3/2-oversampled grid, leaving a controlled quadrature error there.
 
-Every gather reads only band entries, so each right-hand side takes its
-integrands to the band cube of :mod:`specmhd.spectral`, and the oversampled
-realizations start from it; the base-grid realizations keep the full
-inverse transform.
+A gather onto the first ``count`` modes reads only the entries of their
+truncation cube (:meth:`DivFreeSpectralBasis.truncation_band`), and a field
+synthesized from them is zero outside it.  So the velocity, magnetic field
+and temperature are each synthesized once, on their own truncation cube,
+and realized from it on both grids, and each right-hand side takes its
+integrand to the truncation cube of the family it gathers.  The density
+fills the band: its oversampled realizations start from the band cube, and
+its base-grid realizations from its full spectrum, in which it is stored.
 """
 
 from __future__ import annotations
@@ -142,7 +146,10 @@ class _StateFields:
     Each field is realized on the one grid its quadrature needs: products of
     basis-band fields on the base grid (``curl_H`` serves both the Lorentz
     force and the Joule heating), the non-polynomial laws and what they
-    multiply on the oversampled grid.
+    multiply on the oversampled grid.  The velocity, magnetic field and
+    temperature each have one spectrum (``c_u``, ``c_H``, ``c_theta``), on
+    their truncation cubes ``size_u``, ``size_H`` and ``size_theta``, from
+    which every realization of them on either grid expands.
     The time loop builds one per accepted state, shares it between the
     post-step monitors and the diagnostics report (and, before the first
     step, the start-state right-hand side), and drops it before the step's
@@ -156,33 +163,42 @@ class _StateFields:
         self.n = ops.basis.grid_points
         self.m = ops.basis.oversample_grid()
         self.band = ops.basis.band
+        self.size_u = ops.basis.truncation_band(len(state.a), scalar=False)
+        self.size_H = ops.basis.truncation_band(len(state.c), scalar=False)
+        self.size_theta = ops.basis.truncation_band(len(state.b), scalar=True)
+
+    # ---- truncation-cube spectra
+
+    @cached_property
+    def c_u(self):
+        return self.basis.synth_vector(self.st.a, self.size_u)
+
+    @cached_property
+    def c_H(self):
+        return self.basis.synth_vector(self.st.c, self.size_H)
+
+    @cached_property
+    def c_theta(self):
+        return self.basis.synth_scalar(self.st.b, self.size_theta)
 
     # ---- base grid (exact for polynomial nonlinearities)
 
     @cached_property
-    def c_u(self):
-        return self.basis.synth_vector(self.st.a, self.n)
-
-    @cached_property
-    def c_H(self):
-        return self.basis.synth_vector(self.st.c, self.n)
-
-    @cached_property
     def u(self):
-        return self.basis.spectral_to_grid(self.c_u)
+        return self.basis.spectral_to_grid(self.c_u, grid=self.n)
 
     @cached_property
     def H(self):
-        return self.basis.spectral_to_grid(self.c_H)
+        return self.basis.spectral_to_grid(self.c_H, grid=self.n)
 
     @cached_property
     def grad_u(self):
         """Jacobian grid array with grad_u[i, m] = d_m u_i."""
-        return self.basis.grid_gradient(self.c_u)
+        return self.basis.grid_gradient(self.c_u, grid=self.n)
 
     @cached_property
     def curl_H(self):
-        return self.basis.spectral_to_grid(self.basis.curl(self.c_H))
+        return self.basis.spectral_to_grid(self.basis.curl(self.c_H), grid=self.n)
 
     @cached_property
     def rho(self):
@@ -194,7 +210,7 @@ class _StateFields:
 
     @cached_property
     def theta(self):
-        return self.basis.scalar_grid(self.st.b)
+        return self.basis.spectral_to_grid(self.c_theta, grid=self.n)
 
     @cached_property
     def conv(self):
@@ -213,34 +229,17 @@ class _StateFields:
 
     # ---- oversampled grid (non-polynomial factors)
 
-    def _last_use(self, spectrum: str, sibling: str):
-        """A cached spectrum that feeds two grids, dropped from the cache once
-        the other grid ``sibling`` has been derived from it."""
-        c = getattr(self, spectrum)
-        if sibling in self.__dict__:
-            del self.__dict__[spectrum]
-        return c
-
-    @cached_property
-    def c_u_m(self):
-        return self.basis.synth_vector(self.st.a, self.band)
-
-    @cached_property
-    def c_theta_m(self):
-        return self.basis.synth_scalar(self.st.b, self.band)
-
     @cached_property
     def u_m(self):
-        return self.basis.spectral_to_grid(self._last_use("c_u_m", "strain_m"), grid=self.m)
+        return self.basis.spectral_to_grid(self.c_u, grid=self.m)
 
     @cached_property
     def strain_m(self):
         """Rate of strain grad u + (grad u)^T on the oversampled grid, in the
         symmetric-tensor layout of :mod:`specmhd.constitutive`."""
-        c = self._last_use("c_u_m", "u_m")
         out = np.empty((6,) + (self.m,) * 3, dtype=float)
         for p, (i, j) in enumerate(cst.SYM_PAIRS):
-            out[p] = self.basis.spectral_to_grid(self.basis.strain(c, i, j), grid=self.m)
+            out[p] = self.basis.spectral_to_grid(self.basis.strain(self.c_u, i, j), grid=self.m)
         return out
 
     def _band_to_m(self, spectrum):
@@ -258,11 +257,11 @@ class _StateFields:
 
     @cached_property
     def theta_m(self):
-        return self.basis.spectral_to_grid(self._last_use("c_theta_m", "grad_theta_m"), grid=self.m)
+        return self.basis.spectral_to_grid(self.c_theta, grid=self.m)
 
     @cached_property
     def grad_theta_m(self):
-        return self.basis.grid_gradient(self._last_use("c_theta_m", "theta_m"), grid=self.m)
+        return self.basis.grid_gradient(self.c_theta, grid=self.m)
 
     @cached_property
     def clamp_count(self) -> int:
@@ -361,18 +360,20 @@ def _cg_iteration_cap(ratio: float) -> int:
 class MassOperator:
     """The mass matrix ``(w phi_i, phi_j)``, i, j < ``count``, of the
     realization ``f`` as its action
-    ``x -> gather(grid_to_spectral(w * realize(x)))`` on the grid of the
-    weight values ``w``, the same quadrature the Gram matrix integrates.
+    ``x -> gather(grid_to_spectral(w * spectral_to_grid(synth(x))))`` on the
+    grid of the weight values ``w``, the same quadrature the Gram matrix
+    integrates; both transforms run on the truncation cube of size ``size``
+    of the ``count`` modes.
     The matrix is never formed: ``mass @ x`` applies it and :meth:`solve`
     inverts it by CG, recording its iterations on ``f.ops.counters``.
     """
 
-    def __init__(self, f: "_StateFields", weight, count, realize, gather, name):
+    def __init__(self, f: "_StateFields", weight, count, size, synth, gather, name):
         self.counters = f.ops.counters
-        self.band = f.band
         self.weight = weight
         self.count = count
-        self.realize = realize
+        self.size = size
+        self.synth = synth
         self.gather = gather
         self.name = name
 
@@ -380,21 +381,18 @@ class MassOperator:
     def velocity(cls, f: "_StateFields") -> "MassOperator":
         """(rho psi_i, psi_j) on the base grid."""
         b = f.basis
-        return cls(f, f.rho, len(f.st.a), b.vector_grid, b.gather_vector, "density")
+        return cls(f, f.rho, len(f.st.a), f.size_u, b.synth_vector, b.gather_vector, "density")
 
     @classmethod
     def thermal(cls, f: "_StateFields") -> "MassOperator":
         """(rho c(theta) omega_i, omega_j) on the oversampled grid."""
         b = f.basis
-
-        def realize(x):
-            return b.spectral_to_grid(b.synth_scalar(x, f.band), grid=f.m)
-
-        return cls(f, f.heat_capacity_m, len(f.st.b), realize, b.gather_scalar, "rho c(theta)")
+        return cls(f, f.heat_capacity_m, len(f.st.b), f.size_theta, b.synth_scalar, b.gather_scalar, "rho c(theta)")
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        values = self.weight * self.realize(x)
-        return self.gather(DivFreeSpectralBasis.grid_to_spectral(values, size=self.band), self.count)
+        grid = self.weight.shape[-1]
+        values = self.weight * DivFreeSpectralBasis.spectral_to_grid(self.synth(x, self.size), grid=grid)
+        return self.gather(DivFreeSpectralBasis.grid_to_spectral(values, size=self.size), self.count)
 
     def solve(self, rhs: np.ndarray, guess: np.ndarray | None = None) -> np.ndarray:
         """``M^-1 rhs`` by CG preconditioned with ``1 / mean(w)``, to the
@@ -491,8 +489,8 @@ class GalerkinOperators:
             integrand = integrand + self.eps_density * np.einsum(
                 "mxyz,imxyz->ixyz", f.grad_rho, f.grad_u
             )
-        entries = self.basis.gather_vector(self.basis.grid_to_spectral(integrand, size=f.band), k_u)
-        return entries - self.basis.gather_strain(self.basis.grid_to_spectral(f.stress_m, size=f.band), k_u)
+        entries = self.basis.gather_vector(self.basis.grid_to_spectral(integrand, size=f.size_u), k_u)
+        return entries - self.basis.gather_strain(self.basis.grid_to_spectral(f.stress_m, size=f.size_u), k_u)
 
     def thermal_rhs(self, f: _StateFields) -> np.ndarray:
         p = self.params
@@ -502,15 +500,15 @@ class GalerkinOperators:
         source = f.viscous_power_m - f.rho_t_m * f.heat_m
         joule = p.magnetic_diffusivity * np.sum(f.curl_H**2, axis=0)
         b = self.basis
-        entries = b.gather_scalar_grad(b.grid_to_spectral(transport, size=f.band), k_b)
-        entries += b.gather_scalar(b.grid_to_spectral(source, size=f.band), k_b)
-        return entries + b.gather_scalar(b.grid_to_spectral(joule, size=f.band), k_b)
+        entries = b.gather_scalar_grad(b.grid_to_spectral(transport, size=f.size_theta), k_b)
+        entries += b.gather_scalar(b.grid_to_spectral(source, size=f.size_theta), k_b)
+        return entries + b.gather_scalar(b.grid_to_spectral(joule, size=f.size_theta), k_b)
 
     def induction_rhs(self, f: _StateFields) -> np.ndarray:
         c = f.st.c
         entries = -self.magnetic_stiffness_diag[: len(c)] * c
         w = np.cross(f.u, f.H, axisa=0, axisb=0, axisc=0)
-        return entries + self.basis.gather_vector_curl(self.basis.grid_to_spectral(w, size=f.band), len(c))
+        return entries + self.basis.gather_vector_curl(self.basis.grid_to_spectral(w, size=f.size_H), len(c))
 
     def rates(self, f: _StateFields, guess: Rates | None = None) -> Rates:
         """The rates at the state of ``f``.  ``guess``, rates at a nearby

@@ -32,21 +32,35 @@ strictly inside the two-thirds dealiasing cutoff ``(N - 1) // 3``, which
 makes uniform-grid quadrature of products of up to three basis-band fields
 exact.
 
-The band cube is the half layout on the odd grid ``2K + 1`` (``band``), with
-K the cutoff: shape ``(K + 1, 2K + 1, 2K + 1)``.  Every band wavevector,
-``|n_i| <= K``, wraps to its own entry modulo ``2K + 1``, so synthesis,
-gathers, derivatives and ``wavenumbers`` work on it unchanged.
-``grid_to_spectral(values, size=band)`` computes only the cube, and
-``spectral_to_grid(cube, grid=G)`` expands one onto ``G^3``; both run the
+A cube is the half layout on an odd grid ``2k + 1``: shape
+``(k + 1, 2k + 1, 2k + 1)``.  Every wavevector with ``|n_i| <= k`` wraps to
+its own entry modulo ``2k + 1``, so synthesis, gathers, derivatives and
+``wavenumbers`` work on a cube unchanged.
+``grid_to_spectral(values, size=s)`` computes only the cube of size ``s``,
+and ``spectral_to_grid(cube, grid=G)`` expands one onto ``G^3``; both run the
 1-D passes of the full transform in its order, skipping the lines that hold
 only discarded outputs or zero inputs (a pruned FFT), so every value they
-return is bitwise that of the full transform.  A caller that reads only band
-entries uses them; a caller that reads outside the band keeps the full
-spectrum: the saturating thermal Gram matrix, whose weight entries reach
-twice the cutoff (the differences and sums of two band wavevectors); the
-temperature Sobolev monitor of ``energy_report``, which sums the whole
-spectrum of a non-polynomial field; and the harness checks and snapshots,
-which judge or write the fields on their grids.
+return is bitwise that of the full transform.  Three sizes are in use, each
+the smallest that holds what its caller reads or writes:
+
+* the truncation cube (``truncation_band``) of a run's first ``count``
+  vector or scalar modes, with k their largest ``|n_i|``: a field
+  synthesized from a coefficient vector is zero outside it, and a gather
+  onto those modes reads nothing outside it.  Every velocity, magnetic and
+  temperature realization starts from one, and every right-hand side and
+  matrix-free mass action takes its integrand to the one of the family it
+  gathers;
+* the band cube ``band`` = ``2K + 1``, with K the cutoff, for the density,
+  which fills the whole band: its oversampled realizations, its rate's
+  forward, and ``project_vector``, whose count can reach the cutoff;
+* the full spectrum for a caller that reads outside the band: the
+  saturating thermal Gram matrix, whose weight entries reach twice the
+  cutoff (the differences and sums of two band wavevectors); the
+  temperature Sobolev monitor of ``energy_report``, which sums the whole
+  spectrum of a non-polynomial field; the density and its gradient on the
+  base grid, which are stored as full spectra; and the harness checks,
+  snapshots and initial conditions, which judge or write the fields on
+  their grids.
 
 The phase rule: ``cos(k.x)`` has amplitude ``1/2`` at ``k`` and ``sin(k.x)``
 has ``-i/2``, so the inner product of a field with a cosine mode reads the
@@ -62,7 +76,7 @@ Galerkin mass matrices.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -208,8 +222,10 @@ class DivFreeSpectralBasis:
 
     @staticmethod
     def _integer_wavenumbers(g: int):
-        """Integer wavenumbers (nx, ny, nz) broadcasting to the half layout."""
-        ints = np.fft.fftfreq(g, d=1.0 / g)
+        """Integer wavenumbers (nx, ny, nz) broadcasting to the half layout.
+        Rounded, since for g = 49 and 98 ``fftfreq`` returns n (1 - 2^-53):
+        a cube and the full grid must give the same derivatives."""
+        ints = np.rint(np.fft.fftfreq(g, d=1.0 / g))
         return np.arange(g // 2 + 1.0)[:, None, None], ints[None, :, None], ints[None, None, :]
 
     def wavenumbers(self, grid: int):
@@ -249,14 +265,14 @@ class DivFreeSpectralBasis:
 
     @staticmethod
     def grid_to_spectral(values: np.ndarray, *, size: int | None = None) -> np.ndarray:
-        """Spectrum of grid values on their own grid, or, with ``size`` the
-        odd band size ``2K + 1``, only its band cube: the entries with
-        ``|n_i| <= K``, bitwise equal to those of the full spectrum."""
+        """Spectrum of grid values on their own grid, or, with ``size`` an
+        odd cube size ``2k + 1``, only its cube: the entries with
+        ``|n_i| <= k``, bitwise equal to those of the full spectrum."""
         g = values.shape[-1]
         if size is None or size == g:
             return np.fft.rfftn(values, axes=(-1, -2, -3)) / g**3
         # rfftn's passes in its order (x, y, then z), each run only on the
-        # lines whose output the band keeps
+        # lines whose output the cube keeps
         keep = _band_lines(size, g)
         c = np.fft.rfft(values, axis=-3)[..., : size // 2 + 1, :, :]
         c = np.fft.fft(c, axis=-2).take(keep, axis=-2)
@@ -266,13 +282,13 @@ class DivFreeSpectralBasis:
 
     @staticmethod
     def spectral_to_grid(c: np.ndarray, *, grid: int | None = None) -> np.ndarray:
-        """Grid values of a spectrum on its own grid, or of a band cube on
+        """Grid values of a spectrum on its own grid, or of a cube on
         ``grid``^3, bitwise equal to those of the cube padded to ``grid``."""
         g = c.shape[-1]
         if grid is None or grid == g:
             return np.fft.irfftn(c, s=(g, g, g), axes=(-1, -2, -3)) * g**3
         # irfftn's passes in its order (z, y, then x), the z and y passes run
-        # only on the lines that hold band entries; y keeps all G // 2 + 1
+        # only on the lines that hold cube entries; y keeps all G // 2 + 1
         # x-planes, since irfft pads missing planes itself but more slowly
         # (1.7x at 48^3, numpy 2.4)
         k = g // 2
@@ -344,7 +360,7 @@ class DivFreeSpectralBasis:
     def grid_gradient(self, c: np.ndarray, grid: int | None = None) -> np.ndarray:
         """Grid values ``out[..., m, :, :, :] = d_m c`` of the gradient of a
         spectrum, component by component for a vector ``c``, on its own grid
-        or, for a band cube, on ``grid``^3; one direction is transformed at a
+        or, for a cube, on ``grid``^3; one direction is transformed at a
         time."""
         g = grid or c.shape[-1]
         out = np.empty(c.shape[:-3] + (3, g, g, g))
@@ -356,6 +372,34 @@ class DivFreeSpectralBasis:
         g = grid
         return ((nvec[:, 0] % g) * g + nvec[:, 1] % g) * g + nvec[:, 2] % g
 
+    @cached_property
+    def _mode_index_cache(self) -> dict:
+        """Filled by :meth:`_mode_indices`, on first use, not at set-up."""
+        return {}
+
+    def _mode_indices(self, scalar: bool, grid: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices on a half layout of size ``grid`` of the wavevectors
+        of the first ``count`` vector or scalar modes, and of their
+        negatives.  Cached per (table, grid), grown to the largest count
+        asked for, and sliced by ``count``."""
+        key = (scalar, grid)
+        cached = self._mode_index_cache.get(key)
+        if cached is None or len(cached[0]) < count:
+            n = (self.scal_n if scalar else self.vec_n)[:count]
+            cached = self._mode_index_cache[key] = (self._flat_indices(n, grid), self._flat_indices(-n, grid))
+        return cached[0][:count], cached[1][:count]
+
+    @cached_property
+    def _reach(self) -> tuple[np.ndarray, np.ndarray]:
+        """(vector, scalar): entry j is the largest ``|n_i|`` over the first
+        j + 1 modes of the table."""
+        return tuple(np.maximum.accumulate(np.abs(n).max(axis=1)) for n in (self.vec_n, self.scal_n))
+
+    def truncation_band(self, count: int, scalar: bool) -> int:
+        """Size ``2k + 1`` of the smallest cube that holds the first
+        ``count`` vector or scalar modes, k their largest ``|n_i|``."""
+        return 2 * int(self._reach[scalar][count - 1]) + 1
+
     # ------------------------------------------------------------- synthesis
 
     def _check_counts(self, m: int, scalar: bool) -> None:
@@ -366,17 +410,19 @@ class DivFreeSpectralBasis:
                 f"insufficient resolution: {m} {kind} modes requested, {avail} available"
             )
 
-    def _synth(self, n, phase, coeffs, weights, out: np.ndarray) -> np.ndarray:
-        """Add ``sum_j coeffs[j]`` times the mode at ``n[j]`` with ``phase[j]``
-        and component weights ``weights[j, p]`` to the spectrum ``out``: its
-        amplitude at ``+n[j]``, plus the conjugate partner at ``-n[j]``, which
-        the half layout stores only in the plane nx = 0."""
+    def _synth(self, scalar: bool, start: int, coeffs, weights, out: np.ndarray) -> np.ndarray:
+        """Add ``sum_j coeffs[j]`` times mode ``start + j`` of the vector or
+        scalar table, with component weights ``weights[j, p]``, to the
+        spectrum ``out``: its amplitude at ``+n``, plus the conjugate partner
+        at ``-n``, which the half layout stores only in the plane nx = 0."""
+        modes = slice(start, start + len(coeffs))
+        n = (self.scal_n if scalar else self.vec_n)[modes]
+        phase = (self.scal_phase if scalar else self.vec_phase)[modes]
         scale = 1.0 / np.sqrt(2.0 * self.volume)
         amp = coeffs * scale * np.where(phase == _PHASE_COS, 1.0 + 0.0j, -1.0j)
-        g = out.shape[-1]
         plane = n[:, 0] == 0
-        idx_pos = self._flat_indices(n, g)
-        idx_neg = self._flat_indices(-n[plane], g)
+        pos, neg = self._mode_indices(scalar, out.shape[-1], modes.stop)
+        idx_pos, idx_neg = pos[modes], neg[modes][plane]
         for p in range(weights.shape[1]):
             flat = out[p].reshape(-1)
             amp_p = amp * weights[:, p]
@@ -389,7 +435,7 @@ class DivFreeSpectralBasis:
         m = len(coeffs)
         self._check_counts(m, scalar=False)
         out = self.zero_spectrum((3,), grid or self.grid_points)
-        return self._synth(self.vec_n[:m], self.vec_phase[:m], coeffs, self.vec_e[:m], out)
+        return self._synth(False, 0, coeffs, self.vec_e[:m], out)
 
     def synth_scalar(self, coeffs: np.ndarray, grid: int | None = None) -> np.ndarray:
         """Spectrum (G // 2 + 1, G, G) of ``sum_j coeffs[j] omega_j``."""
@@ -399,7 +445,7 @@ class DivFreeSpectralBasis:
         # mode 0 is the constant
         c[0, 0, 0] = np.sum(coeffs[:1]) / np.sqrt(self.volume)
         trig = coeffs[1:]
-        self._synth(self.scal_n[1:m], self.scal_phase[1:m], trig, np.ones((len(trig), 1)), c[None])
+        self._synth(True, 1, trig, np.ones((len(trig), 1)), c[None])
         return c
 
     def vector_grid(self, coeffs: np.ndarray) -> np.ndarray:
@@ -417,22 +463,24 @@ class DivFreeSpectralBasis:
             return np.where(phase == _PHASE_COS, dot.imag, dot.real)
         return np.where(phase == _PHASE_COS, dot.real, -dot.imag)
 
-    def _gather(self, c, n, phase, weights, derivative: bool) -> np.ndarray:
+    def _gather(self, c, scalar: bool, count: int, weights, derivative: bool) -> np.ndarray:
         """Inner products of the field with spectrum ``c`` and the test
-        functions whose amplitude at ``n[j]`` is ``weights[j, p]`` in
-        component ``p`` times the mode's own; ``derivative`` marks test
-        functions with an ``i k`` factor."""
-        idx = self._flat_indices(n, c.shape[-1])
+        functions whose amplitude at the wavevector of mode j < ``count`` of
+        the vector or scalar table is ``weights[j, p]`` in component ``p``
+        times the mode's own; ``derivative`` marks test functions with an
+        ``i k`` factor."""
+        idx = self._mode_indices(scalar, c.shape[-1], count)[0]
+        phase = (self.scal_phase if scalar else self.vec_phase)[:count]
         dot = sum(weights[:, p] * c[p].reshape(-1)[idx] for p in range(weights.shape[1]))
         return np.sqrt(2.0 * self.volume) * self._by_phase(phase, dot, derivative)
 
     def gather_vector(self, c: np.ndarray, count: int) -> np.ndarray:
         """Inner products (f, psi_j) for j < count from a vector spectrum."""
-        return self._gather(c, self.vec_n[:count], self.vec_phase[:count], self.vec_e[:count], False)
+        return self._gather(c, False, count, self.vec_e[:count], False)
 
     def gather_vector_curl(self, c: np.ndarray, count: int) -> np.ndarray:
         """Inner products (f, curl psi_j) for j < count."""
-        return self._gather(c, self.vec_n[:count], self.vec_phase[:count], self.vec_curl_e[:count], True)
+        return self._gather(c, False, count, self.vec_curl_e[:count], True)
 
     def gather_strain(self, c_sym: np.ndarray, count: int) -> np.ndarray:
         """Inner products (S, D(psi_j)) for a symmetric tensor spectrum.
@@ -448,20 +496,18 @@ class DivFreeSpectralBasis:
             [wt * (e[:, i] * k[:, m] + e[:, m] * k[:, i]) for (i, m), wt in zip(SYM_PAIRS, SYM_WEIGHTS)],
             axis=1,
         )
-        return self._gather(c_sym, self.vec_n[:count], self.vec_phase[:count], weights, True)
+        return self._gather(c_sym, False, count, weights, True)
 
     def gather_scalar(self, c: np.ndarray, count: int) -> np.ndarray:
         """Inner products (f, omega_j) for j < count from a scalar spectrum."""
-        phase = self.scal_phase[:count]
-        out = self._gather(c[None], self.scal_n[:count], phase, np.ones((count, 1)), False)
-        out[phase == _PHASE_CONST] = np.sqrt(self.volume) * c[0, 0, 0].real
+        out = self._gather(c[None], True, count, np.ones((count, 1)), False)
+        out[self.scal_phase[:count] == _PHASE_CONST] = np.sqrt(self.volume) * c[0, 0, 0].real
         return out
 
     def gather_scalar_grad(self, c_vec: np.ndarray, count: int) -> np.ndarray:
         """Inner products (g, grad omega_j) for a vector spectrum g."""
-        phase = self.scal_phase[:count]
-        out = self._gather(c_vec, self.scal_n[:count], phase, self.scal_k[:count], True)
-        out[phase == _PHASE_CONST] = 0.0
+        out = self._gather(c_vec, True, count, self.scal_k[:count], True)
+        out[self.scal_phase[:count] == _PHASE_CONST] = 0.0
         return out
 
     def _half_index(self, g: int) -> tuple[np.ndarray, np.ndarray]:

@@ -295,12 +295,9 @@ class TestMassMatrices:
             monkeypatch.setattr(basis, name, counted(name))
         f = ops.fields(st)
         ops.rates(f)
-        # velocity and magnetic field on the base grid, where curl H serves
-        # the Lorentz force and the Joule heating; velocity and temperature
-        # on the oversampled grid
-        assert sorted(calls) == ["synth_scalar"] + ["synth_vector"] * 3
-        # the shared oversampled spectra do not outlive their two grids
-        assert not {"c_u_m", "c_theta_m"} & f.__dict__.keys()
+        # one spectrum each for the velocity, the magnetic field and the
+        # temperature, which every grid realizes from
+        assert sorted(calls) == ["synth_scalar"] + ["synth_vector"] * 2
 
     def test_not_spd_raises(self, basis, ops):
         f = ops.fields(uniform_rho_state(basis, rho0=-1.0))
@@ -536,10 +533,12 @@ class TestGuessedMassSolve:
 class TestRealizationWork:
     """Scalar 3-D transforms per call on the ``transform_n32`` benchmark
     state (random_band, N=32, K=32, eps 1e-3), by direction, grid size and
-    whether the spectrum is the band cube or the full one, each leading
-    component counted, as the benchmark's tracer counts them.  A field
-    realized twice, on a grid its quadrature does not need, or through the
-    full spectrum where it reads only the band, shows here."""
+    the size of the spectrum's cube (the grid's own for a full one), each
+    leading component counted, as the benchmark's tracer counts them.  The
+    velocity and magnetic modes reach ``|n_i| <= 1`` (cube 3), the
+    temperature's ``|n_i| <= 2`` (cube 5) and the density the band (21).  A
+    field realized twice, on a grid its quadrature does not need, or through
+    a larger cube than its modes need, shows here."""
 
     @pytest.fixture()
     def n32(self):
@@ -557,11 +556,15 @@ class TestRealizationWork:
             raw = getattr(sp.DivFreeSpectralBasis, name)
 
             def counted(arr, raw=raw, name=name, **kw):
-                # the band size of a forward call, the grid of an inverse one
-                size = kw.get("size", kw.get("grid"))
-                band = size not in (None, arr.shape[-1])
-                grid = size if band and name == "spectral_to_grid" else arr.shape[-1]
-                counts[name, grid, "band" if band else "full"] += int(np.prod(arr.shape[:-3]))
+                # a forward call's cube size is its keyword, an inverse one's
+                # grid is
+                if name == "grid_to_spectral":
+                    grid = arr.shape[-1]
+                    size = kw.get("size") or grid
+                else:
+                    size = arr.shape[-1]
+                    grid = kw.get("grid") or size
+                counts[name, grid, size] += int(np.prod(arr.shape[:-3]))
                 return raw(arr, **kw)
 
             monkeypatch.setattr(sp.DivFreeSpectralBasis, name, staticmethod(counted))
@@ -571,20 +574,78 @@ class TestRealizationWork:
         ops, state = n32
         ops.rates(ops.fields(state))
         assert transforms == {
-            ("grid_to_spectral", 32, "band"): 10,
-            ("spectral_to_grid", 32, "full"): 22,
-            ("grid_to_spectral", 48, "band"): 10,
-            ("spectral_to_grid", 48, "band"): 15,
+            # the momentum integrand and the induction u x H; the Joule
+            # heating; the density flux
+            ("grid_to_spectral", 32, 3): 6,
+            ("grid_to_spectral", 32, 5): 1,
+            ("grid_to_spectral", 32, 21): 3,
+            # u, H, grad u and curl H; rho and grad rho
+            ("spectral_to_grid", 32, 3): 18,
+            ("spectral_to_grid", 32, 32): 4,
+            # the stress; the heat transport and source
+            ("grid_to_spectral", 48, 3): 6,
+            ("grid_to_spectral", 48, 5): 4,
+            # u and the strain; theta and grad theta; rho and its rate
+            ("spectral_to_grid", 48, 3): 9,
+            ("spectral_to_grid", 48, 5): 4,
+            ("spectral_to_grid", 48, 21): 2,
         }
 
     def test_energy_report_on_a_fresh_realization(self, n32, transforms):
         ops, state = n32
         gal.energy_report(ops.fields(state))
         assert transforms == {
-            ("spectral_to_grid", 32, "full"): 5,
-            ("spectral_to_grid", 48, "band"): 8,
-            ("grid_to_spectral", 48, "full"): 1,
+            # u; theta; rho
+            ("spectral_to_grid", 32, 3): 3,
+            ("spectral_to_grid", 32, 5): 1,
+            ("spectral_to_grid", 32, 32): 1,
+            # the strain; theta; rho
+            ("spectral_to_grid", 48, 3): 6,
+            ("spectral_to_grid", 48, 5): 1,
+            ("spectral_to_grid", 48, 21): 1,
+            # the temperature Sobolev monitor
+            ("grid_to_spectral", 48, 48): 1,
         }
+
+
+# (grid, velocity and magnetic modes, temperature modes) of the two
+# benchmark workloads that run random_band
+BENCHMARK_SIZES = {"transform_n32": (32, 32, 33), "mass_k800": (16, 800, 401)}
+
+
+@pytest.mark.parametrize("workload", BENCHMARK_SIZES)
+def test_truncation_cube_realizations_are_bitwise_the_full_ones(workload):
+    """Every field realized from a truncation cube has the bits of the same
+    field realized from the full base-grid spectrum, padded to the
+    oversampled grid for the oversampled fields; every coefficient is
+    nonzero, so each mode of the truncation is exercised."""
+    n, k, k_b = BENCHMARK_SIZES[workload]
+    cfg = replace(load_config(CONFIGS / "random_band.cfg"), grid_points=n)
+    basis = harness.build_basis_for(cfg)
+    rng = np.random.default_rng(n)
+    a, c, b = (rng.normal(size=count) for count in (k, k, k_b))
+    state = gal.SimState(0.0, build_initial_state(cfg, basis).rho, a, b, c, basis)
+    f = gal.GalerkinOperators(cfg.constitutive, basis).fields(state)
+    assert (f.size_u, f.size_H, f.size_theta) == ((3, 3, 5) if k == 32 else (9, 9, 9))
+
+    c_u, c_H, c_theta = basis.synth_vector(a), basis.synth_vector(c), basis.synth_scalar(b)
+
+    def on_m(spectrum):
+        return basis.spectral_to_grid(basis.resample_spectrum(spectrum, f.m))
+
+    want = {
+        "u": basis.spectral_to_grid(c_u),
+        "H": basis.spectral_to_grid(c_H),
+        "grad_u": basis.grid_gradient(c_u),
+        "curl_H": basis.spectral_to_grid(basis.curl(c_H)),
+        "theta": basis.spectral_to_grid(c_theta),
+        "u_m": on_m(c_u),
+        "strain_m": np.stack([on_m(basis.strain(c_u, i, j)) for i, j in cst.SYM_PAIRS]),
+        "theta_m": on_m(c_theta),
+        "grad_theta_m": np.stack([on_m(basis.grad(c_theta, m)) for m in range(3)]),
+    }
+    for name, field in want.items():
+        assert_bitwise(getattr(f, name), field)
 
 
 # the default forms, then one change each; the default cases are named by

@@ -402,17 +402,44 @@ def test_transforms_only_in_spectral():
 @pytest.mark.parametrize("oversampled", [False, True], ids=["base", "oversampled"])
 @pytest.mark.parametrize("n", [8, 12, 16, 32])
 def test_band_transforms_are_bitwise_the_full_ones(n, oversampled, lead):
-    """On every (grid, band) pair the package uses, the band forward keeps
-    the band entries of the full spectrum and the band inverse is the full
-    inverse of the cube padded to the grid, bit for bit."""
+    """On every grid the package uses, for the band and for the truncation
+    cubes 3, 5 and 9, the cube forward keeps the cube's entries of the full
+    spectrum and the cube inverse is the full inverse of the cube padded to
+    the grid, bit for bit."""
     basis = sp.build_basis(L, n)
-    g, b = basis.oversample_grid() if oversampled else n, basis.band
+    g = basis.oversample_grid() if oversampled else n
     values = np.random.default_rng(g + len(lead)).normal(size=lead + (g, g, g))
-    cube = basis.grid_to_spectral(values, size=b)
-    assert cube.shape == lead + (b // 2 + 1, b, b)
-    assert_bitwise(cube, basis.resample_spectrum(basis.grid_to_spectral(values), b))
-    want = basis.spectral_to_grid(basis.resample_spectrum(cube, g))
-    assert_bitwise(basis.spectral_to_grid(cube, grid=g), want)
+    full = basis.grid_to_spectral(values)
+    for size in sorted({3, 5, 9, basis.band}):
+        if size >= g:
+            continue
+        cube = basis.grid_to_spectral(values, size=size)
+        assert cube.shape == lead + (size // 2 + 1, size, size)
+        assert_bitwise(cube, basis.resample_spectrum(full, size))
+        want = basis.spectral_to_grid(basis.resample_spectrum(cube, g))
+        assert_bitwise(basis.spectral_to_grid(cube, grid=g), want)
+
+
+def test_truncation_band_holds_exactly_the_modes():
+    """The cube of the first ``count`` modes has k = their largest
+    ``|n_i|``: 52 vector and 27 scalar modes (the |k|^2 <= 3 shells) reach
+    ``|n_i| = 1``, and the next mode, (0, 0, 2), steps out to 2."""
+    basis = sp.build_basis(L, 16)
+    for scalar, table in ((False, basis.vec_n), (True, basis.scal_n)):
+        want = [2 * int(np.abs(table[:count]).max()) + 1 for count in range(1, len(table) + 1)]
+        assert [basis.truncation_band(count, scalar) for count in range(1, len(table) + 1)] == want
+    assert [basis.truncation_band(c, scalar=False) for c in (1, 48, 52, 53, 64)] == [3, 3, 3, 5, 5]
+    assert [basis.truncation_band(c, scalar=True) for c in (1, 21, 27, 28, 33)] == [1, 3, 3, 5, 5]
+    assert basis.truncation_band(basis.n_vector_modes, scalar=False) == basis.band
+
+
+def test_wavenumbers_are_integers_on_every_size():
+    """``fftfreq(g, d=1/g)`` reads n (1 - 2^-53) for g = 49 and 98, which
+    would give a cube of size 49 other derivatives than the full grid."""
+    for g in (48, 49, 98):
+        _, ny, nz = sp.DivFreeSpectralBasis._integer_wavenumbers(g)
+        want = np.r_[: (g + 1) // 2, -(g // 2) : 0]
+        assert np.array_equal(ny.ravel(), want) and np.array_equal(nz.ravel(), want), g
 
 
 def test_spectral_does_no_file_io():
