@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +582,61 @@ class TestSweeps:
         want = np.sqrt(basis.volume / 12**3 * np.sum(diff**2))
         got = harness._density_difference_norm(basis, [ra], [rb])
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestAllocatorPolicy:
+    # Minor faults of the second of two identical runs in one process, a bound
+    # fixed before measuring.  Under glibc's defaults the second 2-step
+    # random_band run at N=16 faults thousands of fresh pages in; with the
+    # policy it reuses the first run's heap and takes well under a hundred.
+    SECOND_RUN_FAULT_BOUND = 500
+
+    SCRIPT = """
+import dataclasses, resource, sys
+from specmhd import harness
+from specmhd.config import load_config
+cfg = load_config(sys.argv[1])
+cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, t_end=2 * cfg.step.dt))
+faults = []
+for name in ("first", "second"):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert harness.run(cfg, output_dir=sys.argv[2] + "/" + name, quiet=True).exit_code == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy acts on glibc's allocator only")
+    def test_a_repeated_run_reuses_the_heap(self, tmp_path):
+        # a fresh process, so that no earlier test has set the policy or grown the heap
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(CONFIGS / "random_band.cfg"), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        first, second = map(int, done.stdout.split())
+        assert second < self.SECOND_RUN_FAULT_BOUND, (first, second)
+
+    def test_a_libc_without_mallopt_changes_nothing(self, tmp_path, monkeypatch):
+        cfg = load_config(CONFIGS / "magnetic_decay.cfg")
+        cfg = dataclasses.replace(cfg, step=dataclasses.replace(cfg.step, t_end=4 * cfg.step.dt))
+        reference = harness.run(cfg, output_dir=str(tmp_path / "reference"), quiet=True)
+        lookups = []
+
+        def libc_without_mallopt(name):
+            lookups.append(name)
+            return object()  # its .mallopt raises AttributeError
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", libc_without_mallopt)
+        harness._keep_heap.cache_clear()
+        try:
+            report = harness.run(cfg, output_dir=str(tmp_path / "no_mallopt"), quiet=True)
+        finally:
+            harness._keep_heap.cache_clear()
+        assert lookups == [None]
+        assert reference.exit_code == report.exit_code == harness.EXIT_PASS
+        csv = [(rep.output_dir / "diagnostics.csv").read_bytes() for rep in (reference, report)]
+        assert csv[0] == csv[1]
 
 
 @pytest.mark.parametrize("name", harness.CHECKS)
