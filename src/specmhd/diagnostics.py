@@ -84,8 +84,8 @@ class TrajectoryRecorder:
 
     Read-only over the states it sees; never mutates them.  ``basis`` is the
     basis of the first sample's state (None before it).  ``store_history``
-    keeps the velocity coefficients and the spectral density per sample,
-    which the convergence studies compare.
+    keeps the velocity and density coefficients per sample (keys ``a`` and
+    ``rho``), which the convergence studies compare.
     """
 
     def __init__(self, params: ConstitutiveParams, store_history: bool = False):
@@ -154,7 +154,7 @@ class TrajectoryRecorder:
         rec = DiagnosticsRecord(**{name: report[name] for name in CSV_COLUMNS if name not in derived}, **derived)
         self.records.append(rec)
         if self.store_history:
-            self.history.append({"t": t, "a": state.a.copy(), "rho_spec": state.rho.copy()})
+            self.history.append({"t": t, "a": state.a.copy(), "rho": state.rho.copy()})
 
 
 def apriori_monitor(recorder: TrajectoryRecorder) -> dict:

@@ -1,7 +1,12 @@
-"""Semi-discrete system assembly: regularized density transport on the grid
-and coefficient ODEs for velocity, temperature, and magnetic field.
+"""Semi-discrete system assembly: coefficient ODEs for the density,
+velocity, temperature, and magnetic field.
 
 Conventions fixed here and relied on by the integrator and diagnostics:
+
+* density, over the whole scalar mode family ``omega_j`` (the
+  regularized transport ``rho_t + div(rho u) = eps lap(rho)``, tested)::
+
+      drho_j/dt = (rho u, grad omega_j) - eps |k_j|^2 rho_j
 
 * momentum, tested against the divergence-free modes ``psi_j``::
 
@@ -55,9 +60,8 @@ truncation cube (:meth:`DivFreeSpectralBasis.truncation_band`), and a field
 synthesized from them is zero outside it.  So the velocity, magnetic field
 and temperature are each synthesized once, on their own truncation cube,
 and realized from it on both grids, and each right-hand side takes its
-integrand to the truncation cube of the family it gathers.  The density
-fills the band: its oversampled realizations start from the band cube, and
-its base-grid realizations from its full spectrum, in which it is stored.
+integrand to the truncation cube of the family it gathers.  The density's
+coefficients span the whole scalar table, so its cube is the band cube.
 """
 
 from __future__ import annotations
@@ -74,12 +78,12 @@ from specmhd.spectral import DivFreeSpectralBasis
 
 @dataclass
 class SimState:
-    """The four unknowns at one instant, each a plain array.
+    """The four unknowns at one instant, each a real coefficient vector.
 
-    ``rho`` is the density spectrum on the base grid (the x-half layout of
-    :mod:`specmhd.spectral`), band-limited to the basis cutoff.  ``a``,
-    ``b``, ``c`` are the velocity, temperature and magnetic coefficient
-    vectors; their lengths are the truncation levels.
+    ``rho`` holds the density's coefficients over the whole scalar table
+    (``basis.n_scalar_modes``).  ``a``, ``b``, ``c`` are the velocity,
+    temperature and magnetic coefficient vectors; their lengths are the
+    truncation levels.
     """
 
     t: float
@@ -101,9 +105,10 @@ class SimState:
 
 @dataclass
 class Rates:
-    """One right-hand-side evaluation of the coupled system."""
+    """One right-hand-side evaluation of the coupled system: the rates of
+    the :class:`SimState` parts, shaped like them."""
 
-    drho: np.ndarray  # spectral density rate, base grid
+    drho: np.ndarray
     da: np.ndarray
     db: np.ndarray
     dc: np.ndarray
@@ -146,10 +151,11 @@ class _StateFields:
     Each field is realized on the one grid its quadrature needs: products of
     basis-band fields on the base grid (``curl_H`` serves both the Lorentz
     force and the Joule heating), the non-polynomial laws and what they
-    multiply on the oversampled grid.  The velocity, magnetic field and
-    temperature each have one spectrum (``c_u``, ``c_H``, ``c_theta``), on
-    their truncation cubes ``size_u``, ``size_H`` and ``size_theta``, from
-    which every realization of them on either grid expands.
+    multiply on the oversampled grid.  The density, velocity, magnetic field
+    and temperature each have one spectrum (``c_rho``, ``c_u``, ``c_H``,
+    ``c_theta``), on the band cube ``band`` and their truncation cubes
+    ``size_u``, ``size_H`` and ``size_theta``, from which every realization
+    of them on either grid expands.
     The time loop builds one per accepted state, shares it between the
     post-step monitors and the diagnostics report (and, before the first
     step, the start-state right-hand side), and drops it before the step's
@@ -167,7 +173,11 @@ class _StateFields:
         self.size_H = ops.basis.truncation_band(len(state.c), scalar=False)
         self.size_theta = ops.basis.truncation_band(len(state.b), scalar=True)
 
-    # ---- truncation-cube spectra
+    # ---- cube spectra
+
+    @cached_property
+    def c_rho(self):
+        return self.basis.synth_scalar(self.st.rho, self.band)
 
     @cached_property
     def c_u(self):
@@ -202,11 +212,11 @@ class _StateFields:
 
     @cached_property
     def rho(self):
-        return self.basis.spectral_to_grid(self.st.rho)
+        return self.basis.spectral_to_grid(self.c_rho, grid=self.n)
 
     @cached_property
     def grad_rho(self):
-        return self.basis.grid_gradient(self.st.rho)
+        return self.basis.grid_gradient(self.c_rho, grid=self.n)
 
     @cached_property
     def theta(self):
@@ -219,12 +229,13 @@ class _StateFields:
 
     @cached_property
     def density_rate(self):
-        """Spectral rate -div(rho u) + eps lap(rho), dealiased, mean zero."""
-        flux = self.rho[None] * self.u
-        rate = -self.basis.div(self.basis.grid_to_spectral(flux, size=self.band)) * self.ops._mask_band
-        rate = self.basis.resample_spectrum(rate, self.n)
+        """Coefficient rate ``(rho u, grad omega_j) - eps |k_j|^2 rho_j``;
+        its constant-mode entry is 0, so the mass is conserved exactly."""
+        b = self.basis
+        flux = b.grid_to_spectral(self.rho[None] * self.u, size=self.band)
+        rate = b.gather_scalar_grad(flux, b.n_scalar_modes)
         if self.ops.eps_density:
-            rate = rate - self.ops.eps_density * self.ops._k2_n * self.st.rho
+            rate -= self.ops.eps_density * b.scal_k2 * self.st.rho
         return rate
 
     # ---- oversampled grid (non-polynomial factors)
@@ -242,18 +253,14 @@ class _StateFields:
             out[p] = self.basis.spectral_to_grid(self.basis.strain(self.c_u, i, j), grid=self.m)
         return out
 
-    def _band_to_m(self, spectrum):
-        """A band-limited base-grid spectrum on the oversampled grid."""
-        return self.basis.spectral_to_grid(self.basis.resample_spectrum(spectrum, self.band), grid=self.m)
-
     @cached_property
     def rho_m(self):
-        return self._band_to_m(self.st.rho)
+        return self.basis.spectral_to_grid(self.c_rho, grid=self.m)
 
     @cached_property
     def rho_t_m(self):
         """The density rate on the oversampled grid."""
-        return self._band_to_m(self.density_rate)
+        return self.basis.spectral_to_grid(self.basis.synth_scalar(self.density_rate, self.band), grid=self.m)
 
     @cached_property
     def theta_m(self):
@@ -472,9 +479,6 @@ class GalerkinOperators:
         self.basis = basis
         self.eps_density = float(eps_density)
         self.counters = StepCounters()
-        kx, ky, kz = basis.wavenumbers(basis.grid_points)
-        self._k2_n = kx * kx + ky * ky + kz * kz
-        self._mask_band = basis.dealias_mask(basis.band)
         self.magnetic_stiffness_diag = params.magnetic_diffusivity * basis.vec_k2
 
     # ------------------------------------------------------------ rhs pieces
@@ -534,7 +538,7 @@ class GalerkinOperators:
         as in ``h * eps * |k|^2``; that order fixes how the damping rounds.
         """
         p = self.params
-        rho = h * self.eps_density * self._k2_n
+        rho = h * self.eps_density * self.basis.scal_k2
         c = h * self.magnetic_stiffness_diag[: len(f.st.c)]
         kbar = np.mean(cst.conductivity(p, f.rho_m) * f.theta_floor_m**p.conductivity_exponent)
         rcbar = np.mean(f.heat_capacity_m)
@@ -557,7 +561,7 @@ class GalerkinOperators:
         its :class:`MassOperator` above the :func:`matrix_free` crossover."""
         if matrix_free(len(f.st.a), f.n, 3):
             return MassOperator.velocity(f)
-        return self.basis.vector_gram(f.st.rho, len(f.st.a))
+        return self.basis.vector_gram(self.basis.synth_scalar(f.st.rho), len(f.st.a))
 
     def thermal_mass(self, f: _StateFields) -> np.ndarray | MassOperator:
         """(rho c(theta) omega_i, omega_j): the spectral Gram matrix of
@@ -569,7 +573,7 @@ class GalerkinOperators:
             return MassOperator.thermal(f)
         if p.specific_heat_form == "constant":
             cbar = 0.5 * (p.specific_heat_min + p.specific_heat_max)
-            c_w = cbar * b.resample_spectrum(f.st.rho, f.m)
+            c_w = cbar * b.synth_scalar(f.st.rho, f.m)
         else:
             c_w = b.grid_to_spectral(f.heat_capacity_m)
         return b.scalar_gram(c_w, len(f.st.b))

@@ -38,7 +38,7 @@ from specmhd import integrator as itg
 from specmhd import spectral as sp
 from specmhd.config import CONFIG_SCHEMA_VERSION, RunConfig, serialize_config, sweep_cells, validate_config
 from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, MassSolveError, NonlinearSolveError
-from specmhd.initial_conditions import build_initial_state
+from specmhd.initial_conditions import build_initial_state, harmonic_density
 
 OUTPUT_ROOT_ENV = "SPECMHD_OUTPUT_ROOT"
 FIELD_SCHEMA_VERSION = "field-v2"
@@ -139,7 +139,7 @@ def _write_snapshot(prefix: Path, values: np.ndarray, box_size: float) -> None:
 
 def _final_snapshots(outdir: Path, state: gal.SimState) -> None:
     basis = state.basis
-    _write_snapshot(outdir / "rho_final", basis.spectral_to_grid(state.rho), basis.box_size)
+    _write_snapshot(outdir / "rho_final", basis.scalar_grid(state.rho), basis.box_size)
     _write_snapshot(outdir / "velocity_final", basis.vector_grid(state.a), basis.box_size)
     _write_snapshot(outdir / "magnetic_final", basis.vector_grid(state.c), basis.box_size)
     _write_snapshot(outdir / "theta_final", basis.scalar_grid(state.b), basis.box_size)
@@ -288,13 +288,10 @@ def _velocity_difference_norm(basis, hist_a, hist_b, times) -> float:
     return float(np.sqrt(np.trapezoid(sq, times)))
 
 
-def _density_difference_norm(basis, hist_a, hist_b) -> float:
-    """Discrete C([0,T]; L2) norm of the density difference (spectral)."""
-    worst = 0.0
-    for ra, rb in zip(hist_a, hist_b):
-        diff = ra - rb
-        worst = max(worst, float(np.sqrt(basis.volume * basis.sum_sq(diff))))
-    return worst
+def _density_difference_norm(hist_a, hist_b) -> float:
+    """Discrete C([0,T]; L2) norm of the density difference: the Euclidean
+    norm of the coefficients, since the scalar modes are orthonormal."""
+    return max((float(np.linalg.norm(ra - rb)) for ra, rb in zip(hist_a, hist_b)), default=0.0)
 
 
 @dataclass
@@ -357,9 +354,8 @@ def convergence_study(cfg: RunConfig, output_dir: str | None = None, quiet: bool
             times,
         )
         rho_diff = _density_difference_norm(
-            rec_a.basis,
-            [h["rho_spec"] for h in rec_a.history],
-            [h["rho_spec"] for h in rec_b.history],
+            [h["rho"] for h in rec_a.history],
+            [h["rho"] for h in rec_b.history],
         )
         pairs.append({"coarse": lo, "fine": hi, "u_diff": u_diff, "rho_diff": rho_diff})
 
@@ -500,15 +496,13 @@ def _check_fields(seed: int, amp: float, eps_density: float = 0.0):
     input of the galerkin checks."""
     basis = _check_basis()
     rng = np.random.default_rng(seed)
-    rho_spec = basis.zero_spectrum()
-    rho_spec[0, 0, 0] = 1.0
-    basis.set_amplitude(rho_spec, (0, 0, 1), 0.1)
+    rho = harmonic_density(basis, {"density_mean": 1.0, "density_amplitude": 0.2, "density_wavenumber": 1}, 2)
     k = _CHECK_MODES
     b = np.zeros(k + 1)
     b[0] = 1.0 * np.sqrt(basis.volume)
     state = gal.SimState(
         t=0.0,
-        rho=rho_spec,
+        rho=rho,
         a=amp * rng.normal(size=k) / np.sqrt(k),
         b=b,
         c=amp * rng.normal(size=k) / np.sqrt(k),
@@ -546,7 +540,7 @@ def _check_energy_identity(fields=None) -> tuple[bool, str]:
     f = fields if fields is not None else _check_fields(seed=4, amp=0.6, eps_density=1e-3)
     rep = gal.energy_report(f)
     st, w_n = f.st, f.basis.volume / f.n**3
-    rho_t = f.basis.spectral_to_grid(f.density_rate)
+    rho_t = f.basis.scalar_grid(f.density_rate)
     ddt_rho_kin = w_n * float(np.sum(rho_t * np.sum(f.u**2, axis=0)))
     adot_term = float(st.a @ f.ops.momentum_rhs(f))
     cdot_term = float(st.c @ f.ops.induction_rhs(f))
@@ -616,9 +610,9 @@ def _check_density_decay(eps_density: float = 5e-3) -> tuple[bool, str]:
     p = cst.ConstitutiveParams()
     rec = diag.TrajectoryRecorder(p)
     summary = itg.integrate(p, state, itg.StepConfig(dt=1e-3, t_end=0.1), observers=[rec], eps_density=eps_density)
-    amp = summary.final_state.rho[1, 0, 0].real
-    expected = 0.1 * np.exp(-eps_density * 0.1)
-    err = abs(amp - expected) / expected
+    cos = state.basis.cosine_mode((1, 0, 0))
+    expected = state.rho[cos] * np.exp(-eps_density * state.basis.scal_k2[cos] * 0.1)
+    err = abs(summary.final_state.rho[cos] - expected) / expected
     return bool(err < 1e-6), f"relative error {err:.2e} vs heat kernel"
 
 

@@ -2,7 +2,8 @@
 
 Each family documents its closed form; all fields are band-limited to the
 basis cutoff by construction, so the spectral projection onto the retained
-modes is exact.
+modes is exact.  The density and temperature are written as scalar
+coefficients directly, the density over the whole scalar table.
 
 ``FAMILIES`` declares each family's ``[initial]`` keys and defaults (a key's
 type is the type of its default); the config validator reads it, and the
@@ -75,26 +76,22 @@ def family_params(cfg: RunConfig) -> dict:
     return {**FAMILIES[cfg.initial_family], **cfg.initial_params}
 
 
-def _uniform_rho_spec(basis: DivFreeSpectralBasis, mean: float) -> np.ndarray:
-    spec = basis.zero_spectrum()
-    spec[0, 0, 0] = mean
-    return spec
-
-
-def _harmonic_rho_spec(basis, ip: dict, axis: int) -> np.ndarray:
-    """Spectrum of density_mean + density_amplitude * cos(2 pi density_wavenumber x_axis / L)."""
-    spec = _uniform_rho_spec(basis, ip["density_mean"])
-    if ip["density_amplitude"] != 0.0:
-        n = [0, 0, 0]
-        n[axis] = ip["density_wavenumber"]
-        basis.set_amplitude(spec, n, 0.5 * ip["density_amplitude"])
-    return spec
-
-
-def _uniform_theta(basis, count, base) -> np.ndarray:
+def _constant_scalar(basis: DivFreeSpectralBasis, count: int, value: float) -> np.ndarray:
+    """The first ``count`` scalar coefficients of the constant ``value``."""
     b = np.zeros(count)
-    b[0] = base * np.sqrt(basis.volume)
+    b[0] = value * np.sqrt(basis.volume)
     return b
+
+
+def harmonic_density(basis: DivFreeSpectralBasis, ip: dict, axis: int) -> np.ndarray:
+    """Coefficients of ``density_mean + density_amplitude cos(2 pi
+    density_wavenumber x_axis / L)`` over the whole scalar table, from the
+    ``[initial]`` values ``ip``."""
+    rho = _constant_scalar(basis, basis.n_scalar_modes, ip["density_mean"])
+    n = [0, 0, 0]
+    n[axis] = ip["density_wavenumber"]
+    rho[basis.cosine_mode(n)] = ip["density_amplitude"] * np.sqrt(0.5 * basis.volume)
+    return rho
 
 
 def _build_single_mode(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
@@ -104,8 +101,8 @@ def _build_single_mode(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
         a[ip["velocity_mode"]] = ip["velocity_amplitude"]
     if ip["magnetic_amplitude"]:
         c[ip["magnetic_mode"]] = ip["magnetic_amplitude"]
-    rho = _harmonic_rho_spec(basis, ip, ip["density_axis"])
-    b = _uniform_theta(basis, cfg.temperature_modes, ip["temperature_base"])
+    rho = harmonic_density(basis, ip, ip["density_axis"])
+    b = _constant_scalar(basis, cfg.temperature_modes, ip["temperature_base"])
     return rho, a, b, c
 
 
@@ -118,8 +115,8 @@ def _build_orszag_tang(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
     h = np.stack([-ma * np.sin(two_pi * y), ma * np.sin(2.0 * two_pi * x), zeros])
     a = basis.project_vector(u, cfg.velocity_modes)
     c = basis.project_vector(h, cfg.magnetic_modes)
-    rho = _harmonic_rho_spec(basis, ip, ip["density_axis"])
-    b = _uniform_theta(basis, cfg.temperature_modes, ip["temperature_base"])
+    rho = harmonic_density(basis, ip, ip["density_axis"])
+    b = _constant_scalar(basis, cfg.temperature_modes, ip["temperature_base"])
     return rho, a, b, c
 
 
@@ -155,7 +152,7 @@ def _build_random_band(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
     theta_base = ip["temperature_base"]
     theta_amp = ip["temperature_amplitude"]
     n_theta = min(13, basis.n_scalar_modes)
-    master_b = _uniform_theta(basis, n_theta, theta_base)
+    master_b = _constant_scalar(basis, n_theta, theta_base)
     if theta_amp > 0 and n_theta > 1:
         master_b[1:] = rng.normal(size=n_theta - 1) * (1.0 + np.arange(1, n_theta) / 8.0) ** (-slope)
         span = np.abs(basis.scalar_grid(master_b) - theta_base).max()
@@ -167,20 +164,19 @@ def _build_random_band(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
 
     rho_mean = ip["density_mean"]
     rho_amp = ip["density_amplitude"]
-    rho = _uniform_rho_spec(basis, rho_mean)
+    rho = _constant_scalar(basis, basis.n_scalar_modes, rho_mean)
     if rho_amp > 0:
         n_pert = min(13, basis.n_scalar_modes)
-        coeffs = np.zeros(n_pert)
-        coeffs[1:] = rng.normal(size=n_pert - 1) * (1.0 + np.arange(1, n_pert) / 8.0) ** (-slope)
-        pert_spec = basis.synth_scalar(coeffs, basis.grid_points)
-        span = np.abs(basis.spectral_to_grid(pert_spec)).max()
+        pert = np.zeros(n_pert)
+        pert[1:] = rng.normal(size=n_pert - 1) * (1.0 + np.arange(1, n_pert) / 8.0) ** (-slope)
+        span = np.abs(basis.scalar_grid(pert)).max()
         if span > 0:
-            rho = rho + pert_spec * (rho_amp / span)
+            rho[1:n_pert] = pert[1:] * (rho_amp / span)
     return rho, a, b, c
 
 
 def _build_layered_density(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
-    rho = _harmonic_rho_spec(basis, ip, 2)
+    rho = harmonic_density(basis, ip, 2)
     x, _, _ = basis.mesh()
     two_pi = 2.0 * np.pi / basis.box_size
     zeros = np.zeros_like(x)
@@ -189,7 +185,7 @@ def _build_layered_density(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict
     c = np.zeros(cfg.magnetic_modes)
     if ip["magnetic_amplitude"]:
         c[ip["magnetic_mode"]] = ip["magnetic_amplitude"]
-    b = _uniform_theta(basis, cfg.temperature_modes, ip["temperature_base"])
+    b = _constant_scalar(basis, cfg.temperature_modes, ip["temperature_base"])
     return rho, a, b, c
 
 

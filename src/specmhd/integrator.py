@@ -197,6 +197,11 @@ def integrate(
     bad = validate_params(params) + cfg.validate()
     if bad:
         raise ConfigError("\n".join(bad))
+    if len(state0.rho) != state0.basis.n_scalar_modes:
+        raise ConfigError(
+            f"initial state invalid: {len(state0.rho)} density coefficients, the basis has "
+            f"{state0.basis.n_scalar_modes} scalar modes"
+        )
     if not state0.is_finite():
         raise ConfigError("initial state invalid: non-finite state entries")
     ops = GalerkinOperators(params, state0.basis, eps_density)

@@ -51,16 +51,15 @@ the smallest that holds what its caller reads or writes:
   matrix-free mass action takes its integrand to the one of the family it
   gathers;
 * the band cube ``band`` = ``2K + 1``, with K the cutoff, for the density,
-  which fills the whole band: its oversampled realizations, its rate's
-  forward, and ``project_vector``, whose count can reach the cutoff;
-* the full spectrum for a caller that reads outside the band: the
-  saturating thermal Gram matrix, whose weight entries reach twice the
-  cutoff (the differences and sums of two band wavevectors); the
-  temperature Sobolev monitor of ``energy_report``, which sums the whole
-  spectrum of a non-polynomial field; the density and its gradient on the
-  base grid, which are stored as full spectra; and the harness checks,
-  snapshots and initial conditions, which judge or write the fields on
-  their grids.
+  whose coefficients span the whole scalar table: every realization of it
+  and of its rate, its rate's forward, and ``project_vector``, whose count
+  can reach the cutoff;
+* the full spectrum for a caller that reads outside the band: the Gram
+  matrices, whose weight entries reach twice the cutoff (the differences
+  and sums of two band wavevectors); the temperature Sobolev monitor of
+  ``energy_report``, which sums the whole spectrum of a non-polynomial
+  field; and the harness checks, snapshots and initial conditions, which
+  judge or write the fields on their grids.
 
 The phase rule: ``cos(k.x)`` has amplitude ``1/2`` at ``k`` and ``sin(k.x)``
 has ``-i/2``, so the inner product of a field with a cosine mode reads the
@@ -235,11 +234,6 @@ class DivFreeSpectralBasis:
             self._wavenumber_cache[grid] = tuple(base * n for n in self._integer_wavenumbers(grid))
         return self._wavenumber_cache[grid]
 
-    def dealias_mask(self, grid: int) -> np.ndarray:
-        """Boolean mask keeping |n| <= cutoff on a half-layout spectrum."""
-        nx, ny, nz = self._integer_wavenumbers(grid)
-        return nx**2 + ny**2 + nz**2 <= self.cutoff * self.cutoff + 0.5
-
     def oversample_grid(self) -> int:
         """Grid used for non-polynomial pointwise evaluations (3/2 rule)."""
         g = (3 * self.grid_points) // 2
@@ -251,17 +245,6 @@ class DivFreeSpectralBasis:
         """All-zero spectrum of shape ``lead + (G // 2 + 1, G, G)``."""
         g = grid or self.grid_points
         return np.zeros(tuple(lead) + (g // 2 + 1, g, g), dtype=complex)
-
-    @staticmethod
-    def set_amplitude(c: np.ndarray, n, amp: complex) -> None:
-        """Give the real field of spectrum ``c`` the amplitude ``amp`` at the
-        integer wavevector ``n``, and so ``conj(amp)`` at ``-n``; whichever
-        of the two entries the half layout stores is written."""
-        g = c.shape[-1]
-        n = np.asarray(n)
-        for m, a in ((n, amp), (-n, np.conj(amp))):
-            if m[0] % g <= g // 2:
-                c[..., m[0] % g, m[1] % g, m[2] % g] = a
 
     @staticmethod
     def grid_to_spectral(values: np.ndarray, *, size: int | None = None) -> np.ndarray:
@@ -447,6 +430,12 @@ class DivFreeSpectralBasis:
         trig = coeffs[1:]
         self._synth(True, 1, trig, np.ones((len(trig), 1)), c[None])
         return c
+
+    def cosine_mode(self, n) -> int:
+        """Index in the scalar table of the cosine mode of the canonical
+        wavevector ``n``."""
+        match = np.all(self.scal_n == n, axis=1) & (self.scal_phase == _PHASE_COS)
+        return int(np.flatnonzero(match)[0])
 
     def vector_grid(self, coeffs: np.ndarray) -> np.ndarray:
         return self.spectral_to_grid(self.synth_vector(coeffs))

@@ -1,4 +1,5 @@
-"""Shared test utilities: random admissible states, an independent
+"""Shared test utilities: constant densities, random admissible states,
+the density rate in its base-grid spectral form, an independent
 dense-grid quadrature oracle for Galerkin projections, the mode tables
 built one wavevector at a time, the entry-by-entry
 mass assembly that the per-wavevector-pair assembly must reproduce bitwise,
@@ -27,6 +28,13 @@ from specmhd import integrator as itg
 from specmhd import spectral as sp
 from specmhd.config import auto_density_regularization, load_config
 from specmhd.galerkin import GalerkinOperators, SimState, _StateFields
+
+
+def constant_density(basis, value=1.0):
+    """Density coefficients of the constant ``value``."""
+    rho = np.zeros(basis.n_scalar_modes)
+    rho[0] = value * np.sqrt(basis.volume)
+    return rho
 
 
 def make_state(
@@ -68,7 +76,8 @@ def make_state(
         span = np.abs(basis.scalar_grid(rho_coeffs) - rho_mean).max()
         if span > 0:
             rho_coeffs[1:] *= rho_amp / span
-    rho = basis.synth_scalar(rho_coeffs, basis.grid_points)
+    rho = np.zeros(basis.n_scalar_modes)
+    rho[:n_rho] = rho_coeffs
     return SimState(t=t, rho=rho, a=a, b=b, c=c, basis=basis)
 
 
@@ -234,7 +243,7 @@ def oracle_velocity_mass(f):
     b = f.basis
     nvecs, phases = b.vec_n[:k_u], b.vec_phase[:k_u].astype(int)
     pref = b.vec_e[:k_u] @ b.vec_e[:k_u].T
-    mat = trig_product_matrix(b, f.st.rho, nvecs, phases, pref)
+    mat = trig_product_matrix(b, b.synth_scalar(f.st.rho), nvecs, phases, pref)
     return 0.5 * (mat + mat.T)
 
 
@@ -245,7 +254,7 @@ def oracle_thermal_mass(f):
     b = f.basis
     if p.specific_heat_form == "constant":
         cbar = 0.5 * (p.specific_heat_min + p.specific_heat_max)
-        c_w = cbar * b.resample_spectrum(f.st.rho, f.m)
+        c_w = cbar * b.synth_scalar(f.st.rho, f.m)
     else:
         w = f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0))
         c_w = b.grid_to_spectral(w)
@@ -261,6 +270,19 @@ def oracle_thermal_mass(f):
 
 
 # ------------------------------------------------- solver operators, rebuilt
+
+
+def spectral_density_rate(f):
+    """The density rate of the realization ``f`` as a base-grid spectrum:
+    ``-div(rho u)``, masked to the basis cutoff ``|n| <= K``, plus
+    ``eps lap(rho)``.  Its scalar-mode projection is the coefficient rate."""
+    b = f.basis
+    kx, ky, kz = b.wavenumbers(f.n)
+    k2 = kx * kx + ky * ky + kz * kz
+    nx, ny, nz = b._integer_wavenumbers(f.n)
+    mask = nx * nx + ny * ny + nz * nz <= b.cutoff**2
+    rate = -b.div(b.grid_to_spectral(f.rho[None] * f.u)) * mask
+    return rate - f.ops.eps_density * k2 * b.synth_scalar(f.st.rho)
 
 
 def induction_matrix(ops, state):

@@ -22,6 +22,7 @@ from specmhd import spectral as sp
 from specmhd.config import load_config
 
 from helpers import (
+    constant_density,
     induction_matrix,
     oracle_dense_grid,
     oracle_mesh,
@@ -140,8 +141,6 @@ def test_criterion_5_galerkin_operator_oracles():
         basis = sp.build_basis(2.0 * np.pi, 12)
         params = cst.ConstitutiveParams(power_law_exponent=3.0)
         rng = np.random.default_rng(99)
-        rho_spec = basis.zero_spectrum()
-        rho_spec[0, 0, 0] = 1.0
         nb = min(21, basis.n_scalar_modes)
         bvec = np.zeros(nb)
         bvec[0] = np.sqrt(basis.volume)
@@ -149,7 +148,7 @@ def test_criterion_5_galerkin_operator_oracles():
         c = 0.5 * rng.normal(size=20)
         state = gal.SimState(
             t=0.0,
-            rho=rho_spec,
+            rho=constant_density(basis),
             a=a,
             b=bvec,
             c=c,

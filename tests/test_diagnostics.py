@@ -10,7 +10,7 @@ from specmhd import harness
 from specmhd import integrator as itg
 from specmhd import spectral as sp
 
-from helpers import make_state
+from helpers import constant_density, make_state
 
 L = 2.0 * np.pi
 
@@ -29,13 +29,11 @@ def params():
 
 
 def plain_state(basis, theta0=1.0):
-    rho_spec = basis.zero_spectrum()
-    rho_spec[0, 0, 0] = 1.0
     b = np.zeros(K + 1)
     b[0] = theta0 * np.sqrt(basis.volume)
     return gal.SimState(
         t=0.0,
-        rho=rho_spec,
+        rho=constant_density(basis),
         a=np.zeros(K),
         b=b,
         c=np.zeros(K),
@@ -143,12 +141,12 @@ class KineticTerms:
         b, eps = f.basis, self.ops.eps_density
         w_n = b.volume / f.n**3
         u2 = np.sum(f.u**2, axis=0)
-        ddt_rho_kin = w_n * float(np.sum(b.spectral_to_grid(f.density_rate) * u2))
+        ddt_rho_kin = w_n * float(np.sum(b.scalar_grid(f.density_rate) * u2))
         adot_term = float(state.a @ self.ops.momentum_rhs(f))
         conv_term = w_n * float(np.sum(f.rho * np.einsum("ixyz,ixyz->xyz", f.conv, f.u)))
         integrand = ddt_rho_kin + adot_term - conv_term
         if eps:
-            lap_rho = b.spectral_to_grid(self.ops._k2_n * state.rho)  # -lap(rho)
+            lap_rho = b.scalar_grid(b.scal_k2 * state.rho)  # -lap(rho)
             integrand += 0.5 * eps * w_n * float(np.sum(lap_rho * u2))
         self.samples.append((report["t"], report["E_kin"], integrand))
 

@@ -17,6 +17,7 @@ from specmhd.initial_conditions import build_initial_state
 
 from helpers import (
     assert_bitwise,
+    constant_density,
     induction_matrix,
     lorentz_flipped,
     make_state,
@@ -31,6 +32,7 @@ from helpers import (
     oracle_vector_mode_curl,
     oracle_velocity_mass,
     riemann,
+    spectral_density_rate,
 )
 
 L = 2.0 * np.pi
@@ -61,11 +63,9 @@ def uniform_rho_state(basis, a=None, b=None, c=None, rho0=1.0, theta0=1.0):
     bvec[0] = theta0 * np.sqrt(basis.volume)
     if b is not None:
         bvec[: len(b)] = b
-    rho = basis.zero_spectrum()
-    rho[0, 0, 0] = rho0
     return gal.SimState(
         t=0.0,
-        rho=rho,
+        rho=constant_density(basis, rho0),
         a=np.zeros(K) if a is None else np.asarray(a, dtype=float),
         b=bvec,
         c=np.zeros(K) if c is None else np.asarray(c, dtype=float),
@@ -83,17 +83,35 @@ class TestDensityRhs:
     def test_heat_kernel_mode(self, basis, params):
         eps = 1e-2
         st = uniform_rho_state(basis)
-        st.rho[1, 0, 0] = 0.05
+        cos = basis.cosine_mode((1, 0, 0))
+        st.rho[cos] = 0.05
         rate = gal.GalerkinOperators(params, basis, eps_density=eps).fields(st).density_rate
-        expected = basis.zero_spectrum()
-        expected[1, 0, 0] = -eps * 1.0 * 0.05
+        expected = np.zeros(basis.n_scalar_modes)
+        expected[cos] = -eps * 1.0 * 0.05
         np.testing.assert_allclose(rate, expected, atol=1e-15)
 
     def test_mean_is_zero(self, basis, params):
         rng = np.random.default_rng(1)
         st = make_state(basis, rng, K)
         rate = gal.GalerkinOperators(params, basis, eps_density=1e-3).fields(st).density_rate
-        assert abs(rate[0, 0, 0]) < 1e-16
+        assert rate[0] == 0.0
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_rate_is_the_projection_of_the_spectral_form(self, params, n):
+        """On a density with every scalar coefficient nonzero, the rate is
+        the scalar-mode projection of the masked ``-div(rho u)`` plus
+        ``eps lap(rho)`` to 1e-15 relative, and exactly 0 on the constant."""
+        basis = sp.build_basis(L, n)
+        rng = np.random.default_rng(n)
+        st = make_state(basis, rng, 40, rho_amp=0.0)
+        pert = rng.normal(size=basis.n_scalar_modes - 1)
+        st.rho[1:] = 0.3 * pert / np.abs(basis.scalar_grid(np.r_[0.0, pert])).max()
+        f = gal.GalerkinOperators(params, basis, eps_density=1e-3).fields(st)
+        assert f.rho.min() > 0.6
+        want = basis.gather_scalar(spectral_density_rate(f), basis.n_scalar_modes)
+        rate = f.density_rate
+        assert np.max(np.abs(rate - want)) <= 1e-15 * np.max(np.abs(want))
+        assert rate[0] == 0.0
 
 
 class TestMomentumRhs:
@@ -251,21 +269,8 @@ class TestMassMatrices:
         m = ops.velocity_mass(ops.fields(st))
         gd = oracle_dense_grid(basis)
         mesh = oracle_mesh(L, gd)
-        # density on the dense grid straight from its spectrum by direct evaluation
-        g = basis.grid_points
-        spec = st.rho
-        x, y, z = mesh
-        rho_dense = np.zeros_like(x)
-        ints = np.fft.fftfreq(g, d=1.0 / g).astype(int)
-        base = 2.0 * np.pi / L
-        nz = np.argwhere(np.abs(spec) > 1e-14)
-        for ix, iy, iz in nz:
-            kvec = base * np.array([ints[ix], ints[iy], ints[iz]])
-            term = np.real(
-                spec[ix, iy, iz] * np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z))
-            )
-            # the x-half spectrum stores the conjugate partner at -n only for nx = 0
-            rho_dense += term if ix == 0 else 2.0 * term
+        # density on the dense grid from its modes' closed forms
+        rho_dense = sum(r * oracle_scalar_mode(basis, j, mesh) for j, r in enumerate(st.rho) if r != 0.0)
         for i in range(0, K, 5):
             psi_i = oracle_vector_mode(basis, i, mesh)
             for j in range(0, K, 7):
@@ -280,14 +285,14 @@ class TestMassMatrices:
 
     def test_rates_synthesize_each_spectrum_once(self, basis, ops, monkeypatch):
         st = make_state(basis, np.random.default_rng(2), K)
-        calls = []
+        calls = Counter()
 
         def counted(name):
             raw = getattr(basis, name)
 
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return raw(*args, **kwargs)
+            def wrapper(coeffs, grid=None):
+                calls[name, len(coeffs), grid] += 1
+                return raw(coeffs, grid)
 
             return wrapper
 
@@ -295,9 +300,18 @@ class TestMassMatrices:
             monkeypatch.setattr(basis, name, counted(name))
         f = ops.fields(st)
         ops.rates(f)
-        # one spectrum each for the velocity, the magnetic field and the
-        # temperature, which every grid realizes from
-        assert sorted(calls) == ["synth_scalar"] + ["synth_vector"] * 2
+        s = basis.n_scalar_modes
+        # one spectrum each for the velocity, the magnetic field, the
+        # temperature and the density, which every grid realizes from, and
+        # one for the density rate; the two Gram weights need the full
+        # spectra of the density on their grids
+        assert calls == {
+            ("synth_vector", K, f.size_u): 2,
+            ("synth_scalar", K + 1, f.size_theta): 1,
+            ("synth_scalar", s, f.band): 2,
+            ("synth_scalar", s, None): 1,
+            ("synth_scalar", s, f.m): 1,
+        }
 
     def test_not_spd_raises(self, basis, ops):
         f = ops.fields(uniform_rho_state(basis, rho0=-1.0))
@@ -306,7 +320,7 @@ class TestMassMatrices:
 
     def test_not_finite_raises(self, basis, ops):
         st = uniform_rho_state(basis)
-        st.rho[0, 0, 0] = np.nan
+        st.rho[0] = np.nan
         with pytest.raises(MassSolveError, match="not finite"):
             ops.solve_mass(ops.velocity_mass(ops.fields(st)), np.zeros(K))
 
@@ -430,11 +444,11 @@ class TestMatrixFreeMass:
     def test_bad_weight_names_point_and_value(self, basis, ops, which, value):
         st = uniform_rho_state(basis, rho0=0.99)
         if value == "nan":
-            st.rho[0, 0, 0] = np.nan
+            st.rho[0] = np.nan
             want = r"nan at grid point \(0, 0, 0\)"
         else:
             # rho = 0.99 + cos(x) is negative at the grid points x = pi alone
-            basis.set_amplitude(st.rho, (1, 0, 0), 0.5)
+            st.rho[basis.cosine_mode((1, 0, 0))] = np.sqrt(0.5 * basis.volume)
             g = basis.grid_points if which == "velocity" else basis.oversample_grid()
             want = rf"-0\.01 at grid point \({g // 2}, 0, 0\) of the {g}\^3 quadrature grid"
         op = getattr(gal.MassOperator, which)(ops.fields(st))
@@ -581,7 +595,7 @@ class TestRealizationWork:
             ("grid_to_spectral", 32, 21): 3,
             # u, H, grad u and curl H; rho and grad rho
             ("spectral_to_grid", 32, 3): 18,
-            ("spectral_to_grid", 32, 32): 4,
+            ("spectral_to_grid", 32, 21): 4,
             # the stress; the heat transport and source
             ("grid_to_spectral", 48, 3): 6,
             ("grid_to_spectral", 48, 5): 4,
@@ -598,7 +612,7 @@ class TestRealizationWork:
             # u; theta; rho
             ("spectral_to_grid", 32, 3): 3,
             ("spectral_to_grid", 32, 5): 1,
-            ("spectral_to_grid", 32, 32): 1,
+            ("spectral_to_grid", 32, 21): 1,
             # the strain; theta; rho
             ("spectral_to_grid", 48, 3): 6,
             ("spectral_to_grid", 48, 5): 1,
@@ -646,6 +660,23 @@ def test_truncation_cube_realizations_are_bitwise_the_full_ones(workload):
     }
     for name, field in want.items():
         assert_bitwise(getattr(f, name), field)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.stem)
+def test_start_density_realizations_are_bitwise_the_full_ones(path):
+    """On each shipped config's start state the density and its gradient on
+    the base grid and the density on the oversampled grid, realized from
+    the band cube, have the bits of the full-spectrum synthesis, so
+    ``rho_min_initial`` and ``rho_max_initial`` are those of the full
+    synthesis."""
+    cfg = load_config(path)
+    basis = harness.build_basis_for(cfg)
+    state = build_initial_state(cfg, basis)
+    f = gal.GalerkinOperators(cfg.constitutive, basis).fields(state)
+    full = basis.synth_scalar(state.rho)
+    assert_bitwise(f.rho, basis.spectral_to_grid(full))
+    assert_bitwise(f.grad_rho, basis.grid_gradient(full))
+    assert_bitwise(f.rho_m, basis.spectral_to_grid(basis.resample_spectrum(full, f.m)))
 
 
 # the default forms, then one change each; the default cases are named by

@@ -16,7 +16,7 @@ from specmhd import spectral as sp
 from specmhd.config import RunConfig, load_config, load_config_text, serialize_config
 from specmhd.constitutive import ConstitutiveParams
 from specmhd.errors import ConfigError
-from specmhd.initial_conditions import FAMILIES, build_initial_state
+from specmhd.initial_conditions import FAMILIES, build_initial_state, harmonic_density
 from specmhd.integrator import StepConfig
 
 from helpers import lorentz_flipped, read_snapshot, stiff_random_band
@@ -254,13 +254,21 @@ class TestInitialFamilies:
         )
         basis = harness.build_basis_for(cfg)
         state = build_initial_state(cfg, basis)
-        rho = state.basis.spectral_to_grid(state.rho)
+        rho = state.basis.scalar_grid(state.rho)
         assert rho.max() == pytest.approx(1.25, rel=1e-12)
         assert rho.min() == pytest.approx(0.75, rel=1e-12)
         u = basis.vector_grid(state.a)
         # shear is in the z-component and varies along x only
         assert np.max(np.abs(u[0])) < 1e-13 and np.max(np.abs(u[1])) < 1e-13
         assert np.max(np.abs(u[2])) == pytest.approx(0.05, rel=1e-10)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_harmonic_density_on_each_axis(self, axis):
+        basis = sp.build_basis(3.0, 16)
+        ip = {"density_mean": 1.1, "density_amplitude": 0.3, "density_wavenumber": 2}
+        rho = basis.scalar_grid(harmonic_density(basis, ip, axis))
+        want = 1.1 + 0.3 * np.cos(2.0 * np.pi * 2 * basis.mesh()[axis] / 3.0)
+        assert np.max(np.abs(rho - want)) <= 1e-14
 
     def test_random_band_nested_truncations(self):
         # truncated runs take the leading slice of one master vector
@@ -340,7 +348,7 @@ class TestRunOutputs:
         assert (rep.output_dir / "velocity_final.json").read_text() == SNAPSHOT_SIDECAR
         np.testing.assert_array_equal(velocity, basis.vector_grid(final["a"]))
         _, rho = read_snapshot(rep.output_dir / "rho_final")
-        np.testing.assert_array_equal(rho, basis.spectral_to_grid(final["rho_spec"]))
+        np.testing.assert_array_equal(rho, basis.scalar_grid(final["rho"]))
         assert np.ptp(velocity) > 0 and np.ptp(rho) > 0
 
     def test_decay_rate_in_summary(self, tmp_path):
@@ -577,10 +585,10 @@ class TestSweeps:
     def test_density_difference_is_grid_l2_norm(self):
         basis = sp.build_basis(2.0 * np.pi, 12)
         rng = np.random.default_rng(0)
-        ra, rb = (basis.synth_scalar(rng.normal(size=9)) for _ in range(2))
-        diff = basis.spectral_to_grid(ra) - basis.spectral_to_grid(rb)
+        ra, rb = (rng.normal(size=basis.n_scalar_modes) for _ in range(2))
+        diff = basis.scalar_grid(ra) - basis.scalar_grid(rb)
         want = np.sqrt(basis.volume / 12**3 * np.sum(diff**2))
-        got = harness._density_difference_norm(basis, [ra], [rb])
+        got = harness._density_difference_norm([ra], [rb])
         assert got == pytest.approx(want, rel=1e-12)
 
 

@@ -14,9 +14,9 @@ from specmhd import integrator as itg
 from specmhd import spectral as sp
 from specmhd.config import load_config
 from specmhd.errors import BlowUpError, ConfigError, InvariantViolation, NonlinearSolveError
-from specmhd.initial_conditions import build_initial_state
+from specmhd.initial_conditions import build_initial_state, harmonic_density
 
-from helpers import forward_euler_started_run, plain_midpoint_step, stiff_random_band
+from helpers import constant_density, forward_euler_started_run, plain_midpoint_step, stiff_random_band
 
 L = 2.0 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,13 +38,11 @@ def params():
 
 
 def plain_state(basis, theta0=1.0, rho0=1.0):
-    rho_spec = basis.zero_spectrum()
-    rho_spec[0, 0, 0] = rho0
     b = np.zeros(min(K + 1, basis.n_scalar_modes))
     b[0] = theta0 * np.sqrt(basis.volume)
     return gal.SimState(
         t=0.0,
-        rho=rho_spec,
+        rho=constant_density(basis, rho0),
         a=np.zeros(K),
         b=b,
         c=np.zeros(K),
@@ -78,6 +76,13 @@ class TestStepBasics:
         with pytest.raises(ConfigError, match="initial state invalid"):
             itg.integrate(params, st, itg.StepConfig(dt=1e-3, t_end=1e-3))
 
+    def test_density_of_the_wrong_length_rejected(self, basis, params):
+        st = plain_state(basis)
+        st.rho = st.rho[:-1]
+        want = f"{basis.n_scalar_modes - 1} density coefficients.*{basis.n_scalar_modes} scalar modes"
+        with pytest.raises(ConfigError, match=want):
+            itg.integrate(params, st, itg.StepConfig(dt=1e-3, t_end=1e-3))
+
 
 class TestMagneticDecayOracle:
     def test_single_mode_decay(self):
@@ -97,8 +102,7 @@ class TestEnergyResidual:
         st = plain_state(basis)
         st.a[0] = 0.5
         st.c[12] = 0.5  # second shell: couples back onto retained modes
-        st.rho[0, 0, 1] = 0.15
-        st.rho[0, 0, -1] = 0.15
+        st.rho = harmonic_density(basis, {"density_mean": 1.0, "density_amplitude": 0.3, "density_wavenumber": 1}, 2)
         return st
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
@@ -336,11 +340,9 @@ class TestStiffStage:
             assert np.all((d > 0.0) & (d <= 1.0))
             assert np.array_equal(d == 1.0, l_part == 0.0)
         rho, a, b, c = damping
-        assert a == 1.0 and b[0] == 1.0 and rho[0, 0, 0] == 1.0
+        assert a == 1.0 and b[0] == 1.0 and rho[0] == 1.0
         assert np.all(b[1:] < 1.0) and np.all(c < 1.0)
-        assert np.all(rho[basis.dealias_mask(basis.grid_points) & (ops._k2_n > 0)] < 1.0) == bool(
-            cfg.density_regularization
-        )
+        assert np.all(rho[1:] < 1.0) == bool(cfg.density_regularization)
 
     def test_stiff_diagonal_frozen_at_the_first_stage(self, monkeypatch):
         cfg = load_config(CONFIGS / "random_band.cfg")

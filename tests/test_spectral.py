@@ -218,15 +218,6 @@ class TestHalfSpectrumLayout:
         np.testing.assert_allclose(got[:4], np.conj(basis.gather_amplitudes(c, -nvecs[:4])), atol=1e-17)
         np.testing.assert_allclose(got, full[tuple((nvecs % g).T)], rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [(2, -1, 0), (0, 1, -3), (-1, 2, 1)])
-    def test_set_amplitude_gives_real_harmonic(self, basis, n):
-        c = basis.zero_spectrum()
-        basis.set_amplitude(c, n, 0.5 * (0.3 - 0.4j))
-        x, y, z = basis.mesh()
-        ph = (2.0 * np.pi / L) * (n[0] * x + n[1] * y + n[2] * z)
-        want = 0.3 * np.cos(ph) + 0.4 * np.sin(ph)
-        np.testing.assert_allclose(basis.spectral_to_grid(c), want, rtol=0, atol=1e-14)
-
     def test_resample_vector_round_trip(self, basis):
         # every amplitude below the Nyquist wavenumber 8 survives 16 -> 24 -> 16
         rng = np.random.default_rng(23)
