@@ -35,7 +35,8 @@ Each mass matrix ``(w phi_i, phi_j)`` is the grid quadrature of its weight,
 rho on the base grid or ``rho c(theta)`` on the oversampled grid.  Its
 eigenvalues lie between the grid extrema of the weight, so it is SPD exactly
 when the weight is positive at every grid point.  Small systems are the
-spectral Gram matrix of the weight
+spectral Gram matrix of a cube of the weight, the density's band cube or
+the forward cube of ``rho c(theta)`` that holds every entry the Gram reads
 (:meth:`DivFreeSpectralBasis.vector_gram`,
 :meth:`DivFreeSpectralBasis.scalar_gram`), Cholesky-factorized; large ones
 are never formed and are solved by conjugate gradients on the action of the
@@ -61,7 +62,8 @@ synthesized from them is zero outside it.  So the velocity, magnetic field
 and temperature are each synthesized once, on their own truncation cube,
 and realized from it on both grids, and each right-hand side takes its
 integrand to the truncation cube of the family it gathers.  The density's
-coefficients span the whole scalar table, so its cube is the band cube.
+coefficients span the whole scalar table, so its cube is the band cube,
+which also serves as the Gram weight: a state synthesizes its density once.
 """
 
 from __future__ import annotations
@@ -557,25 +559,27 @@ class GalerkinOperators:
     # -------------------------------------------------------- mass matrices
 
     def velocity_mass(self, f: _StateFields) -> np.ndarray | MassOperator:
-        """(rho psi_i, psi_j): the spectral Gram matrix of the density, or
-        its :class:`MassOperator` above the :func:`matrix_free` crossover."""
+        """(rho psi_i, psi_j): the spectral Gram matrix of the density's
+        band cube ``c_rho``, or its :class:`MassOperator` above the
+        :func:`matrix_free` crossover."""
         if matrix_free(len(f.st.a), f.n, 3):
             return MassOperator.velocity(f)
-        return self.basis.vector_gram(self.basis.synth_scalar(f.st.rho), len(f.st.a))
+        return self.basis.vector_gram(f.c_rho, len(f.st.a))
 
     def thermal_mass(self, f: _StateFields) -> np.ndarray | MassOperator:
         """(rho c(theta) omega_i, omega_j): the spectral Gram matrix of
-        ``rho c(theta)`` on the oversampled grid, or its
-        :class:`MassOperator` above the :func:`matrix_free` crossover."""
+        ``c c_rho`` for constant c, else of the oversampled forward cube of
+        size ``2 size_theta - 1``, which holds every ``n_i +- n_j`` it reads;
+        or its :class:`MassOperator` above the :func:`matrix_free` crossover."""
         p = self.params
         b = self.basis
         if matrix_free(len(f.st.b), f.m, 1):
             return MassOperator.thermal(f)
         if p.specific_heat_form == "constant":
             cbar = 0.5 * (p.specific_heat_min + p.specific_heat_max)
-            c_w = cbar * b.synth_scalar(f.st.rho, f.m)
+            c_w = cbar * f.c_rho
         else:
-            c_w = b.grid_to_spectral(f.heat_capacity_m)
+            c_w = b.grid_to_spectral(f.heat_capacity_m, size=2 * f.size_theta - 1)
         return b.scalar_gram(c_w, len(f.st.b))
 
     @staticmethod

@@ -310,7 +310,10 @@ def convergence_study(cfg: RunConfig, output_dir: str | None = None, quiet: bool
 
     Runs each sweep cell with identical initial data, then measures pairwise
     differences between consecutive refinements: velocity in the discrete
-    L2-in-time Sobolev norm, density in the sup-in-time L2 norm.
+    L2-in-time Sobolev norm, density in the sup-in-time L2 norm.  A
+    ``density_regularization`` study records ``u_diff`` but judges and rates
+    only ``rho_diff``: on layered_density the velocity does not depend on
+    eps, so its ``u_diff`` values (about 1e-25) are rounding.
     """
     _require_valid(cfg)
     if not cfg.sweep_kind:

@@ -140,6 +140,19 @@ def _master_band(band, count, amplitude, slope, rng) -> np.ndarray:
     return out
 
 
+def _scalar_perturbation(basis, n, base, amplitude, slope, rng) -> np.ndarray:
+    """The first ``n`` scalar coefficients of ``base`` plus seeded draws
+    under the envelope (1 + j/8)^(-slope), scaled so that the largest grid
+    excursion from ``base`` is ``amplitude``; no draws when it is 0."""
+    out = _constant_scalar(basis, n, base)
+    if amplitude > 0 and n > 1:
+        out[1:] = rng.normal(size=n - 1) * (1.0 + np.arange(1, n) / 8.0) ** (-slope)
+        span = np.abs(basis.scalar_grid(out) - base).max()
+        if span > 0:
+            out[1:] *= amplitude / span
+    return out
+
+
 def _build_random_band(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
     rng = np.random.default_rng(ip["seed"])
     slope = ip["spectrum_slope"]
@@ -149,29 +162,13 @@ def _build_random_band(cfg: RunConfig, basis: DivFreeSpectralBasis, ip: dict):
 
     # temperature and density perturbations use fixed master mode counts so
     # the constructed fields do not depend on the velocity truncation level
-    theta_base = ip["temperature_base"]
-    theta_amp = ip["temperature_amplitude"]
-    n_theta = min(13, basis.n_scalar_modes)
-    master_b = _constant_scalar(basis, n_theta, theta_base)
-    if theta_amp > 0 and n_theta > 1:
-        master_b[1:] = rng.normal(size=n_theta - 1) * (1.0 + np.arange(1, n_theta) / 8.0) ** (-slope)
-        span = np.abs(basis.scalar_grid(master_b) - theta_base).max()
-        if span > 0:
-            master_b[1:] *= theta_amp / span
+    n_pert = min(13, basis.n_scalar_modes)
+    master_b = _scalar_perturbation(basis, n_pert, ip["temperature_base"], ip["temperature_amplitude"], slope, rng)
     b = np.zeros(cfg.temperature_modes)
-    take = min(n_theta, cfg.temperature_modes)
+    take = min(n_pert, cfg.temperature_modes)
     b[:take] = master_b[:take]
-
-    rho_mean = ip["density_mean"]
-    rho_amp = ip["density_amplitude"]
-    rho = _constant_scalar(basis, basis.n_scalar_modes, rho_mean)
-    if rho_amp > 0:
-        n_pert = min(13, basis.n_scalar_modes)
-        pert = np.zeros(n_pert)
-        pert[1:] = rng.normal(size=n_pert - 1) * (1.0 + np.arange(1, n_pert) / 8.0) ** (-slope)
-        span = np.abs(basis.scalar_grid(pert)).max()
-        if span > 0:
-            rho[1:n_pert] = pert[1:] * (rho_amp / span)
+    rho = _constant_scalar(basis, basis.n_scalar_modes, ip["density_mean"])
+    rho[1:n_pert] = _scalar_perturbation(basis, n_pert, 0.0, ip["density_amplitude"], slope, rng)[1:]
     return rho, a, b, c
 
 

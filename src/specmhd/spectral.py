@@ -52,14 +52,17 @@ the smallest that holds what its caller reads or writes:
   gathers;
 * the band cube ``band`` = ``2K + 1``, with K the cutoff, for the density,
   whose coefficients span the whole scalar table: every realization of it
-  and of its rate, its rate's forward, and ``project_vector``, whose count
-  can reach the cutoff;
-* the full spectrum for a caller that reads outside the band: the Gram
-  matrices, whose weight entries reach twice the cutoff (the differences
-  and sums of two band wavevectors); the temperature Sobolev monitor of
-  ``energy_report``, which sums the whole spectrum of a non-polynomial
-  field; and the harness checks, snapshots and initial conditions, which
-  judge or write the fields on their grids.
+  and of its rate, its rate's forward, the weight of the dense velocity
+  Gram and of the constant-heat thermal Gram, and ``project_vector``,
+  whose count can reach the cutoff;
+* the full spectrum for a caller that reads outside the band: the
+  temperature Sobolev monitor of ``energy_report``, which sums the whole
+  spectrum of a non-polynomial field, and the harness checks, snapshots
+  and initial conditions, which judge or write the fields on their grids.
+
+A Gram matrix reads its weight at sums and differences of its modes'
+wavevectors, per axis up to twice their reach r; its weight is a cube, the
+band cube (zero outside) or a forward cube of size ``4r + 1``.
 
 The phase rule: ``cos(k.x)`` has amplitude ``1/2`` at ``k`` and ``sin(k.x)``
 has ``-i/2``, so the inner product of a field with a cosine mode reads the
@@ -69,7 +72,7 @@ imaginary part.  A test function carrying a derivative has an extra factor
 part.  Synthesis (``_synth``) and projection (``_gather``) are the two
 kernels that apply it.  The two Gram matrices, ``vector_gram`` and
 ``scalar_gram``, give ``(w phi_i, phi_j)`` for a weight ``w`` from its
-spectrum; with the density or ``rho c(theta)`` as the weight they are the
+cube; with the density or ``rho c(theta)`` as the weight they are the
 Galerkin mass matrices.
 """
 
@@ -210,7 +213,6 @@ class DivFreeSpectralBasis:
         self.n_vector_modes = len(self.vec_n)
         self.n_scalar_modes = len(self.scal_n)
         self._wavenumber_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._half_index_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ grid
 
@@ -499,27 +501,19 @@ class DivFreeSpectralBasis:
         out[self.scal_phase[:count] == _PHASE_CONST] = 0.0
         return out
 
-    def _half_index(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """For each flat index of a full G^3 spectrum: the flat index of the
-        stored entry in the half layout, and whether that entry is the
-        conjugate (the wavevector's negative)."""
-        if g not in self._half_index_cache:
-            n = np.indices((g, g, g)).reshape(3, -1)
-            flip = n[0] > g // 2
-            n[:, flip] = -n[:, flip]
-            self._half_index_cache[g] = (self._flat_indices(n.T, g), flip)
-        return self._half_index_cache[g]
-
     def gather_amplitudes(self, c: np.ndarray, nvecs: np.ndarray) -> np.ndarray:
-        """Raw complex amplitudes at integer wavevectors (used by mass assembly).
-
-        Components alias modulo G; a wavevector whose x-component is not
-        stored reads the conjugate amplitude at its negative.
-        """
-        index, flip = self._half_index(c.shape[-1])
-        full = self._flat_indices(nvecs, c.shape[-1])
-        vals = c.reshape(-1)[index[full]]
-        return np.where(flip[full], np.conj(vals), vals)
+        """Raw complex amplitudes of the half layout ``c`` at integer
+        wavevectors (used by mass assembly): one with every ``|n_i| <=
+        c.shape[-1] // 2`` reads its entry, or, with nx < 0, the conjugate
+        of the entry at its negative; every other reads exactly 0, since a
+        Gram weight is a cube holding every amplitude its Gram reads."""
+        flip = nvecs[:, 0] < 0
+        inside = np.abs(nvecs).max(axis=1) <= c.shape[-1] // 2
+        n = np.where(flip[:, None], -nvecs, nvecs) * inside[:, None]
+        # conjugated after the mask: a zero read with nx < 0 is 0 - 0j, as in
+        # a full spectrum
+        vals = np.where(inside, c.reshape(-1)[self._flat_indices(n, c.shape[-1])], 0.0)
+        return np.where(flip, np.conj(vals), vals)
 
     # --------------------------------------------------------- Gram matrices
 
@@ -547,7 +541,7 @@ class DivFreeSpectralBasis:
 
     def vector_gram(self, c_w: np.ndarray, count: int) -> np.ndarray:
         """Gram matrix (w psi_i, psi_j), i, j < count, of the weight with
-        spectrum ``c_w`` on the base grid; exact quadrature."""
+        cube ``c_w``; exact quadrature."""
         # mode 4g + 2a + p has wavevector g, polarization vec_e[4g + 2a] and
         # phase p: entry (4g + 2a + p, 4h + 2s + q) is the phase block
         # (g, p, h, q) times the polarization product (g, a, h, s).  Sixteen
@@ -565,7 +559,7 @@ class DivFreeSpectralBasis:
 
     def scalar_gram(self, c_w: np.ndarray, count: int) -> np.ndarray:
         """Gram matrix (w omega_i, omega_j), i, j < count, constant mode
-        included, of the weight with spectrum ``c_w``."""
+        included, of the weight with cube ``c_w``."""
         # mode 0 is the constant; mode 1 + 2g + phase has wavevector g
         g = count // 2
         blocks = self._phase_blocks(c_w, self.scal_n[1 : 1 + 2 * g : 2])

@@ -210,14 +210,28 @@ def oracle_dense_grid(basis):
 # ------------------------------------------------------ dense mass assembly
 
 
-def trig_product_matrix(basis, c_w, nvecs, phases, prefactor):
-    """Matrix of (w mode_i, mode_j) from the weight spectrum c_w, one pair of
-    amplitude lookups per entry (the per-entry form of the mass assembly)."""
+def aliased_amplitudes(c, nvecs):
+    """Amplitudes of a full G^3 half spectrum at integer wavevectors, each
+    component aliased modulo G; one whose aliased x-component is not stored
+    reads the conjugate at its negative.  The full-grid lookup that the
+    entrywise oracles keep as their reference."""
+    g = c.shape[-1]
+    n = np.asarray(nvecs) % g
+    flip = n[:, 0] > g // 2
+    n[flip] = -n[flip] % g
+    vals = c[n[:, 0], n[:, 1], n[:, 2]]
+    return np.where(flip, np.conj(vals), vals)
+
+
+def trig_product_matrix(c_w, nvecs, phases, prefactor):
+    """Matrix of (w mode_i, mode_j) from the full weight spectrum c_w, one
+    pair of aliased amplitude lookups per entry (the per-entry form of the
+    mass assembly)."""
     m = len(nvecs)
     diff = nvecs[:, None, :] - nvecs[None, :, :]
     summ = nvecs[:, None, :] + nvecs[None, :, :]
-    cd = basis.gather_amplitudes(c_w, diff.reshape(-1, 3)).reshape(m, m)
-    cs = basis.gather_amplitudes(c_w, summ.reshape(-1, 3)).reshape(m, m)
+    cd = aliased_amplitudes(c_w, diff.reshape(-1, 3)).reshape(m, m)
+    cs = aliased_amplitudes(c_w, summ.reshape(-1, 3)).reshape(m, m)
     pi = phases[:, None]
     pj = phases[None, :]
     out = np.select(
@@ -238,12 +252,17 @@ def trig_product_matrix(basis, c_w, nvecs, phases, prefactor):
 
 
 def oracle_velocity_mass(f):
-    """(rho psi_i, psi_j) assembled entry by entry."""
+    """(rho psi_i, psi_j) assembled entry by entry.  Mode i's polarization
+    is row ``i // 2`` of one row per (wavevector, polarization), multiplied
+    out in the assembly's matmul shape: a matmul over all 343 modes at N=16
+    rounds zero products of orthogonal polarizations to 1e-16 where the
+    assembly's gives 0."""
     k_u = len(f.st.a)
     b = f.basis
     nvecs, phases = b.vec_n[:k_u], b.vec_phase[:k_u].astype(int)
-    pref = b.vec_e[:k_u] @ b.vec_e[:k_u].T
-    mat = trig_product_matrix(b, b.synth_scalar(f.st.rho), nvecs, phases, pref)
+    e = b.vec_e[: 4 * -(-k_u // 4) : 2]
+    pref = (e @ e.T)[np.arange(k_u)[:, None] // 2, np.arange(k_u) // 2]
+    mat = trig_product_matrix(b.synth_scalar(f.st.rho), nvecs, phases, pref)
     return 0.5 * (mat + mat.T)
 
 
@@ -259,9 +278,9 @@ def oracle_thermal_mass(f):
         w = f.rho_m * cst.specific_heat(p, np.maximum(f.theta_m, 0.0))
         c_w = b.grid_to_spectral(w)
     nvecs, phases = b.scal_n[:k_b], b.scal_phase[:k_b].astype(int)
-    mat = trig_product_matrix(b, c_w, nvecs, np.minimum(phases, 1), np.ones((k_b, k_b)))
+    mat = trig_product_matrix(c_w, nvecs, np.minimum(phases, 1), np.ones((k_b, k_b)))
     const = phases == 2
-    amps = b.gather_amplitudes(c_w, nvecs)
+    amps = aliased_amplitudes(c_w, nvecs)
     row = np.where(phases == 0, np.sqrt(2.0) * amps.real, -np.sqrt(2.0) * amps.imag)
     row[const] = amps[const].real
     mat[const, :] = row

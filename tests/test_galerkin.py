@@ -301,16 +301,13 @@ class TestMassMatrices:
         f = ops.fields(st)
         ops.rates(f)
         s = basis.n_scalar_modes
-        # one spectrum each for the velocity, the magnetic field, the
-        # temperature and the density, which every grid realizes from, and
-        # one for the density rate; the two Gram weights need the full
-        # spectra of the density on their grids
+        # one spectrum each for the velocity, the magnetic field and the
+        # temperature, which every grid realizes from; the density is
+        # synthesized once per state, plus its rate
         assert calls == {
             ("synth_vector", K, f.size_u): 2,
             ("synth_scalar", K + 1, f.size_theta): 1,
             ("synth_scalar", s, f.band): 2,
-            ("synth_scalar", s, None): 1,
-            ("synth_scalar", s, f.m): 1,
         }
 
     def test_not_spd_raises(self, basis, ops):
@@ -340,6 +337,22 @@ class TestMassMatrices:
         ops = gal.GalerkinOperators(params, basis)
         st = make_state(basis, np.random.default_rng(k_b), K, k_b=k_b, rho_amp=0.4)
         f = ops.fields(st)
+        assert_bitwise(ops.thermal_mass(f), oracle_thermal_mass(f))
+
+    # the largest dense counts at N=16 read the weights at |n_i| up to 6 and
+    # 8, past the density band K=5, where the Grams read 0; N=32 with 32 and
+    # 33 modes is the transform_n32 shape
+    @pytest.mark.parametrize("form", cst.SPECIFIC_HEAT_FORMS)
+    @pytest.mark.parametrize("n,k_u,k_b", [(16, 343, 329), (32, 32, 33)])
+    def test_mass_bitwise_vs_entrywise_past_the_band(self, form, n, k_u, k_b):
+        basis = sp.build_basis(L, n)
+        ops = gal.GalerkinOperators(heat_params(form), basis)
+        rng = np.random.default_rng(n)
+        st = make_state(basis, rng, k_u, k_b=k_b, k_c=K, rho_amp=0.0)
+        pert = rng.normal(size=basis.n_scalar_modes - 1)
+        st.rho[1:] = 0.3 * pert / np.abs(basis.scalar_grid(np.r_[0.0, pert])).max()
+        f = ops.fields(st)
+        assert_bitwise(ops.velocity_mass(f), oracle_velocity_mass(f))
         assert_bitwise(ops.thermal_mass(f), oracle_thermal_mass(f))
 
 

@@ -12,6 +12,7 @@ from specmhd import spectral as sp
 from specmhd.errors import ResolutionError
 
 from helpers import (
+    aliased_amplitudes,
     assert_bitwise,
     make_state,
     oracle_dense_grid,
@@ -207,16 +208,29 @@ class TestHalfSpectrumLayout:
         want = oracle_vector_field(basis, coeffs, oracle_mesh(L, basis.grid_points))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
-    def test_gather_amplitudes_negative_x_reads_conjugate(self, basis):
-        g = basis.grid_points
-        rng = np.random.default_rng(22)
-        values = rng.normal(size=(g, g, g))
-        c = basis.grid_to_spectral(values)
-        full = np.fft.fftn(values) / g**3
-        nvecs = np.array([[-1, 0, 0], [-2, 3, -1], [-5, -4, 2], [-g // 2 + 1, 1, 1], [3, -2, 5]])
-        got = basis.gather_amplitudes(c, nvecs)
-        np.testing.assert_allclose(got[:4], np.conj(basis.gather_amplitudes(c, -nvecs[:4])), atol=1e-17)
-        np.testing.assert_allclose(got, full[tuple((nvecs % g).T)], rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("g", [8, 16, 32])
+    def test_gather_amplitudes_negative_x_reads_conjugate(self, g):
+        """On the full spectrum, a wavevector below the Nyquist wavenumber
+        reads the complex FFT's amplitude.  On the band and truncation cubes,
+        one inside the cube reads the full spectrum's entry bit for bit (with
+        nx < 0 the conjugate at its negative) and one outside reads exactly
+        0."""
+        basis = sp.build_basis(L, g)
+        values = np.random.default_rng(22 + g).normal(size=(g, g, g))
+        full = basis.grid_to_spectral(values)
+        r = np.arange(-(g // 2) - 1, g // 2 + 2)
+        nvecs = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+        below = np.abs(nvecs).max(axis=1) < g // 2
+        want = (np.fft.fftn(values) / g**3)[tuple((nvecs[below] % g).T)]
+        np.testing.assert_allclose(basis.gather_amplitudes(full, nvecs[below]), want, rtol=0, atol=1e-15)
+        for size in sorted({3, 5, basis.band}):
+            cube = basis.grid_to_spectral(values, size=size)
+            got = basis.gather_amplitudes(cube, nvecs)
+            inside = np.abs(nvecs).max(axis=1) <= size // 2
+            assert_bitwise(got[inside], aliased_amplitudes(full, nvecs[inside]))
+            neg = inside & (nvecs[:, 0] < 0)
+            assert_bitwise(got[neg], np.conj(basis.gather_amplitudes(cube, -nvecs[neg])))
+            assert np.all(got[~inside] == 0.0)
 
     def test_resample_vector_round_trip(self, basis):
         # every amplitude below the Nyquist wavenumber 8 survives 16 -> 24 -> 16
@@ -387,6 +401,20 @@ def test_transforms_only_in_spectral():
         ]
     assert not stray, f"np.fft transforms outside the transform layer: {stray}"
     assert not positional, f"transform calls without exactly one positional argument: {positional}"
+
+
+def test_galerkin_synthesizes_only_onto_cubes():
+    """Every synthesis in :mod:`specmhd.galerkin` passes its cube size, so no
+    full-grid synthesis can return to the right-hand side unnoticed."""
+    tree = ast.parse(Path(gal.__file__).read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("synth_scalar", "synth_vector", "synth")
+    ]
+    assert len(calls) >= 6
+    full = [f"galerkin.py:{node.lineno}" for node in calls if len(node.args) + len(node.keywords) != 2]
+    assert not full, f"syntheses without a cube size: {full}"
 
 
 @pytest.mark.parametrize("lead", [(), (3,), (6,)], ids=["scalar", "vector", "tensor"])
